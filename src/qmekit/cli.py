@@ -36,7 +36,7 @@ from .oracle import FiniteBathModel, exact_reduced_evolution, gauss_legendre_mod
 
 __all__ = ["main", "parse_config", "serialize_config", "ModelConfig"]
 
-TRACE_RESIDUAL_LIMIT = 1e-12
+TRACE_RESIDUAL_LIMIT = 1e-12          # relative to max|K|
 EC_AGREEMENT_LIMIT = 1e-12
 SCALING_BAND = (3.0, 5.0)
 
@@ -380,7 +380,8 @@ def cmd_build_kernel(cfg, args, out_dir):
     report["provenance"] = _provenance(cfg)
     _io.write_json(out_dir / f"kernel-{variant}-report.json", report)
     print(f"trace residual: {_io.fmt(residual)}")
-    return 0 if residual < TRACE_RESIDUAL_LIMIT else 1
+    scale = max(report["max_abs_entry"], 1e-300)
+    return 0 if residual < TRACE_RESIDUAL_LIMIT * scale else 1
 
 
 def _trajectory_json(traj):

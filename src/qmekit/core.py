@@ -434,14 +434,6 @@ class JumpOperatorSet:
         total = self.operators.sum(axis=0)
         return float(np.max(np.abs(total - couplings.matrices)))
 
-    def triples(self):
-        """Iterate (omega, channel label, matrix) over nonzero entries."""
-        for b, w in enumerate(self.omegas):
-            for a, lab in enumerate(self.channel_labels):
-                op = self.operators[b, a]
-                if np.any(op != 0):
-                    yield float(w), lab, op
-
 
 def decompose_jump_operators(spectrum, couplings):
     """Split each coupling channel over the Bohr bins of the spectrum.

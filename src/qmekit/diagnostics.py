@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from scipy.linalg import expm
 
 from .core import InputError
-from .kernels import kernel_difference, trace_condition_residual
+from .kernels import _jump_kernel, kernel_difference, trace_condition_residual
 from . import io as _io
 
 __all__ = [
@@ -175,21 +175,7 @@ def flip_gain_sign(spectrum, couplings, bath_spec):
     positivity by construction.  It exists so the diagnostics have a
     known-guilty generator to convict in tests and demos.
     """
-    from .core import Superoperator, decompose_jump_operators
-    d = spectrum.dim
-    jumps = decompose_jump_operators(spectrum, couplings)
-    k = np.zeros((d, d, d, d), dtype=complex)
-    rng = np.arange(d)
-    for b, omega_b in enumerate(jumps.omegas):
-        j = jumps.operators[b]
-        if not np.any(j != 0):
-            continue
-        g = bath_spec.gamma(float(omega_b))
-        k -= np.einsum("ab,bpq,aPQ->pPqQ", g, j, j.conj())
-        loss = np.einsum("ab,alp,blq->pq", g, j.conj(), j)
-        k[:, rng, :, rng] -= 0.5 * loss[None, :, :]
-        k[rng, :, rng, :] -= 0.5 * loss.T[None, :, :]
-    return Superoperator(d, k.reshape(d * d, d * d))
+    return _jump_kernel(spectrum, couplings, bath_spec, gain_sign=-1.0)
 
 
 def equivalence_report(spectrum, couplings, bath_spec, omega=0.0,
@@ -232,27 +218,19 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0,
 
 
 def _in_out_entries(kernel_in, kernel_out, threshold):
-    d = kernel_in.dim
     diff = np.abs(kernel_in.tensor() - kernel_out.tensor())
-    entries = []
-    pop_block_hit = False
-    for p in range(d):
-        for p2 in range(d):
-            for q in range(d):
-                for q2 in range(d):
-                    if diff[p, p2, q, q2] > threshold:
-                        on_pop = (p == p2 and q == q2)
-                        pop_block_hit = pop_block_hit or on_pop
-                        entries.append({
-                            "row": [p, p2], "col": [q, q2],
-                            "abs_diff": float(diff[p, p2, q, q2]),
-                            "population_block": on_pop,
-                        })
-    entries.sort(key=lambda e: -e["abs_diff"])
+    hits = np.argwhere(diff > threshold)               # C order
+    values = diff[tuple(hits.T)]
+    on_pop = (hits[:, 0] == hits[:, 1]) & (hits[:, 2] == hits[:, 3])
+    entries = [
+        {"row": hits[n, :2].tolist(), "col": hits[n, 2:].tolist(),
+         "abs_diff": float(values[n]), "population_block": bool(on_pop[n])}
+        for n in np.argsort(-values, kind="stable")[:32]
+    ]
     return {
         "max_abs_diff": float(diff.max()),
-        "n_entries": len(entries),
-        "entries": entries[:32],
-        "population_block_touched": pop_block_hit,
+        "n_entries": len(hits),
+        "entries": entries,
+        "population_block_touched": bool(on_pop.any()),
         "threshold": float(threshold),
     }

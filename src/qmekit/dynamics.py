@@ -338,27 +338,20 @@ def block_structure_report(spectrum, kernel, threshold=1e-12):
         raise InputError("kernel dimension does not match spectrum")
     d = kernel.dim
     t = kernel.tensor()
-    entries = []
-    coh_to_pop = False
-    pop_to_coh = False
-    for p in range(d):
-        for q in range(d):
-            for q2 in range(d):
-                if q != q2 and abs(t[p, p, q, q2]) > threshold:
-                    coh_to_pop = True
-                    entries.append(((p, p), (q, q2), float(abs(t[p, p, q, q2]))))
-    for p in range(d):
-        for p2 in range(d):
-            if p == p2:
-                continue
-            for q in range(d):
-                if abs(t[p, p2, q, q]) > threshold:
-                    pop_to_coh = True
-                    entries.append(((p, p2), (q, q), float(abs(t[p, p2, q, q]))))
+    rng = np.arange(d)
+    off = rng[:, None] != rng[None, :]
+    rows, cols = t[rng, rng], t[:, :, rng, rng]   # K[pp, qq'], K[pp', qq]
+    # hypot rounds like the scalar abs() of the reports; np.abs may not
+    into_pop = np.hypot(rows.real, rows.imag)     # [p, q, q']
+    from_pop = np.hypot(cols.real, cols.imag)     # [p, p', q]
+    into = [((p, p), (q, q2), float(into_pop[p, q, q2])) for p, q, q2 in
+            np.argwhere((into_pop > threshold) & off[None]).tolist()]
+    out = [((p, p2), (q, q), float(from_pop[p, p2, q])) for p, p2, q in
+           np.argwhere((from_pop > threshold) & off[:, :, None]).tolist()]
     return BlockReport(
-        coherences_feed_populations=coh_to_pop,
-        populations_feed_coherences=pop_to_coh,
-        cross_entries=entries,
+        coherences_feed_populations=bool(into),
+        populations_feed_coherences=bool(out),
+        cross_entries=into + out,
         degeneracy_classes=[list(map(int, c)) for c in spectrum.classes()],
         threshold=float(threshold),
     )
@@ -377,22 +370,15 @@ def trace_distance(a, b):
 def trajectory_to_csv(traj, path):
     """Columns: t, Re/Im of each rho_{pq} row-major, trace, min eigenvalue."""
     d = traj.dim
-    cols = ["t"]
-    for p in range(d):
-        for q in range(d):
-            cols += [f"re_rho_{p}_{q}", f"im_rho_{p}_{q}"]
-    cols += ["trace", "min_eig"]
+    cols = ["t"] + [f"{part}_rho_{p}_{q}" for p in range(d) for q in range(d)
+                    for part in ("re", "im")] + ["trace", "min_eig"]
+    states = np.ascontiguousarray(traj.states).reshape(len(traj.times), -1)
+    trace = [np.trace(s).real for s in traj.states]
+    table = np.column_stack([traj.times, states.view(float), trace,
+                             traj.min_eigenvalue])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for i, tv in enumerate(traj.times):
-            row = [_io.fmt(tv)]
-            for p in range(d):
-                for q in range(d):
-                    z = traj.states[i, p, q]
-                    row += [_io.fmt(z.real), _io.fmt(z.imag)]
-            tr = np.trace(traj.states[i])
-            row += [_io.fmt(tr.real), _io.fmt(traj.min_eigenvalue[i])]
-            fh.write(",".join(row) + "\n")
+        _io.write_csv_rows(fh, table)
 
 
 def steady_result_json(result):

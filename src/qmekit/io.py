@@ -19,6 +19,7 @@ PACKAGE_VERSION = "0.1.0"
 __all__ = [
     "PACKAGE_VERSION",
     "fmt",
+    "write_csv_rows",
     "canonical_dumps",
     "write_json",
     "complex_matrix_to_json",
@@ -38,6 +39,30 @@ def fmt(x):
     if x == 0.0:
         x = 0.0          # normalize -0.0
     return f"{x:.17g}"
+
+
+CSV_CHUNK_VALUES = 12288      # values formatted per write
+
+
+def write_csv_rows(fh, table, index=False):
+    """Write the rows of a 2-d float array as CSV lines, every value as
+    :func:`fmt` writes it, optionally led by the row number.
+
+    Rows go out in chunks of at most ``CSV_CHUNK_VALUES`` values, so the
+    text in memory stays bounded whatever the table size.
+    """
+    table = np.asarray(table, dtype=float)
+    finite = np.isfinite(table)
+    if not finite.all():
+        fmt(table[~finite][0])               # raises, naming the value
+    n_rows, n_cols = table.shape
+    line = ("%d," if index else "") + ",".join(["%.17g"] * n_cols) + "\n"
+    step = max(1, CSV_CHUNK_VALUES // (n_cols + index))
+    for start in range(0, n_rows, step):
+        chunk = table[start:start + step] + 0.0          # -0.0 -> 0.0
+        if index:
+            chunk = np.column_stack([np.arange(start, start + len(chunk)), chunk])
+        fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 class _CanonEncoder(json.JSONEncoder):

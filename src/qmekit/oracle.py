@@ -173,11 +173,13 @@ class FiniteBathModel:
 
     @property
     def sector_eligible(self):
-        """Excitation-conserving qubit on a vacuum bath: solvable in the
-        one-excitation sector, independent of n_max."""
+        """Excitation-conserving qubit on a vacuum bath, lowering channel
+        c sigma-minus: solvable in the one-excitation sector, independent
+        of n_max."""
         return (self.coupling_kind == "rotating-pair"
                 and np.isinf(self.beta)
-                and self.spectrum.dim == 2)
+                and self.spectrum.dim == 2
+                and not np.any(self.couplings.matrices[0].ravel()[[0, 2, 3]]))
 
     @property
     def effective_dim(self):
@@ -214,15 +216,17 @@ def _exact_sector(model, rho0, t_grid):
 
     The coupling conserves excitation number, so |e, vac> only mixes
     with the one-photon states; no Fock truncation enters at all and
-    the leakage question is void.
+    the leakage question is void.  The phase of c drops out of the
+    excited amplitude, so the sector couplings are |c| g_k.
     """
     w0 = model.spectrum.snapped
     n = model.n_modes
+    g = abs(model.couplings.matrices[0, 0, 1]) * model.mode_couplings
     h = np.zeros((n + 1, n + 1))
     h[0, 0] = w0[1]
     h[1:, 1:] = np.diag(w0[0] + model.mode_frequencies)
-    h[0, 1:] = model.mode_couplings
-    h[1:, 0] = model.mode_couplings
+    h[0, 1:] = g
+    h[1:, 0] = g
     evals, vecs = np.linalg.eigh(h)
 
     phases = np.exp(-1j * np.outer(t_grid, evals))          # (nt, n+1)

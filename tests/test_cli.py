@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qmekit.cli import main, parse_config
+from qmekit.diagnostics import flip_gain_sign
 from qmekit.io import canonical_dumps, complex_matrix_from_json
 
 
@@ -199,6 +200,37 @@ def test_block_report_flags_degenerate_mixing(tmp_path, capsys):
     rep = json.loads((out / "block-report.json").read_text())
     assert rep["degeneracy_classes"] == [[0], [1, 2]]
     assert rep["coherences_feed_populations"] is True
+
+
+def strong_flat_doc(d=16, rate=1e3):
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return {
+        "spectrum": {"levels": np.sort(rng.uniform(0.0, 4.0, d)).tolist()},
+        "couplings": {"kind": "hermitian", "matrix": as_json_matrix((m + m.conj().T) / 2)},
+        "bath": {"kind": "flat", "rate": rate},
+    }
+
+
+@pytest.mark.parametrize("variant", ["redfield-in", "lindblad"])
+def test_trace_gate_scales_with_the_kernel(tmp_path, variant):
+    # correct kernels with entries ~1e4: rounding alone puts the trace
+    # residual above 1e-12, so only a gate relative to max|K| passes them
+    rc, out = run(tmp_path, "build-kernel", strong_flat_doc(), "--variant", variant)
+    report = json.loads((out / f"kernel-{variant}-report.json").read_text())
+    assert report["trace_residual"] > 1e-12
+    assert report["trace_residual"] < 1e-14 * report["max_abs_entry"]
+    assert rc == 0
+
+
+def test_trace_gate_fails_a_kernel_that_leaks_trace(tmp_path, monkeypatch):
+    monkeypatch.setattr("qmekit.cli.build_kernel",
+                        lambda spectrum, couplings, bath, *a, **kw:
+                        flip_gain_sign(spectrum, couplings, bath))
+    rc, out = run(tmp_path, "build-kernel", strong_flat_doc(d=4, rate=0.3))
+    report = json.loads((out / "kernel-lindblad-report.json").read_text())
+    assert report["trace_residual"] > 0.1 * report["max_abs_entry"]
+    assert rc == 1
 
 
 def validate_doc(eta):

@@ -144,3 +144,19 @@ def test_equivalence_report_three_level_structure():
     # entries are sorted by decreasing magnitude
     mags = [e["abs_diff"] for e in in_out["entries"]]
     assert mags == sorted(mags, reverse=True)
+
+
+def test_in_out_entries_keep_index_order_among_ties():
+    from qmekit.diagnostics import _in_out_entries
+    d = 3
+    diff = np.zeros(d ** 4)
+    diff[[5, 40, 17, 66, 80, 0]] = [2.0, 3.0, 2.0, 3.0, 1.0, 2.0]
+    rep = _in_out_entries(Superoperator(d, diff.reshape(9, 9)),
+                          Superoperator.zero(d), threshold=0.5)
+    order = [40, 66, 0, 5, 17, 80]
+    assert [e["row"] + e["col"] for e in rep["entries"]] == [
+        list(np.unravel_index(k, (d,) * 4)) for k in order]
+    assert [e["abs_diff"] for e in rep["entries"]] == [3.0, 3.0, 2.0, 2.0, 2.0, 1.0]
+    assert [e["population_block"] for e in rep["entries"]] == [
+        True, False, True, False, False, True]
+    assert rep["n_entries"] == 6 and rep["population_block_touched"] is True

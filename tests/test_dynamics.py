@@ -27,6 +27,7 @@ from qmekit.dynamics import (
     trace_distance,
     trajectory_to_csv,
 )
+from qmekit.io import fmt
 from conftest import make_system
 
 
@@ -219,6 +220,19 @@ def test_block_structure_nondegenerate_vs_degenerate():
     assert rep_deg.populations_feed_coherences
     assert rep_deg.degeneracy_classes == [[0], [1, 2]]
 
+    # cross entries in the order and rounding of a plain index scan
+    k_rf = build_kernel(spec_deg, coupling3, bath, "redfield-in")
+    for k in (k_deg, k_rf):
+        t = k.tensor()
+        scan = [((p, p), (q, q2), float(abs(t[p, p, q, q2])))
+                for p in range(3) for q in range(3) for q2 in range(3)
+                if q != q2 and abs(t[p, p, q, q2]) > 1e-12]
+        scan += [((p, p2), (q, q), float(abs(t[p, p2, q, q])))
+                 for p in range(3) for p2 in range(3) for q in range(3)
+                 if p != p2 and abs(t[p, p2, q, q]) > 1e-12]
+        assert block_structure_report(spec_deg, k).cross_entries == scan
+        assert scan
+
 
 def test_trace_distance_known_values():
     a = np.diag([1.0, 0.0]).astype(complex)
@@ -243,4 +257,8 @@ def test_trajectory_csv_schema(tmp_path):
     assert row0[0] == 0.0
     # excited initial state: rho_11 = 1
     assert row0[1 + 2 * 3] == 1.0
+    rows = [[fmt(t)] + [fmt(f(z)) for z in s.ravel() for f in (np.real, np.imag)]
+            + [fmt(np.trace(s).real), fmt(m)]
+            for t, s, m in zip(traj.times, traj.states, traj.min_eigenvalue)]
+    assert lines[1:] == [",".join(r) for r in rows]
     assert abs(row0[-2] - 1.0) < 1e-15

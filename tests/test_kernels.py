@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from qmekit.bath import flat_spectrum, lorentzian_spectrum, thermal_ohmic_spectrum
+from qmekit.bath import (
+    custom_spectrum,
+    flat_spectrum,
+    lorentzian_spectrum,
+    thermal_ohmic_spectrum,
+)
 from qmekit.core import (
+    CouplingChannelSet,
     InputError,
     build_spectrum,
+    decompose_jump_operators,
     hermitian_channel,
     ladder_channels,
     lmul,
@@ -21,8 +28,10 @@ from qmekit.kernels import (
     kernel_provenance,
     kernel_to_csv,
     kossakowski_matrix,
+    lindblad_kernel,
     trace_condition_residual,
 )
+from qmekit.io import fmt
 from conftest import make_system
 
 
@@ -122,6 +131,49 @@ def test_energy_conserving_equals_lindblad_sample():
         assert diff < 1e-13 * scale, seed
 
 
+def dense_per_bin_lindblad(spectrum, couplings, bath):
+    """The jump-form kernel with one full d^4 einsum per Bohr bin."""
+    d = spectrum.dim
+    jumps = decompose_jump_operators(spectrum, couplings)
+    k = np.zeros((d, d, d, d), dtype=complex)
+    rng = np.arange(d)
+    for omega_b, j in zip(jumps.omegas, jumps.operators):
+        g = bath.gamma(float(omega_b))
+        k += np.einsum("ab,bpq,aPQ->pPqQ", g, j, j.conj())
+        loss = np.einsum("ab,alp,blq->pq", g, j.conj(), j)
+        k[:, rng, :, rng] -= 0.5 * loss[None, :, :]
+        k[rng, :, rng, :] -= 0.5 * loss.T[None, :, :]
+    return k.reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("levels", [
+    [0.0, 0.31, 0.77, 1.52, 2.9, 3.35, 3.8],        # generic
+    [0.25 * n for n in range(7)],                     # harmonic
+    [0.0, 0.5, 0.5, 1.0, 1.5, 1.5, 1.5],              # degenerate
+])
+@pytest.mark.parametrize("channels", ["hermitian", "ladder"])
+def test_lindblad_kernel_matches_dense_per_bin_reference(levels, channels):
+    spectrum = build_spectrum(levels)
+    d = spectrum.dim
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if channels == "hermitian":
+        couplings = hermitian_channel(m + m.conj().T)
+        bath = thermal_ohmic_spectrum(0.2, 5.0, 1.0)
+    else:
+        couplings = CouplingChannelSet(np.stack([m, m.conj().T]), ("L", "Ldag"),
+                                       adjoint_map=(1, 0))
+        mix = np.array([[1.0, 0.4 + 0.2j], [0.4 - 0.2j, 0.7]])
+        bath = custom_spectrum(
+            2, lambda w: np.multiply.outer(0.3 / (1.0 + np.exp(-1.5 * w)), mix))
+    k = lindblad_kernel(spectrum, couplings, bath).data
+    scale = np.max(np.abs(k))
+    ref = dense_per_bin_lindblad(spectrum, couplings, bath)
+    assert np.max(np.abs(k - ref)) <= 1e-14 * scale
+    ec = build_kernel(spectrum, couplings, bath, "energy-conserving").data
+    assert np.max(np.abs(k - ec)) <= 1e-12 * scale
+
+
 def test_in_out_discrepancy_off_population_block():
     kin = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in").tensor()
     kout = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-out").tensor()
@@ -210,6 +262,9 @@ def test_kernel_export_and_envelope(tmp_path):
     idx, re, im = lines[1 + 5].split(",")
     assert int(idx) == 5
     assert complex(float(re), float(im)) == k.data.ravel()[5]
+    per_entry = "index,re,im\n" + "".join(
+        f"{i},{fmt(z.real)},{fmt(z.imag)}\n" for i, z in enumerate(k.data.ravel()))
+    assert path.read_text() == per_entry
 
     variant = kernel_provenance(QUBIT, couplings, bath, "lindblad")
     env = kernel_envelope(k, variant, include_entries=True)

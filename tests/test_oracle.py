@@ -173,6 +173,24 @@ def test_dimension_cap_counts_the_evolving_space():
     assert model.effective_dim <= DIM_CAP
 
 
+@pytest.mark.parametrize("lower, sector, p_excited", [
+    (SIGMA_MINUS, True, 0.8281),
+    (2 * SIGMA_MINUS, True, 0.5457),
+    (2j * SIGMA_MINUS, True, 0.5457),
+    (SIGMA_MINUS.T, False, 1.0),
+])
+def test_exact_evolution_follows_the_lowering_channel(lower, sector, p_excited):
+    omegas, gs, _ = gauss_legendre_modes(lambda w: 0.05 * w, 5.0, 4)
+    model = FiniteBathModel(QUBIT, ladder_channels(lower), omegas, gs, n_max=2,
+                            beta=np.inf, coupling_kind="rotating-pair")
+    assert model.sector_eligible is sector
+    t = np.linspace(0.0, 2.0, 5)
+    traj = exact_reduced_evolution(model, EXCITED, t)
+    dense, _ = _exact_dense(model, EXCITED, t)
+    assert np.max(np.abs(traj.states - dense)) < 1e-13
+    assert traj.states[-1, 1, 1].real == pytest.approx(p_excited, abs=5e-5)
+
+
 def test_finite_bath_model_validation():
     with pytest.raises(InputError, match="coupling kind"):
         FiniteBathModel(QUBIT, LADDER, np.array([1.0]), np.array([0.1]),
