@@ -24,7 +24,7 @@ from . import bath as _bath
 from . import io as _io
 from .kernels import (
     VARIANT_TAGS, build_kernel, kernel_provenance, kernel_to_csv,
-    kernel_envelope, trace_condition_residual,
+    kernel_envelope,
 )
 from .dynamics import (
     build_liouvillian, evolve_markov, evolve_nonlocal, steady_state,
@@ -369,16 +369,16 @@ def cmd_build_kernel(cfg, args, out_dir):
         raise InputError(f"--variant: expected one of {list(VARIANT_TAGS)}, "
                          f"got {variant!r}")
     kernel, prov = _build(cfg, variant, cfg.experiment.omega)
-    residual = trace_condition_residual(kernel)
+    report = kernel_envelope(kernel, prov)
+    report["provenance"] = _provenance(cfg)
     if args.format == "csv":
         kernel_to_csv(kernel, out_dir / f"kernel-{variant}.csv")
     else:
-        env = kernel_envelope(kernel, prov, include_entries=True)
-        env["provenance"] = _provenance(cfg)
-        _io.write_json(out_dir / f"kernel-{variant}.json", env)
-    report = kernel_envelope(kernel, prov)
-    report["provenance"] = _provenance(cfg)
+        entries = _io.complex_matrix_to_json(kernel.data)
+        _io.write_json(out_dir / f"kernel-{variant}.json",
+                       dict(report, entries=entries))
     _io.write_json(out_dir / f"kernel-{variant}-report.json", report)
+    residual = report["trace_residual"]
     print(f"trace residual: {_io.fmt(residual)}")
     scale = max(report["max_abs_entry"], 1e-300)
     return 0 if residual < TRACE_RESIDUAL_LIMIT * scale else 1

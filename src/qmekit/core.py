@@ -446,10 +446,14 @@ def decompose_jump_operators(spectrum, couplings):
     bins = bohr_frequencies(spectrum)
     d = spectrum.dim
     n = couplings.n_channels
+    # bin label of every ordered pair, then one scatter of all channels
+    label = np.empty((d, d), dtype=np.intp)
+    pairs = np.array([pq for bn in bins for pq in bn.pairs], dtype=np.intp)
+    label[pairs[:, 0], pairs[:, 1]] = np.repeat(
+        np.arange(len(bins)), [len(bn.pairs) for bn in bins])
+    p, q = np.indices((d, d))
     ops = np.zeros((len(bins), n, d, d), dtype=complex)
-    for b, bn in enumerate(bins):
-        for (p, q) in bn.pairs:
-            ops[b, :, p, q] = couplings.matrices[:, p, q]
+    ops[label, :, p, q] = np.moveaxis(couplings.matrices, 0, -1)
     return JumpOperatorSet(
         omegas=np.array([bn.omega for bn in bins]),
         channel_labels=couplings.labels,

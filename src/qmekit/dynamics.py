@@ -2,17 +2,25 @@
 
 The full generator is L = L_H + K with (L_H rho)_{pp'} = -i E_{pp'}
 rho_{pp'} diagonal in the flat pair index (snapped energies, consistent
-with the kernels).  Markovian propagation uses matrix exponentials for
-small systems and an adaptive high-order Runge-Kutta beyond; both paths
-agree to 1e-8 where they overlap and that agreement is part of the test
-suite.  Non-Markovian propagation integrates the time-nonlocal memory
+with the kernels).  Markovian propagation uses matrix exponentials while
+the generator's largest block (below) has at most EXPM_DIM_LIMIT**2
+pairs, and an adaptive high-order Runge-Kutta beyond; both paths agree
+to 1e-8 where they overlap and that agreement is part of the test
+suite.  Steady states and exponentials work per block of the generator:
+the connected components of its nonzero pattern.  Covariant generators
+(energy-conserving, lindblad) map a level pair only to pairs of the same
+Bohr frequency, so they split into one block per Bohr bin (or finer);
+redfield and born generators are one block and take the dense path
+unchanged.  The split is exact, because off-block entries are structural
+zeros.  Non-Markovian propagation integrates the time-nonlocal memory
 kernel with a Heun predictor-corrector and trapezoid memory quadrature.
 """
 
 import numpy as np
 from dataclasses import dataclass
 from scipy.linalg import expm
-from scipy.integrate import solve_ivp
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .core import DensityMatrix, InputError, InvariantError, Superoperator, lrmul
 from . import io as _io
@@ -32,7 +40,41 @@ __all__ = [
     "steady_result_json",
 ]
 
-EXPM_DIM_LIMIT = 16       # largest d propagated by dense matrix exponentials
+# largest d propagated by dense matrix exponentials; a generator that
+# splits into blocks takes them while its largest block has at most
+# EXPM_DIM_LIMIT**2 pairs, whatever d
+EXPM_DIM_LIMIT = 16
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: only the rk path
+    needs it, and it is the largest import of the package."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
+
+
+def _blocks(data):
+    """Connected blocks of a generator's nonzero pattern.
+
+    Returns one (n_blocks, m) array of flat pair indices per block size
+    m, each row ascending, or None when the generator is one block.
+    Entries outside the blocks are exactly zero, so a block-diagonal
+    computation on them is exact; a stray nonzero only merges blocks.
+    """
+    nz = data != 0
+    n, labels = connected_components(csr_array(nz | nz.T), directed=False)
+    if n == 1:
+        return None
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == m][:, None] + np.arange(m)]
+            for m in np.unique(sizes)]
+
+
+def _sub(data, idx):
+    """The stacked diagonal blocks data[idx_b, idx_b] of one size group."""
+    return data[idx[:, :, None], idx[:, None, :]]
 
 
 @dataclass(frozen=True)
@@ -106,36 +148,51 @@ def _check_grid(t_grid):
 def evolve_markov(liouv, rho0, t_grid, method="auto"):
     """Propagate rho0 along t_grid under a time-independent generator.
 
-    method: "auto" picks matrix exponentials up to d=16 and the adaptive
-    DOP853 integrator beyond; "expm" / "rk" force a path (the forced
-    paths exist so their 1e-8 agreement stays testable).
+    method: "auto" picks matrix exponentials while the generator's
+    largest block has at most EXPM_DIM_LIMIT**2 pairs (d <= 16 for a
+    one-block generator) and the adaptive DOP853 integrator beyond;
+    "expm" / "rk" force a path (the forced paths exist so their 1e-8
+    agreement stays testable).  "expm" exponentiates each block.
     """
     t = _check_grid(t_grid)
     rho = _as_state(rho0)
     d = liouv.dim
     if rho.shape != (d, d):
         raise InputError("initial state dimension does not match Liouvillian")
-    if method == "auto":
-        method = "expm" if d <= EXPM_DIM_LIMIT else "rk"
-    if method not in ("expm", "rk"):
+    if method not in ("auto", "expm", "rk"):
         raise InputError(f"unknown method {method!r}")
+    blocks = None if method == "rk" else _blocks(liouv.data)
+    if method == "auto":
+        largest = d * d if blocks is None else blocks[-1].shape[1]
+        method = "expm" if largest <= EXPM_DIM_LIMIT ** 2 else "rk"
 
     vecs = np.empty((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
     if method == "expm":
         # one exponential per distinct step size; uniform grids pay once
-        props = {}
-        for i in range(1, t.size):
-            dt = t[i] - t[i - 1]
-            key = round(dt / (t[-1] - t[0]), 15)
-            if key not in props:
-                props[key] = expm(liouv.data * dt)
-            vecs[i] = props[key] @ vecs[i - 1]
+        steps = np.diff(t)
+        keys = [round(dt / (t[-1] - t[0]), 15) for dt in steps]
+        step_of = {}
+        for key, dt in zip(keys, steps):
+            step_of.setdefault(key, dt)
+        if blocks is None:
+            props = {key: expm(liouv.data * dt) for key, dt in step_of.items()}
+            for i, key in enumerate(keys, 1):
+                vecs[i] = props[key] @ vecs[i - 1]
+        else:
+            for idx in blocks:
+                sub = _sub(liouv.data, idx)
+                props = {key: expm(sub * dt) for key, dt in step_of.items()}
+                xs = np.empty((t.size, *idx.shape, 1), dtype=complex)
+                xs[0, ..., 0] = vecs[0, idx]
+                for i, key in enumerate(keys, 1):
+                    np.matmul(props[key], xs[i - 1], out=xs[i])
+                vecs[:, idx] = xs[..., 0]
     else:
         sol = solve_ivp(
             lambda _, y: liouv.data @ y,
             (t[0], t[-1]), vecs[0],
-            t_eval=t, method="DOP853", rtol=1e-10, atol=1e-12,
+            t_eval=t, method="DOP853", rtol=1e-12, atol=1e-14,
         )
         if not sol.success:
             reached = sol.t[-1] if sol.t.size else t[0]
@@ -275,12 +332,21 @@ def steady_state(liouv, rel_threshold=1e-10, gap_factor=10.0):
 
     Singular values below rel_threshold * ||L||_2 count as zero; the
     smallest surviving one must clear the cutoff by gap_factor, since a
-    borderline value means the rank decision would be a guess.
+    borderline value means the rank decision would be a guess.  A
+    generator that splits into blocks runs one stacked SVD per block
+    size; the union of their singular values is that of L.
 
     :raises InvariantError: no null vector, or no clean gap.
     """
     d = liouv.dim
-    _, svals, vh = np.linalg.svd(liouv.data)
+    blocks = _blocks(liouv.data)
+    if blocks is None:
+        _, svals, vh = np.linalg.svd(liouv.data)
+    else:
+        svds = [np.linalg.svd(_sub(liouv.data, idx))[1:] for idx in blocks]
+        svals = np.concatenate([sv.ravel() for sv, _ in svds])
+        order = np.argsort(-svals, kind="stable")
+        svals = svals[order]
     norm = svals[0] if svals.size else 0.0
     cut = rel_threshold * norm
     null_idx = np.flatnonzero(svals <= cut)
@@ -297,9 +363,19 @@ def steady_state(liouv, rel_threshold=1e-10, gap_factor=10.0):
                 f"no clean spectral gap: sigma={smallest_kept:g} sits within "
                 f"{gap_factor:g}x of the null cutoff {cut:g}"
             )
+    if blocks is None:
+        null = vh[null_idx]
+    else:
+        # scatter each block's null vector back onto the full pair index
+        offsets = np.cumsum([0] + [sv.size for sv, _ in svds])
+        null = np.zeros((mult, d * d), dtype=complex)
+        for row, pos in zip(null, order[null_idx]):
+            g = np.searchsorted(offsets, pos, side="right") - 1
+            b, r = divmod(int(pos - offsets[g]), blocks[g].shape[1])
+            row[blocks[g][b]] = svds[g][1][b, r]
     states, flags, traces = [], [], []
-    for i in null_idx:
-        rho = vh[i].conj().reshape(d, d)
+    for v in null:
+        rho = v.conj().reshape(d, d)
         rho = (rho + rho.conj().T) / 2
         fn = np.linalg.norm(rho)
         if fn > 0:

@@ -1,4 +1,5 @@
-"""The benchmark's d <= 4 smoke run of the jump-operator workload."""
+"""The benchmark's d <= 4 smoke runs of the jump-operator and relaxation
+workloads."""
 
 import json
 import subprocess
@@ -8,12 +9,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_jump_large_smoke_run_is_correct():
+def run_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "jump-large",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+
+
+def test_jump_large_smoke_run_is_correct():
+    run_smoke("jump-large")
+
+
+def test_relax_large_smoke_run_is_correct():
+    run_smoke("relax-large")

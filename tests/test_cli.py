@@ -1,9 +1,15 @@
 """End-to-end runs of the batch front-end, in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qmekit.kernels as kernels
 from qmekit.cli import main, parse_config
 from qmekit.diagnostics import flip_gain_sign
 from qmekit.io import canonical_dumps, complex_matrix_from_json
@@ -67,6 +73,33 @@ def test_build_kernel_variant_flag_and_json_payload(tmp_path):
     k = complex_matrix_from_json(env["entries"])
     assert k.shape == (4, 4)
     assert env["max_abs_entry"] == pytest.approx(np.max(np.abs(k)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_build_kernel_scans_the_kernel_once(tmp_path, monkeypatch, fmt):
+    calls = []
+    residual = kernels.trace_condition_residual
+
+    def counting(k):
+        calls.append(k)
+        return residual(k)
+
+    # patched where it is defined and, should cli import it by name, there
+    monkeypatch.setattr(kernels, "trace_condition_residual", counting)
+    monkeypatch.setattr("qmekit.cli.trace_condition_residual", counting,
+                        raising=False)
+    rc, _ = run(tmp_path, "build-kernel", qubit_doc(), "--format", fmt)
+    assert rc == 0 and len(calls) == 1
+
+
+def test_cli_import_leaves_the_integrator_out():
+    # only the adaptive propagator needs scipy.integrate, the largest import
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, qmekit.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_build_kernel_rejects_unknown_variant(tmp_path, capsys):

@@ -132,6 +132,26 @@ def test_jump_decomposition_complete_and_adjoint_paired(levels, seed):
                                   jumps.operators[nb, adj[a]])
 
 
+@pytest.mark.parametrize("levels", [
+    np.arange(-8, 9) / 16.0,                                 # harmonic d=17
+    np.sort(np.random.default_rng(2).uniform(0.0, 4.0, 20)),  # generic d=20
+    np.repeat(np.arange(5), 2) / 4.0,                        # degenerate pairs
+    [0.0],
+])
+def test_jump_decomposition_equals_per_pair_loop(levels):
+    spec = build_spectrum(levels)
+    d = spec.dim
+    rng = np.random.default_rng(d)
+    couplings = ladder_channels(rng.standard_normal((d, d))
+                                + 1j * rng.standard_normal((d, d)))
+    bins = bohr_frequencies(spec)
+    want = np.zeros((len(bins), couplings.n_channels, d, d), dtype=complex)
+    for b, bn in enumerate(bins):
+        for (p, q) in bn.pairs:
+            want[b, :, p, q] = couplings.matrices[:, p, q]
+    assert np.array_equal(decompose_jump_operators(spec, couplings).operators, want)
+
+
 def test_jump_operator_lookup():
     spec, couplings, _ = make_system(5)
     jumps = decompose_jump_operators(spec, couplings)

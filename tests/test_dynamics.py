@@ -84,12 +84,21 @@ def test_auto_method_picks_by_dimension():
     t = np.linspace(0, 1, 5)
     assert evolve_markov(liouv, EXCITED, t).method == "expm"
 
+    # the limit applies to the largest block of the generator: a dense
+    # redfield generator is one block of d^2 pairs, the zero kernel's
+    # diagonal generator d^2 blocks of one pair
     d = EXPM_DIM_LIMIT + 1
     spectrum = build_spectrum(np.arange(d) / 8.0)
-    liouv_big = build_liouvillian(spectrum, Superoperator.zero(d))
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k = build_kernel(spectrum, hermitian_channel(m + m.conj().T),
+                     flat_spectrum(1, 0.3), "redfield-in")
     rho0 = DensityMatrix.maximally_mixed(d).matrix
+    t_short = np.linspace(0, 0.1, 3)
+    assert evolve_markov(build_liouvillian(spectrum, k), rho0, t_short).method == "rk"
+    liouv_big = build_liouvillian(spectrum, Superoperator.zero(d))
     traj = evolve_markov(liouv_big, rho0, t)
-    assert traj.method == "rk"
+    assert traj.method == "expm"
     # zero kernel: the mixed state is stationary under the phases
     assert np.max(np.abs(traj.final() - rho0)) < 1e-9
 
