@@ -20,7 +20,6 @@ from .core import (
     CouplingChannelSet,
     DensityMatrix,
     Superoperator,
-    BohrBin,
     JumpOperatorSet,
     build_spectrum,
     hermitian_channel,
@@ -55,7 +54,6 @@ from .kernels import (
     trace_condition_residual,
 )
 from .dynamics import (
-    Liouvillian,
     Trajectory,
     SteadyStateResult,
     BlockReport,

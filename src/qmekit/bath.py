@@ -66,7 +66,10 @@ class BathSpectrum:
         """gamma^{ab} at scalar or array omega; shape (..., n, n)."""
         w = np.asarray(omega, dtype=float)
         out = self._eval(w)
-        assert out.shape == w.shape + (self.n_channels, self.n_channels)
+        want = w.shape + (self.n_channels, self.n_channels)
+        if np.shape(out) != want:
+            raise InputError(
+                f"{self.kind} evaluator returned shape {np.shape(out)}, want {want}")
         return out
 
     def correlation_ft(self, omega, adjoint_map=None):
@@ -180,12 +183,7 @@ def custom_spectrum(n_channels, matrix_fn, beta=None, support_scale=None, params
     """Wrap a user evaluator w -> (..., n, n) gamma matrix."""
 
     def ev(w):
-        w = np.asarray(w, dtype=float)
-        out = np.asarray(matrix_fn(w), dtype=complex)
-        want = w.shape + (n_channels, n_channels)
-        if out.shape != want:
-            raise InputError(f"custom evaluator returned shape {out.shape}, want {want}")
-        return out
+        return np.asarray(matrix_fn(w), dtype=complex)
 
     return BathSpectrum(int(n_channels), "custom", beta, params or {}, ev, support_scale)
 

@@ -13,7 +13,7 @@ import argparse
 import sys
 import json
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .core import (
@@ -44,6 +44,16 @@ SCALING_BAND = (3.0, 5.0)
 # ---------------------------------------------------------------------------
 # config parsing: parse first, validate everything, name the field
 
+# parameters of each bath kind, besides "kind"
+BATH_KEYS = {
+    "flat": {"rate"},
+    "thermal-ohmic": {"coupling", "cutoff", "beta"},
+    "lorentzian": {"rate", "width"},
+    "gaussian": {"rate", "width"},
+    "tabulated": {"path", "beta"},
+}
+
+
 def _fail(path, msg):
     raise InputError(f"{path}: {msg}")
 
@@ -56,10 +66,26 @@ def _req(d, key, path):
     return d[key]
 
 
+def _keys(d, path, allowed):
+    """Reject an object with keys outside ``allowed``, naming the first."""
+    if not isinstance(d, dict):
+        _fail(path, "expected an object")
+    unknown = sorted(map(str, set(d) - allowed))
+    if unknown:
+        _fail(f"{path}.{unknown[0]}", "unknown key")
+
+
 def _num(x, path):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail(path, f"expected a number, got {type(x).__name__}")
+    if not abs(x) <= sys.float_info.max:        # NaN, infinities, huge ints
+        _fail(path, f"expected a finite number, got {x}")
     return float(x)
+
+
+def _beta(x, path):
+    """An inverse temperature: a number, or Infinity for a vacuum bath."""
+    return np.inf if x == np.inf else _num(x, path)
 
 
 def _int(x, path):
@@ -112,6 +138,7 @@ class ModelConfig:
 
 
 def _parse_spectrum(d):
+    _keys(d, "spectrum", {"levels", "eps_deg"})
     levels = _req(d, "levels", "spectrum")
     if not isinstance(levels, list) or not levels:
         _fail("spectrum.levels", "expected a nonempty list of numbers")
@@ -129,6 +156,7 @@ def _parse_couplings(d, dim):
     kind = _str(_req(d, "kind", "couplings"), "couplings.kind",
                 {"hermitian", "ladder", "explicit"})
     if kind in ("hermitian", "ladder"):
+        _keys(d, "couplings", {"kind", "matrix", "label"})
         m = _matrix(_req(d, "matrix", "couplings"), "couplings.matrix")
         if m.shape != (dim, dim):
             _fail("couplings.matrix", f"expected shape {(dim, dim)}, got {m.shape}")
@@ -140,11 +168,13 @@ def _parse_couplings(d, dim):
             return ladder_channels(m, label=label)
         except InputError as exc:
             _fail("couplings.matrix", str(exc))
+    _keys(d, "couplings", {"kind", "matrices", "adjoint_map"})
     mats = _req(d, "matrices", "couplings")
     if not isinstance(mats, list) or not mats:
         _fail("couplings.matrices", "expected a nonempty list")
     labels, arrays = [], []
     for i, entry in enumerate(mats):
+        _keys(entry, f"couplings.matrices[{i}]", {"label", "matrix"})
         labels.append(_str(_req(entry, "label", f"couplings.matrices[{i}]"),
                            f"couplings.matrices[{i}].label"))
         m = _matrix(_req(entry, "matrix", f"couplings.matrices[{i}]"),
@@ -166,8 +196,8 @@ def _parse_couplings(d, dim):
 
 
 def _parse_bath(d, n_channels):
-    kind = _str(_req(d, "kind", "bath"), "bath.kind",
-                {"flat", "thermal-ohmic", "lorentzian", "gaussian", "tabulated"})
+    kind = _str(_req(d, "kind", "bath"), "bath.kind", set(BATH_KEYS))
+    _keys(d, "bath", {"kind"} | BATH_KEYS[kind])
     try:
         if kind == "flat":
             return _bath.flat_spectrum(n_channels, _num(_req(d, "rate", "bath"), "bath.rate"))
@@ -175,7 +205,7 @@ def _parse_bath(d, n_channels):
             return _bath.thermal_ohmic_spectrum(
                 _num(_req(d, "coupling", "bath"), "bath.coupling"),
                 _num(_req(d, "cutoff", "bath"), "bath.cutoff"),
-                _num(_req(d, "beta", "bath"), "bath.beta"),
+                _beta(_req(d, "beta", "bath"), "bath.beta"),
                 n_channels=n_channels,
             )
         if kind == "lorentzian":
@@ -193,7 +223,7 @@ def _parse_bath(d, n_channels):
         path = _str(_req(d, "path", "bath"), "bath.path")
         beta = d.get("beta")
         if beta is not None:
-            beta = _num(beta, "bath.beta")
+            beta = _beta(beta, "bath.beta")
         spec = _bath.tabulated_spectrum(path, beta=beta)
         if spec.n_channels != n_channels:
             _fail("bath.path",
@@ -211,6 +241,7 @@ def _parse_t_grid(d, path):
     if isinstance(d, list):
         vals = [_num(x, f"{path}[{i}]") for i, x in enumerate(d)]
         return np.asarray(vals)
+    _keys(d, path, {"start", "stop", "num"})
     start = _num(_req(d, "start", path), f"{path}.start")
     stop = _num(_req(d, "stop", path), f"{path}.stop")
     num = _int(_req(d, "num", path), f"{path}.num")
@@ -225,6 +256,8 @@ def _parse_initial_state(d, dim):
     kind = _str(_req(d, "kind", "experiment.initial_state"),
                 "experiment.initial_state.kind",
                 {"ground", "excited", "maximally-mixed", "matrix"})
+    _keys(d, "experiment.initial_state",
+          {"kind", "matrix"} if kind == "matrix" else {"kind"})
     if kind == "ground":
         m = np.zeros((dim, dim), dtype=complex)
         m[0, 0] = 1.0
@@ -248,8 +281,8 @@ def _parse_initial_state(d, dim):
 def _parse_experiment(d, dim):
     if d is None:
         d = {}
-    if not isinstance(d, dict):
-        _fail("experiment", "expected an object")
+    _keys(d, "experiment",
+          {"variant", "omega", "t_grid", "initial_state", "seed", "nonlocal"})
     variant = d.get("variant", "lindblad")
     _str(variant, "experiment.variant", set(VARIANT_TAGS))
     omega = _num(d.get("omega", 0.0), "experiment.omega")
@@ -259,6 +292,7 @@ def _parse_experiment(d, dim):
             if "initial_state" in d else _parse_initial_state({"kind": "excited"}, dim))
     seed = _int(d.get("seed", 0), "experiment.seed")
     nl = d.get("nonlocal", {})
+    _keys(nl, "experiment.nonlocal", {"tau_grid", "tau_memory"})
     if nl:
         tau_grid = _parse_t_grid(_req(nl, "tau_grid", "experiment.nonlocal"),
                                  "experiment.nonlocal.tau_grid")
@@ -271,6 +305,7 @@ def _parse_experiment(d, dim):
 def _parse_validate(d):
     if d is None:
         return {}
+    _keys(d, "validate", {"eta", "omega_band", "n_modes", "t_star", "num", "scales"})
     out = {
         "eta": _num(_req(d, "eta", "validate"), "validate.eta"),
         "omega_band": _num(_req(d, "omega_band", "validate"), "validate.omega_band"),
@@ -405,7 +440,7 @@ def _write_trajectory(traj, out_dir, stem, fmt):
 def cmd_evolve(cfg, args, out_dir):
     exp = cfg.experiment
     kernel, _ = _build(cfg, exp.variant, exp.omega)
-    liouv = build_liouvillian(cfg.spectrum, kernel, exp.variant)
+    liouv = build_liouvillian(cfg.spectrum, kernel)
     traj = evolve_markov(liouv, exp.initial_state, exp.t_grid)
     _write_trajectory(traj, out_dir, "trajectory", args.format)
     diag = {
@@ -443,7 +478,7 @@ def cmd_evolve(cfg, args, out_dir):
 def cmd_steady_state(cfg, args, out_dir):
     exp = cfg.experiment
     kernel, _ = _build(cfg, exp.variant, exp.omega)
-    liouv = build_liouvillian(cfg.spectrum, kernel, exp.variant)
+    liouv = build_liouvillian(cfg.spectrum, kernel)
     result = steady_state(liouv)
     report = steady_result_json(result)
     report["provenance"] = _provenance(cfg)
@@ -523,7 +558,7 @@ def cmd_validate(cfg, args, out_dir):
         bspec = _bath.custom_spectrum(2, gamma_fn, beta=np.inf,
                                       support_scale=band + 1.0)
         kernel = build_kernel(cfg.spectrum, cfg.couplings, bspec, "lindblad")
-        liouv = build_liouvillian(cfg.spectrum, kernel, "lindblad")
+        liouv = build_liouvillian(cfg.spectrum, kernel)
         markov = evolve_markov(liouv, rho0, t)
         td = trace_distance(exact.states[-1], markov.states[-1])
         rows.append({"scale": float(c), "trace_distance": float(td)})
@@ -587,14 +622,7 @@ def main(argv=None):
     try:
         cfg = parse_config(text)
         if args.seed is not None:
-            exp = cfg.experiment
-            cfg = ModelConfig(
-                cfg.spectrum, cfg.couplings, cfg.bath, cfg.bath_doc,
-                ExperimentConfig(exp.variant, exp.omega, exp.t_grid,
-                                 exp.initial_state, args.seed,
-                                 exp.nonlocal_params),
-                cfg.validate_params,
-            )
+            cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args, out_dir)

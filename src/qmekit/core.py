@@ -18,7 +18,7 @@ eps_deg has no unambiguous class structure and is rejected.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 __all__ = [
@@ -327,10 +327,6 @@ class Superoperator:
             raise InputError(f"superoperator data must be {d2} x {d2}")
         object.__setattr__(self, "data", m)
 
-    def apply(self, rho):
-        rho = np.asarray(rho, dtype=complex)
-        return (self.data @ rho.ravel()).reshape(self.dim, self.dim)
-
     def tensor(self):
         """(d, d, d, d) view indexed [p, p', q, q']."""
         d = self.dim
@@ -344,73 +340,59 @@ class Superoperator:
 # ---------------------------------------------------------------------------
 # Bohr frequencies and jump operators
 
-@dataclass(frozen=True)
-class BohrBin:
-    """One Bohr-frequency bin: value omega and the ordered level pairs
-    (p, q) whose snapped difference E[q] - E[p] falls in the bin."""
-
-    omega: float
-    pairs: tuple
-
-
 def bohr_frequencies(spectrum):
     """All Bohr-frequency bins of a spectrum, sorted by omega.
 
-    Every ordered level pair (p, q) lands in exactly one bin, keyed by
-    E[q] - E[p] of the snapped energies.  Bins are built on the
-    nonnegative side and mirrored by exact negation, so the set is
-    exactly symmetric under omega -> -omega.
+    Returns ``(omegas, label)``: ``label[p, q]`` is the bin of the
+    snapped difference E[q] - E[p], so every ordered level pair lands in
+    exactly one bin.  Distinct positive differences closer than eps_deg
+    (chained through neighbours) share a bin at their mean; bins are
+    built on the positive side and mirrored by exact negation, so the
+    set is exactly symmetric under omega -> -omega, with the transposed
+    pairs.
 
     :raises InputError: when distinct Bohr differences chain within
         eps_deg over a spread larger than eps_deg (ambiguous binning).
     """
     eps = spectrum.eps_deg
     diff = -spectrum.bohr_matrix()          # diff[p, q] = E[q] - E[p]
-    same = spectrum.same_class()
-
-    zero_pairs = tuple(zip(*np.nonzero(same)))
-    pos_mask = diff > 0
-    pos_vals = np.unique(diff[pos_mask])
-    groups = []
-    for v in pos_vals:
-        if groups and v - groups[-1][0] <= eps:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    bins = [BohrBin(0.0, zero_pairs)]
-    for g in groups:
-        if g[-1] - g[0] > eps:
-            raise InputError(
-                f"Bohr frequencies {g} chain within eps_deg={eps:g} "
-                f"but spread over more than eps_deg"
-            )
-        omega = float(np.mean(g))
-        sel = np.zeros_like(pos_mask)
-        for v in g:
-            sel |= diff == v
-        pairs = tuple(zip(*np.nonzero(sel)))
-        bins.append(BohrBin(omega, pairs))
-        # mirror: transposed pairs at exactly -omega
-        bins.append(BohrBin(-omega, tuple((q, p) for (p, q) in pairs)))
-    bins.sort(key=lambda b: b.omega)
-    return bins
+    up = diff > 0
+    pos, value_of = np.unique(diff[up], return_inverse=True)
+    opens = np.diff(pos, prepend=-np.inf) > eps
+    bounds = np.append(np.flatnonzero(opens), pos.size)
+    lo, hi = bounds[:-1], bounds[1:]        # bin g holds pos[lo[g]:hi[g]]
+    wide = np.flatnonzero(pos[hi - 1] - pos[lo] > eps)
+    if wide.size:
+        g = wide[0]
+        raise InputError(
+            f"Bohr frequencies {pos[lo[g]:hi[g]].tolist()} chain within "
+            f"eps_deg={eps:g} but spread over more than eps_deg"
+        )
+    omega = pos[lo]
+    for g in np.flatnonzero(hi - lo > 1):
+        omega[g] = np.mean(pos[lo[g]:hi[g]])
+    n = omega.size                          # bin n holds omega = 0
+    group = (np.cumsum(opens) - 1)[value_of]
+    label = np.full(diff.shape, n)
+    label[up] = n + 1 + group
+    label.T[up] = n - 1 - group             # mirror: transposed pairs at -omega
+    return np.concatenate([-omega[::-1], [0.0], omega]), label
 
 
 @dataclass(frozen=True)
 class JumpOperatorSet:
     """Frequency-resolved coupling operators S^a(omega).
 
-    ``operators[b, a]`` is the d x d matrix of channel a restricted to
-    the Bohr bin with frequency ``omegas[b]``; entry (p, q) survives iff
-    E[q] - E[p] falls in that bin.  Summing a channel over all bins
+    ``label[p, q]`` is the index into ``omegas`` of the Bohr bin holding
+    E[q] - E[p].  The jump operator of channel a in bin b keeps entry
+    (p, q) of S^a iff label[p, q] == b; summing a channel over all bins
     reproduces the full coupling matrix exactly, because the bins
     partition the ordered pairs.
     """
 
     omegas: np.ndarray            # (n_bins,)
-    channel_labels: tuple
-    operators: np.ndarray         # (n_bins, n_channels, d, d)
-    adjoint_map: tuple
+    label: np.ndarray             # (d, d) bin index of each ordered pair
+    couplings: CouplingChannelSet
 
     @property
     def n_bins(self):
@@ -418,7 +400,7 @@ class JumpOperatorSet:
 
     @property
     def dim(self):
-        return self.operators.shape[2]
+        return self.label.shape[0]
 
     def bin_index(self, omega, eps):
         hits = np.flatnonzero(np.abs(self.omegas - omega) <= max(eps, 0.0))
@@ -427,12 +409,9 @@ class JumpOperatorSet:
         return int(hits[0])
 
     def operator(self, omega, channel, eps=0.0):
-        return self.operators[self.bin_index(omega, eps), channel]
-
-    def completeness_defect(self, couplings):
-        """max-abs difference between bin sums and the raw couplings."""
-        total = self.operators.sum(axis=0)
-        return float(np.max(np.abs(total - couplings.matrices)))
+        """d x d matrix S^channel(omega)."""
+        keep = self.label == self.bin_index(omega, eps)
+        return np.where(keep, self.couplings.matrices[channel], 0.0)
 
 
 def decompose_jump_operators(spectrum, couplings):
@@ -443,20 +422,5 @@ def decompose_jump_operators(spectrum, couplings):
     """
     if couplings.dim != spectrum.dim:
         raise InputError("coupling dimension does not match spectrum")
-    bins = bohr_frequencies(spectrum)
-    d = spectrum.dim
-    n = couplings.n_channels
-    # bin label of every ordered pair, then one scatter of all channels
-    label = np.empty((d, d), dtype=np.intp)
-    pairs = np.array([pq for bn in bins for pq in bn.pairs], dtype=np.intp)
-    label[pairs[:, 0], pairs[:, 1]] = np.repeat(
-        np.arange(len(bins)), [len(bn.pairs) for bn in bins])
-    p, q = np.indices((d, d))
-    ops = np.zeros((len(bins), n, d, d), dtype=complex)
-    ops[label, :, p, q] = np.moveaxis(couplings.matrices, 0, -1)
-    return JumpOperatorSet(
-        omegas=np.array([bn.omega for bn in bins]),
-        channel_labels=couplings.labels,
-        operators=ops,
-        adjoint_map=couplings.adjoint_map,
-    )
+    omegas, label = bohr_frequencies(spectrum)
+    return JumpOperatorSet(omegas=omegas, label=label, couplings=couplings)

@@ -26,7 +26,6 @@ from .core import DensityMatrix, InputError, InvariantError, Superoperator, lrmu
 from . import io as _io
 
 __all__ = [
-    "Liouvillian",
     "Trajectory",
     "SteadyStateResult",
     "BlockReport",
@@ -77,31 +76,13 @@ def _sub(data, idx):
     return data[idx[:, :, None], idx[:, None, :]]
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    """Full generator L = L_H + K on the flat pair index."""
-
-    dim: int
-    data: np.ndarray
-    kernel_tag: str = ""
-
-    def __post_init__(self):
-        d2 = self.dim * self.dim
-        m = np.asarray(self.data, dtype=complex)
-        if m.shape != (d2, d2):
-            raise InputError(f"Liouvillian data must be {d2} x {d2}")
-        object.__setattr__(self, "data", m)
-
-    def apply(self, rho):
-        return (self.data @ np.asarray(rho, dtype=complex).ravel()).reshape(self.dim, self.dim)
-
-
-def build_liouvillian(spectrum, kernel, tag=""):
-    """Attach the coherent part -i E_{pp'} to a dissipative kernel."""
+def build_liouvillian(spectrum, kernel):
+    """Full generator L = L_H + K: the coherent part -i E_{pp'} attached
+    to a dissipative kernel, as a Superoperator on the flat pair index."""
     if kernel.dim != spectrum.dim:
         raise InputError("kernel dimension does not match spectrum")
     lh = -1j * spectrum.bohr_matrix().ravel()
-    return Liouvillian(spectrum.dim, np.diag(lh) + kernel.data, tag or "kernel")
+    return Superoperator(spectrum.dim, np.diag(lh) + kernel.data)
 
 
 @dataclass(frozen=True)

@@ -65,19 +65,6 @@ def write_csv_rows(fh, table, index=False):
         fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-class _CanonEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, complex):
-            return [o.real, o.imag]
-        return super().default(o)
-
-
 def _canonize(obj):
     # floats become fixed-format strings wrapped back to numbers via
     # raw emission: simplest robust route is recursive stringification

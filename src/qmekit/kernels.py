@@ -234,12 +234,16 @@ def _jump_kernel(spectrum, couplings, bath_spec, gain_sign):
     Each coupled level pair lies in exactly one bin, so the gain entries
     of a bin's pairs (p, q), (p', q') land on distinct slots (pp', qq').
     """
-    _prep(spectrum, couplings, bath_spec)
+    _, s, _ = _prep(spectrum, couplings, bath_spec)
     d = spectrum.dim
     jumps = decompose_jump_operators(spectrum, couplings)
-    # coupled pairs, grouped by bin, and their (pair, channel) entries
-    b, p, q = np.nonzero(np.any(jumps.operators != 0, axis=1))
-    v = jumps.operators[b, :, p, q]
+    # coupled pairs, grouped by bin (C order within a bin), and their
+    # (pair, channel) entries
+    p, q = np.nonzero(np.any(s != 0, axis=0))
+    order = np.argsort(jumps.label[p, q], kind="stable")
+    p, q = p[order], q[order]
+    b = jumps.label[p, q]
+    v = s.transpose(1, 2, 0)[p, q]
     gv = np.einsum("iab,ib->ia", bath_spec.gamma(jumps.omegas[b]), v)
     i, j = np.nonzero(b[:, None] == b[None, :])
     # sum_ab gamma^{ab} J_b[p_i, q_i] conj(J_a[p_j, q_j])
@@ -305,8 +309,8 @@ def kossakowski_matrix(spectrum, couplings, bath_spec, omega):
         raise InputError("bath/coupling channel mismatch")
     jumps = decompose_jump_operators(spectrum, couplings)
     b = jumps.bin_index(float(omega), spectrum.eps_deg)
-    active = [a for a in range(couplings.n_channels)
-              if np.any(jumps.operators[b, a] != 0)]
+    active = np.flatnonzero(
+        np.any(couplings.matrices[:, jumps.label == b] != 0, axis=1)).tolist()
     if not active:
         raise InputError(
             f"no coupling channel has support in the Bohr bin at "

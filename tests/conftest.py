@@ -38,6 +38,45 @@ def make_system(seed):
     return spectrum, couplings, bath
 
 
+def reference_bohr_bins(spectrum):
+    """Bohr bins by a per-value scan: sorted (omega, pairs) tuples.
+
+    One d x d comparison per distinct positive difference; a value joins
+    the open bin while it sits within eps_deg of the bin's first value,
+    and the bin's omega is the mean of its distinct values.  Negative
+    bins mirror the positive ones by exact negation.
+    """
+    eps = spectrum.eps_deg
+    diff = -spectrum.bohr_matrix()          # diff[p, q] = E[q] - E[p]
+    groups = []
+    for v in np.unique(diff[diff > 0]):
+        if groups and v - groups[-1][0] <= eps:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    bins = [(0.0, set(zip(*np.nonzero(spectrum.same_class()))))]
+    for g in groups:
+        sel = np.zeros(diff.shape, dtype=bool)
+        for v in g:
+            sel |= diff == v
+        pairs = set(zip(*np.nonzero(sel)))
+        bins.append((float(np.mean(g)), pairs))
+        bins.append((-float(np.mean(g)), {(q, p) for (p, q) in pairs}))
+    return sorted(bins, key=lambda b: b[0])
+
+
+def reference_jump_stack(spectrum, couplings):
+    """Bin omegas and the dense (bins, channels, d, d) jump-operator
+    stack, filled one level pair at a time."""
+    bins = reference_bohr_bins(spectrum)
+    d = spectrum.dim
+    stack = np.zeros((len(bins), couplings.n_channels, d, d), dtype=complex)
+    for b, (_, pairs) in enumerate(bins):
+        for (p, q) in pairs:
+            stack[b, :, p, q] = couplings.matrices[:, p, q]
+    return np.array([omega for omega, _ in bins]), stack
+
+
 BOX_SIZE = 108
 
 

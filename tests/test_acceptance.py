@@ -60,7 +60,7 @@ def box_dynamics(system_box):
     out = []
     for spectrum, couplings, bath in system_box:
         kernel = build_kernel(spectrum, couplings, bath, "lindblad")
-        liouv = build_liouvillian(spectrum, kernel, "lindblad")
+        liouv = build_liouvillian(spectrum, kernel)
         probes = default_probe_times(kernel)
         t = np.linspace(0.0, probes[-1], 25)
         d = spectrum.dim
@@ -304,7 +304,7 @@ def test_criterion_10_conservation_and_generator_spectra(system_box,
             worst_herm = max(worst_herm, float(np.max(traj.herm_defect)))
         worst_re = max(worst_re, float(np.max(np.linalg.eigvals(liouv.data).real)))
         ec = build_kernel(spectrum, couplings, bath, "energy-conserving")
-        ec_liouv = build_liouvillian(spectrum, ec, "energy-conserving")
+        ec_liouv = build_liouvillian(spectrum, ec)
         worst_re = max(worst_re, float(np.max(np.linalg.eigvals(ec_liouv.data).real)))
     ok = worst_drift < 1e-10 and worst_herm < 1e-10 and worst_re <= 1e-10
     record_criterion(

@@ -354,6 +354,69 @@ def test_unknown_section_is_rejected(tmp_path, capsys):
     assert "typo_section: unknown top-level section" in capsys.readouterr().err
 
 
+OHMIC = {"kind": "thermal-ohmic", "coupling": 0.2, "cutoff": 5.0, "beta": 1.3}
+EXCITED = {"kind": "excited"}
+
+
+@pytest.mark.parametrize("where, doc", [
+    ("experiment.varaint", qubit_doc(experiment={"varaint": "born"})),
+    ("spectrum.eps", qubit_doc(spectrum={"levels": [0.0, 1.0], "eps": 0.1})),
+    ("couplings.adjoint_map",
+     qubit_doc(couplings={"kind": "ladder", "matrix": SIGMA_MINUS, "adjoint_map": [1, 0]})),
+    ("couplings.matrices[1].adjoint",
+     qubit_doc(couplings={"kind": "explicit", "adjoint_map": [1, 0], "matrices": [
+         {"label": "L", "matrix": SIGMA_MINUS},
+         {"label": "Ld", "matrix": as_json_matrix([[0, 0], [1, 0]]), "adjoint": 0}]})),
+    ("bath.width", qubit_doc(bath=dict(OHMIC, width=1.0))),
+    ("bath.beta", qubit_doc(bath={"kind": "flat", "rate": 0.3, "beta": 1.0})),
+    ("experiment.t_grid.step",
+     qubit_doc(experiment={"t_grid": {"start": 0, "stop": 1, "num": 3, "step": 0.5}})),
+    ("experiment.initial_state.matrix",
+     qubit_doc(experiment={"initial_state": dict(EXCITED, matrix=SIGMA_X)})),
+    ("experiment.nonlocal.tau_step",
+     qubit_doc(experiment={"nonlocal": {"tau_grid": [0, 1], "tau_memory": 1,
+                                        "tau_step": 1}})),
+    ("validate.n_mode", qubit_doc(validate={"eta": 0.01, "omega_band": 5.0, "n_modes": 4,
+                                            "t_star": 2.0, "n_mode": 4})),
+])
+def test_unknown_keys_are_rejected_with_their_path(tmp_path, capsys, where, doc):
+    rc, out = run(tmp_path, "evolve", doc)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {where}: unknown key\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [0, [], "", [{"tau_memory": 1}]])
+def test_nonlocal_section_must_be_an_object(tmp_path, capsys, section):
+    rc, out = run(tmp_path, "evolve", qubit_doc(experiment={"nonlocal": section}))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: experiment.nonlocal: expected an object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, doc", [
+    ("bath.cutoff", qubit_doc(bath=dict(OHMIC, cutoff=float("nan")))),
+    ("bath.beta", qubit_doc(bath=dict(OHMIC, beta=float("nan")))),
+    ("bath.beta", qubit_doc(bath=dict(OHMIC, beta=-float("inf")))),
+    ("bath.rate", qubit_doc(bath={"kind": "flat", "rate": float("inf")})),
+    ("spectrum.levels[1]", qubit_doc(spectrum={"levels": [0.0, float("inf")]})),
+    ("experiment.omega", qubit_doc(experiment={"omega": float("nan")})),
+])
+def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, where, doc):
+    rc, out = run(tmp_path, "build-kernel", doc)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: expected a finite number")
+    assert not out.exists()
+
+
+def test_vacuum_bath_takes_infinite_beta(tmp_path):
+    rc, out = run(tmp_path, "steady-state", qubit_doc(bath=dict(OHMIC, beta=float("inf"))))
+    assert rc == 0
+    report = json.loads((out / "steady-state.json").read_text())
+    ground = complex_matrix_from_json(report["states"][0]["matrix"])
+    assert np.allclose(ground, [[1, 0], [0, 0]], atol=1e-12)
+
+
 def test_invalid_initial_state_is_rejected(tmp_path, capsys):
     doc = qubit_doc(experiment={
         "initial_state": {"kind": "matrix",

@@ -21,7 +21,7 @@ from qmekit.core import (
     lrmul,
     rmul,
 )
-from conftest import make_system
+from conftest import make_system, reference_bohr_bins, reference_jump_stack
 
 
 def test_flat_index_round_trip():
@@ -71,13 +71,18 @@ def test_ambiguous_chaining_rejected():
         build_spectrum([0.0, 0.8 * eps, 1.6 * eps, 1.0], eps_deg=eps)
 
 
+def bins_by_omega(omegas, label):
+    """{omega: set of ordered pairs (p, q)} read off a bin-label array."""
+    return {float(w): set(map(tuple, np.argwhere(label == b).tolist()))
+            for b, w in enumerate(omegas)}
+
+
 def test_bohr_bins_three_level_enumeration():
     spec = build_spectrum([0.0, 0.3, 1.0])
-    bins = bohr_frequencies(spec)
-    omegas = [b.omega for b in bins]
+    omegas, label = bohr_frequencies(spec)
     # differences 0, +-0.3, +-0.7, +-1.0
-    assert omegas == [-1.0, -0.7, -0.3, 0.0, 0.3, 0.7, 1.0]
-    by_omega = {b.omega: set(b.pairs) for b in bins}
+    assert omegas.tolist() == [-1.0, -0.7, -0.3, 0.0, 0.3, 0.7, 1.0]
+    by_omega = bins_by_omega(omegas, label)
     assert by_omega[0.0] == {(0, 0), (1, 1), (2, 2)}
     # pair (p, q) sits at omega = E_q - E_p
     assert by_omega[0.3] == {(0, 1)}
@@ -88,9 +93,18 @@ def test_bohr_bins_three_level_enumeration():
 def test_bohr_bins_merge_coincident_differences():
     # 0-1 and 1-2 gaps are both exactly 0.5: one bin holds both pairs
     spec = build_spectrum([0.0, 0.5, 1.0])
-    bins = {b.omega: set(b.pairs) for b in bohr_frequencies(spec)}
+    bins = bins_by_omega(*bohr_frequencies(spec))
     assert bins[0.5] == {(0, 1), (1, 2)}
     assert bins[1.0] == {(0, 2)}
+
+
+def test_ambiguous_bohr_chaining_rejected():
+    # distinct gaps 1, 1 + 0.8 eps, 1 + 1.6 eps chain through neighbours
+    # within eps but spread over 1.6 eps
+    eps = 1e-6
+    spec = build_spectrum([0.0, 1.0, 2.0 + 0.8 * eps, 3.0 + 2.4 * eps], eps_deg=eps)
+    with pytest.raises(InputError, match="chain"):
+        bohr_frequencies(spec)
 
 
 dyadic_levels = st.lists(
@@ -102,15 +116,15 @@ dyadic_levels = st.lists(
 @given(dyadic_levels)
 def test_bohr_bins_exactly_mirror_symmetric(levels):
     spec = build_spectrum(levels)
-    bins = bohr_frequencies(spec)
-    by_omega = {b.omega: set(b.pairs) for b in bins}
-    assert len(by_omega) == len(bins)
-    for b in bins:
-        assert -b.omega in by_omega
-        assert by_omega[-b.omega] == {(q, p) for (p, q) in b.pairs}
-    # every ordered pair lands in exactly one bin
-    counts = sum(len(b.pairs) for b in bins)
-    assert counts == spec.dim ** 2
+    omegas, label = bohr_frequencies(spec)
+    by_omega = bins_by_omega(omegas, label)
+    assert len(by_omega) == len(omegas)
+    for w, pairs in by_omega.items():
+        assert -w in by_omega
+        assert by_omega[-w] == {(q, p) for (p, q) in pairs}
+    # every ordered pair lands in exactly one bin, and no bin is empty
+    assert sum(len(pairs) for pairs in by_omega.values()) == spec.dim ** 2
+    assert np.array_equal(np.unique(label), np.arange(len(omegas)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,14 +136,13 @@ def test_jump_decomposition_complete_and_adjoint_paired(levels, seed):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     couplings = ladder_channels(m)
     jumps = decompose_jump_operators(spec, couplings)
-    # bins partition the entries, so the sum is bitwise exact
-    assert jumps.completeness_defect(couplings) == 0.0
     adj = couplings.adjoint_map
-    for b, omega in enumerate(jumps.omegas):
-        nb = jumps.bin_index(-omega, spec.eps_deg)
-        for a in range(couplings.n_channels):
-            assert np.array_equal(jumps.operators[b, a].conj().T,
-                                  jumps.operators[nb, adj[a]])
+    for a in range(couplings.n_channels):
+        ops = [jumps.operator(omega, a) for omega in jumps.omegas]
+        # bins partition the entries, so the sum is bitwise exact
+        assert np.array_equal(np.sum(ops, axis=0), couplings.matrices[a])
+        for omega, op in zip(jumps.omegas, ops):
+            assert np.array_equal(op.conj().T, jumps.operator(-omega, adj[a]))
 
 
 @pytest.mark.parametrize("levels", [
@@ -137,6 +150,8 @@ def test_jump_decomposition_complete_and_adjoint_paired(levels, seed):
     np.sort(np.random.default_rng(2).uniform(0.0, 4.0, 20)),  # generic d=20
     np.repeat(np.arange(5), 2) / 4.0,                        # degenerate pairs
     [0.0],
+    0.1 * np.arange(12),                                     # inexact harmonic
+    0.25 * np.arange(9),
 ])
 def test_jump_decomposition_equals_per_pair_loop(levels):
     spec = build_spectrum(levels)
@@ -144,12 +159,17 @@ def test_jump_decomposition_equals_per_pair_loop(levels):
     rng = np.random.default_rng(d)
     couplings = ladder_channels(rng.standard_normal((d, d))
                                 + 1j * rng.standard_normal((d, d)))
-    bins = bohr_frequencies(spec)
-    want = np.zeros((len(bins), couplings.n_channels, d, d), dtype=complex)
-    for b, bn in enumerate(bins):
-        for (p, q) in bn.pairs:
-            want[b, :, p, q] = couplings.matrices[:, p, q]
-    assert np.array_equal(decompose_jump_operators(spec, couplings).operators, want)
+    bins = reference_bohr_bins(spec)
+    omegas, label = bohr_frequencies(spec)
+    assert np.array_equal(omegas, [omega for omega, _ in bins])
+    assert bins_by_omega(omegas, label) == dict(bins)
+    want_omegas, want = reference_jump_stack(spec, couplings)
+    jumps = decompose_jump_operators(spec, couplings)
+    assert np.array_equal(jumps.omegas, want_omegas)
+    assert np.array_equal(jumps.label, label)
+    for b, omega in enumerate(jumps.omegas):
+        for a in range(couplings.n_channels):
+            assert np.array_equal(jumps.operator(omega, a), want[b, a])
 
 
 def test_jump_operator_lookup():

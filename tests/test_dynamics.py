@@ -16,7 +16,6 @@ from qmekit.core import (
 from qmekit.kernels import build_kernel
 from qmekit.dynamics import (
     EXPM_DIM_LIMIT,
-    Liouvillian,
     NONLOCAL_DIM_LIMIT,
     block_structure_report,
     build_liouvillian,
@@ -40,12 +39,13 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 def qubit_liouvillian(rate=0.3):
     k = build_kernel(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, rate),
                      "lindblad")
-    return build_liouvillian(QUBIT, k, "lindblad")
+    return build_liouvillian(QUBIT, k)
 
 
 def test_liouvillian_eigenvalues_flat_qubit():
     rate = 0.3
     liouv = qubit_liouvillian(rate)
+    assert isinstance(liouv, Superoperator) and liouv.dim == 2
     evals = np.sort_complex(np.linalg.eigvals(liouv.data))
     want = np.sort_complex(np.array(
         [0.0, -2 * rate, -rate - 1j, -rate + 1j]))
@@ -148,16 +148,16 @@ def test_steady_state_zero_kernel_multiplicity():
 def test_steady_state_gap_and_null_failures():
     data = np.diag([0.0, 2e-10, 1.0, 1.0]).astype(complex)
     with pytest.raises(InvariantError, match="gap"):
-        steady_state(Liouvillian(2, data))
+        steady_state(Superoperator(2, data))
     with pytest.raises(InvariantError, match="no steady state"):
-        steady_state(Liouvillian(2, np.eye(4, dtype=complex)))
+        steady_state(Superoperator(2, np.eye(4, dtype=complex)))
 
 
 def test_steady_state_traceless_null_flagged():
     sz = np.diag([1.0, -1.0]).astype(complex)
     v = sz.ravel() / np.linalg.norm(sz)
     data = np.eye(4) - np.outer(v, v.conj())
-    result = steady_state(Liouvillian(2, data))
+    result = steady_state(Superoperator(2, data))
     assert result.multiplicity == 1
     assert result.normalized[0] is False
     with pytest.raises(InvariantError, match="traceless"):

@@ -85,7 +85,7 @@ def liouvillian(levels, variant, seed=0):
     m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
     bath = thermal_ohmic_spectrum(0.28, 5.0, 2.0)
     k = build_kernel(spectrum, hermitian_channel(m + m.conj().T), bath, variant)
-    return build_liouvillian(spectrum, k, variant)
+    return build_liouvillian(spectrum, k)
 
 
 def spectra(d):
@@ -101,7 +101,7 @@ def test_steady_states_match_dense_on_the_box(system_box):
     for spectrum, couplings, bath in system_box:
         for variant in COVARIANT:
             k = build_kernel(spectrum, couplings, bath, variant)
-            assert_matches_dense(build_liouvillian(spectrum, k, variant))
+            assert_matches_dense(build_liouvillian(spectrum, k))
 
 
 @pytest.mark.parametrize("d", [16, 24])

@@ -31,8 +31,9 @@ from qmekit.kernels import (
     lindblad_kernel,
     trace_condition_residual,
 )
+from qmekit.diagnostics import flip_gain_sign
 from qmekit.io import fmt
-from conftest import make_system
+from conftest import make_system, reference_jump_stack
 
 
 QUBIT = build_spectrum([-0.5, 0.5])
@@ -137,7 +138,9 @@ def dense_per_bin_lindblad(spectrum, couplings, bath):
     jumps = decompose_jump_operators(spectrum, couplings)
     k = np.zeros((d, d, d, d), dtype=complex)
     rng = np.arange(d)
-    for omega_b, j in zip(jumps.omegas, jumps.operators):
+    for omega_b in jumps.omegas:
+        j = np.stack([jumps.operator(omega_b, a)
+                      for a in range(couplings.n_channels)])
         g = bath.gamma(float(omega_b))
         k += np.einsum("ab,bpq,aPQ->pPqQ", g, j, j.conj())
         loss = np.einsum("ab,alp,blq->pq", g, j.conj(), j)
@@ -172,6 +175,67 @@ def test_lindblad_kernel_matches_dense_per_bin_reference(levels, channels):
     assert np.max(np.abs(k - ref)) <= 1e-14 * scale
     ec = build_kernel(spectrum, couplings, bath, "energy-conserving").data
     assert np.max(np.abs(k - ec)) <= 1e-12 * scale
+
+
+def stack_jump_kernel(spectrum, couplings, bath, gain_sign):
+    """The jump-form kernel read off the dense per-pair jump-operator
+    stack, with the same summation order as the library."""
+    d = spectrum.dim
+    omegas, ops = reference_jump_stack(spectrum, couplings)
+    b, p, q = np.nonzero(np.any(ops != 0, axis=1))
+    v = ops[b, :, p, q]
+    gv = np.einsum("iab,ib->ia", bath.gamma(omegas[b]), v)
+    i, j = np.nonzero(b[:, None] == b[None, :])
+    block = np.einsum("ea,ea->e", gv[i], v[j].conj())
+    k = np.zeros((d * d, d * d), dtype=complex)
+    k[p[i] * d + p[j], q[i] * d + q[j]] = gain_sign * block
+    loss = np.zeros((d, d), dtype=complex)
+    row = p[i] == p[j]
+    np.add.at(loss, (q[j][row], q[i][row]), block[row])
+    t = k.reshape(d, d, d, d)
+    rng = np.arange(d)
+    t[:, rng, :, rng] -= 0.5 * loss[None, :, :]
+    t[rng, :, rng, :] -= 0.5 * loss.T[None, :, :]
+    return k
+
+
+@pytest.mark.parametrize("levels", [
+    np.sort(np.random.default_rng(4).uniform(0.0, 3.0, 9)),   # generic
+    0.1 * np.arange(9),                                         # harmonic
+    0.25 * np.arange(9),
+    [0.0, 0.5, 0.5, 1.0, 1.5, 1.5, 1.5],                        # degenerate
+    [0.3],
+])
+@pytest.mark.parametrize("channels", ["hermitian", "ladder"])
+def test_jump_kernels_equal_the_dense_stack_reference(levels, channels):
+    spectrum = build_spectrum(levels)
+    d = spectrum.dim
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m[rng.random((d, d)) < 0.3] = 0.0          # leave some bins uncoupled
+    if channels == "hermitian":
+        couplings = hermitian_channel(m + m.conj().T)
+        bath = thermal_ohmic_spectrum(0.2, 5.0, 1.0)
+    else:
+        couplings = ladder_channels(m)
+        mix = np.array([[1.0, 0.4 + 0.2j], [0.4 - 0.2j, 0.7]])
+        bath = custom_spectrum(
+            2, lambda w: np.multiply.outer(0.3 / (1.0 + np.exp(-1.5 * w)), mix))
+    assert np.array_equal(lindblad_kernel(spectrum, couplings, bath).data,
+                          stack_jump_kernel(spectrum, couplings, bath, 1.0))
+    assert np.array_equal(flip_gain_sign(spectrum, couplings, bath).data,
+                          stack_jump_kernel(spectrum, couplings, bath, -1.0))
+    omegas, ops = reference_jump_stack(spectrum, couplings)
+    for omega, op in zip(omegas, ops):
+        active = [a for a in range(couplings.n_channels) if np.any(op[a] != 0)]
+        if not active:
+            with pytest.raises(InputError, match="support"):
+                kossakowski_matrix(spectrum, couplings, bath, omega)
+            continue
+        blk = kossakowski_matrix(spectrum, couplings, bath, omega)
+        assert blk.omega == omega
+        assert blk.labels == tuple(couplings.labels[a] for a in active)
+        assert np.array_equal(blk.matrix, bath.gamma(omega)[np.ix_(active, active)])
 
 
 def test_in_out_discrepancy_off_population_block():
