@@ -390,12 +390,9 @@ def _provenance(cfg):
 # ---------------------------------------------------------------------------
 # commands
 
-def _build(cfg, variant, omega):
-    kernel = build_kernel(cfg.spectrum, cfg.couplings, cfg.bath, variant,
-                          omega=omega if variant == "born" else None)
-    prov = kernel_provenance(cfg.spectrum, cfg.couplings, cfg.bath, variant,
-                             omega=omega)
-    return kernel, prov
+def _build(cfg, variant):
+    omega = cfg.experiment.omega if variant == "born" else None
+    return build_kernel(cfg.spectrum, cfg.couplings, cfg.bath, variant, omega=omega)
 
 
 def cmd_build_kernel(cfg, args, out_dir):
@@ -403,8 +400,9 @@ def cmd_build_kernel(cfg, args, out_dir):
     if variant not in VARIANT_TAGS:
         raise InputError(f"--variant: expected one of {list(VARIANT_TAGS)}, "
                          f"got {variant!r}")
-    kernel, prov = _build(cfg, variant, cfg.experiment.omega)
-    report = kernel_envelope(kernel, prov)
+    kernel = _build(cfg, variant)
+    report = kernel_envelope(kernel, kernel_provenance(
+        cfg.spectrum, cfg.couplings, cfg.bath, variant, omega=cfg.experiment.omega))
     report["provenance"] = _provenance(cfg)
     if args.format == "csv":
         kernel_to_csv(kernel, out_dir / f"kernel-{variant}.csv")
@@ -438,11 +436,11 @@ def _write_trajectory(traj, out_dir, stem, fmt):
 
 
 def cmd_evolve(cfg, args, out_dir):
+    # both trajectories and the diagnostics are computed before the first
+    # file is written, so a run that fails in the numerics writes nothing
     exp = cfg.experiment
-    kernel, _ = _build(cfg, exp.variant, exp.omega)
-    liouv = build_liouvillian(cfg.spectrum, kernel)
+    liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     traj = evolve_markov(liouv, exp.initial_state, exp.t_grid)
-    _write_trajectory(traj, out_dir, "trajectory", args.format)
     diag = {
         "provenance": _provenance(cfg),
         "variant": exp.variant,
@@ -461,14 +459,15 @@ def cmd_evolve(cfg, args, out_dir):
         )
         nl = evolve_nonlocal(cfg.spectrum, cfg.couplings, corr,
                              exp.initial_state, exp.t_grid)
-        _write_trajectory(nl, out_dir, "trajectory-nonlocal", args.format)
-        tds = [trace_distance(nl.states[i], traj.states[i])
-               for i in range(exp.t_grid.size)]
         diag["nonlocal"] = {
             "trace_drift_max": float(np.max(nl.trace_drift)),
             "min_eigenvalue": float(np.min(nl.min_eigenvalue)),
-            "max_trace_distance_to_markov": float(np.max(tds)),
+            "max_trace_distance_to_markov":
+                float(np.max(trace_distance(nl.states, traj.states))),
         }
+    _write_trajectory(traj, out_dir, "trajectory", args.format)
+    if exp.nonlocal_params:
+        _write_trajectory(nl, out_dir, "trajectory-nonlocal", args.format)
     _io.write_json(out_dir / "evolve-diagnostics.json", diag)
     print(f"evolved {exp.t_grid.size} steps; "
           f"trace drift {_io.fmt(float(np.max(traj.trace_drift)))}")
@@ -477,8 +476,7 @@ def cmd_evolve(cfg, args, out_dir):
 
 def cmd_steady_state(cfg, args, out_dir):
     exp = cfg.experiment
-    kernel, _ = _build(cfg, exp.variant, exp.omega)
-    liouv = build_liouvillian(cfg.spectrum, kernel)
+    liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     result = steady_state(liouv)
     report = steady_result_json(result)
     report["provenance"] = _provenance(cfg)
@@ -505,8 +503,7 @@ def cmd_compare(cfg, args, out_dir):
 
 def cmd_block_report(cfg, args, out_dir):
     exp = cfg.experiment
-    kernel, _ = _build(cfg, exp.variant, exp.omega)
-    rep = block_structure_report(cfg.spectrum, kernel)
+    rep = block_structure_report(cfg.spectrum, _build(cfg, exp.variant))
     doc = {
         "provenance": _provenance(cfg),
         "variant": exp.variant,

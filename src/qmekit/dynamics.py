@@ -10,8 +10,8 @@ suite.  Steady states and exponentials work per block of the generator:
 the connected components of its nonzero pattern.  Covariant generators
 (energy-conserving, lindblad) map a level pair only to pairs of the same
 Bohr frequency, so they split into one block per Bohr bin (or finer);
-redfield and born generators are one block and take the dense path
-unchanged.  The split is exact, because off-block entries are structural
+redfield and born generators are one block, a stack of one for the same
+code.  The split is exact, because off-block entries are structural
 zeros.  Non-Markovian propagation integrates the time-nonlocal memory
 kernel with a Heun predictor-corrector and trapezoid memory quadrature.
 """
@@ -56,14 +56,13 @@ def _blocks(data):
     """Connected blocks of a generator's nonzero pattern.
 
     Returns one (n_blocks, m) array of flat pair indices per block size
-    m, each row ascending, or None when the generator is one block.
-    Entries outside the blocks are exactly zero, so a block-diagonal
-    computation on them is exact; a stray nonzero only merges blocks.
+    m, each row ascending, in ascending m; a one-block generator gives
+    the single group arange(d^2)[None].  Entries outside the blocks are
+    exactly zero, so a block-diagonal computation on them is exact; a
+    stray nonzero only merges blocks.
     """
     nz = data != 0
-    n, labels = connected_components(csr_array(nz | nz.T), directed=False)
-    if n == 1:
-        return None
+    _, labels = connected_components(csr_array(nz | nz.T), directed=False)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
@@ -142,10 +141,9 @@ def evolve_markov(liouv, rho0, t_grid, method="auto"):
         raise InputError("initial state dimension does not match Liouvillian")
     if method not in ("auto", "expm", "rk"):
         raise InputError(f"unknown method {method!r}")
-    blocks = None if method == "rk" else _blocks(liouv.data)
+    blocks = _blocks(liouv.data)
     if method == "auto":
-        largest = d * d if blocks is None else blocks[-1].shape[1]
-        method = "expm" if largest <= EXPM_DIM_LIMIT ** 2 else "rk"
+        method = "expm" if blocks[-1].shape[1] <= EXPM_DIM_LIMIT ** 2 else "rk"
 
     vecs = np.empty((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
@@ -156,19 +154,14 @@ def evolve_markov(liouv, rho0, t_grid, method="auto"):
         step_of = {}
         for key, dt in zip(keys, steps):
             step_of.setdefault(key, dt)
-        if blocks is None:
-            props = {key: expm(liouv.data * dt) for key, dt in step_of.items()}
+        for idx in blocks:
+            sub = _sub(liouv.data, idx)
+            props = {key: expm(sub * dt) for key, dt in step_of.items()}
+            xs = np.empty((t.size, *idx.shape, 1), dtype=complex)
+            xs[0, ..., 0] = vecs[0, idx]
             for i, key in enumerate(keys, 1):
-                vecs[i] = props[key] @ vecs[i - 1]
-        else:
-            for idx in blocks:
-                sub = _sub(liouv.data, idx)
-                props = {key: expm(sub * dt) for key, dt in step_of.items()}
-                xs = np.empty((t.size, *idx.shape, 1), dtype=complex)
-                xs[0, ..., 0] = vecs[0, idx]
-                for i, key in enumerate(keys, 1):
-                    np.matmul(props[key], xs[i - 1], out=xs[i])
-                vecs[:, idx] = xs[..., 0]
+                np.matmul(props[key], xs[i - 1], out=xs[i])
+            vecs[:, idx] = xs[..., 0]
     else:
         sol = solve_ivp(
             lambda _, y: liouv.data @ y,
@@ -321,13 +314,10 @@ def steady_state(liouv, rel_threshold=1e-10, gap_factor=10.0):
     """
     d = liouv.dim
     blocks = _blocks(liouv.data)
-    if blocks is None:
-        _, svals, vh = np.linalg.svd(liouv.data)
-    else:
-        svds = [np.linalg.svd(_sub(liouv.data, idx))[1:] for idx in blocks]
-        svals = np.concatenate([sv.ravel() for sv, _ in svds])
-        order = np.argsort(-svals, kind="stable")
-        svals = svals[order]
+    svds = [np.linalg.svd(_sub(liouv.data, idx))[1:] for idx in blocks]
+    svals = np.concatenate([sv.ravel() for sv, _ in svds])
+    order = np.argsort(-svals, kind="stable")
+    svals = svals[order]
     norm = svals[0] if svals.size else 0.0
     cut = rel_threshold * norm
     null_idx = np.flatnonzero(svals <= cut)
@@ -344,16 +334,13 @@ def steady_state(liouv, rel_threshold=1e-10, gap_factor=10.0):
                 f"no clean spectral gap: sigma={smallest_kept:g} sits within "
                 f"{gap_factor:g}x of the null cutoff {cut:g}"
             )
-    if blocks is None:
-        null = vh[null_idx]
-    else:
-        # scatter each block's null vector back onto the full pair index
-        offsets = np.cumsum([0] + [sv.size for sv, _ in svds])
-        null = np.zeros((mult, d * d), dtype=complex)
-        for row, pos in zip(null, order[null_idx]):
-            g = np.searchsorted(offsets, pos, side="right") - 1
-            b, r = divmod(int(pos - offsets[g]), blocks[g].shape[1])
-            row[blocks[g][b]] = svds[g][1][b, r]
+    # scatter each block's null vector back onto the full pair index
+    offsets = np.cumsum([0] + [sv.size for sv, _ in svds])
+    null = np.zeros((mult, d * d), dtype=complex)
+    for row, pos in zip(null, order[null_idx]):
+        g = np.searchsorted(offsets, pos, side="right") - 1
+        b, r = divmod(int(pos - offsets[g]), blocks[g].shape[1])
+        row[blocks[g][b]] = svds[g][1][b, r]
     states, flags, traces = [], [], []
     for v in null:
         rho = v.conj().reshape(d, d)
@@ -418,10 +405,15 @@ def block_structure_report(spectrum, kernel, threshold=1e-12):
 # helpers and exports
 
 def trace_distance(a, b):
-    """(1/2) trace norm of the difference of two hermitian matrices."""
+    """(1/2) trace norm of the difference of two hermitian matrices.
+
+    Works on the last two axes: two (..., d, d) stacks give an array of
+    distances, two matrices a float.
+    """
     diff = np.asarray(a) - np.asarray(b)
-    diff = (diff + diff.conj().T) / 2
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    diff = (diff + np.swapaxes(diff, -1, -2).conj()) / 2
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def trajectory_to_csv(traj, path):
@@ -430,7 +422,7 @@ def trajectory_to_csv(traj, path):
     cols = ["t"] + [f"{part}_rho_{p}_{q}" for p in range(d) for q in range(d)
                     for part in ("re", "im")] + ["trace", "min_eig"]
     states = np.ascontiguousarray(traj.states).reshape(len(traj.times), -1)
-    trace = [np.trace(s).real for s in traj.states]
+    trace = np.trace(traj.states, axis1=1, axis2=2).real
     table = np.column_stack([traj.times, states.view(float), trace,
                              traj.min_eigenvalue])
     with open(path, "w", newline="") as fh:

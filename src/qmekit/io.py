@@ -3,12 +3,18 @@ provenance hashes.
 
 Reports must be byte-identical across runs with the same inputs, so
 every float that reaches disk goes through :func:`fmt` (17 significant
-digits, enough to round-trip a double) and every JSON document through
-:func:`canonical_dumps`.
+digits, enough to round-trip a double, -0.0 written as 0).  JSON
+documents go through :func:`canonical_dumps`, one recursive pass that
+writes the text directly: keys as ``str(k)``, sorted, no whitespace;
++-inf as the strings ``"inf"``/``"-inf"``; complex numbers as
+``[re, im]``; arrays through ``tolist()``; NaN raises.  CSV tables go
+through :func:`write_csv_rows`, which applies fmt's rules to a whole
+array at once.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -34,7 +40,7 @@ __all__ = [
 def fmt(x):
     """Canonical text form of a float (17 significant digits)."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise InputError(f"non-finite value {x!r} cannot be serialized")
     if x == 0.0:
         x = 0.0          # normalize -0.0
@@ -65,56 +71,54 @@ def write_csv_rows(fh, table, index=False):
         fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _canonize(obj):
-    # floats become fixed-format strings wrapped back to numbers via
-    # raw emission: simplest robust route is recursive stringification
-    if isinstance(obj, dict):
-        return {str(k): _canonize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonize(v) for v in obj]
-    if isinstance(obj, (bool, type(None), str, int)):
-        return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if np.isnan(x):
-            raise InputError("NaN cannot be serialized")
-        if np.isinf(x):
-            # JSON has no infinity literal; beta = inf is a valid bath
-            # parameter, so encode as a string
-            return "inf" if x > 0 else "-inf"
-        return _RawFloat(fmt(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [_RawFloat(fmt(obj.real)), _RawFloat(fmt(obj.imag))]
-    if isinstance(obj, np.ndarray):
-        return _canonize(obj.tolist())
-    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-class _RawFloat:
-    """Marker emitting a pre-formatted number literal."""
-
-    def __init__(self, text):
-        self.text = text
-
-
 def _emit(obj):
-    if isinstance(obj, _RawFloat):
-        return obj.text
+    """Canonical JSON text of one value.
+
+    Exact types come first, because nearly every value of a report is a
+    float, a list or a dict; subclasses and numpy scalars are taken to
+    those types by the isinstance chain behind them.
+    """
+    tp = type(obj)
+    if tp is float:
+        if math.isfinite(obj):
+            return fmt(obj)
+        if obj != obj:
+            raise InputError("NaN cannot be serialized")
+        # JSON has no infinity literal; beta = inf is a valid bath
+        # parameter, so encode as a string
+        return '"inf"' if obj > 0 else '"-inf"'
+    if tp is list or tp is tuple:
+        return "[" + ",".join([_emit(v) for v in obj]) + "]"
+    if tp is dict:
+        # every value is emitted, in insertion order, before the keys are
+        # sorted; of duplicate str(k) keys the last wins
+        items = {str(k): _emit(v) for k, v in obj.items()}
+        return "{" + ",".join([json.dumps(k) + ":" + items[k]
+                               for k in sorted(items)]) + "}"
+    if isinstance(obj, (float, np.floating)):
+        return _emit(float(obj))
+    if isinstance(obj, (list, tuple)):
+        return _emit(list(obj))
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(json.dumps(k) + ":" + _emit(v) for k, v in items) + "}"
-    if isinstance(obj, list):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
-    return json.dumps(obj)
+        return _emit(dict(obj.items()))
+    if isinstance(obj, (bool, type(None), str, int)):
+        return json.dumps(obj)
+    if isinstance(obj, np.bool_):
+        return json.dumps(bool(obj))
+    if isinstance(obj, np.integer):
+        return json.dumps(int(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return "[" + fmt(obj.real) + "," + fmt(obj.imag) + "]"
+    if isinstance(obj, np.ndarray):
+        return _emit(obj.tolist())
+    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def canonical_dumps(obj):
     """Deterministic JSON text: sorted keys, %.17g floats, no whitespace."""
-    return _emit(_canonize(obj))
+    # the recursion runs through the private name, so a wrapper around
+    # this one (the benchmark's tracer) sees one call per document
+    return _emit(obj)
 
 
 def write_json(path, obj):

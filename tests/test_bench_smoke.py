@@ -1,10 +1,12 @@
-"""The benchmark's d <= 4 smoke runs of the jump-operator and relaxation
-workloads, untraced and traced."""
+"""The benchmark's d <= 4 smoke runs of every workload, untraced, and of
+the jump-operator workload traced."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,12 +23,10 @@ def run_smoke(workload, *flags):
     return result
 
 
-def test_jump_large_smoke_run_is_correct():
-    run_smoke("jump-large")
-
-
-def test_relax_large_smoke_run_is_correct():
-    run_smoke("relax-large")
+@pytest.mark.parametrize("workload", ["box-sweep", "jump-large", "relax-large",
+                                      "memory-kernel"])
+def test_smoke_run_is_correct(workload):
+    run_smoke(workload)
 
 
 def test_jump_large_traced_smoke_run_counts_bohr_bins():

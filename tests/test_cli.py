@@ -12,6 +12,7 @@ import pytest
 import qmekit.kernels as kernels
 from qmekit.cli import main, parse_config
 from qmekit.diagnostics import flip_gain_sign
+from qmekit.dynamics import NONLOCAL_DIM_LIMIT
 from qmekit.io import canonical_dumps, complex_matrix_from_json
 
 
@@ -184,6 +185,40 @@ def test_evolve_nonlocal_pairing(tmp_path):
     nl = diag["nonlocal"]
     assert nl["trace_drift_max"] < 1e-8
     assert 0.0 <= nl["max_trace_distance_to_markov"] < 0.1
+
+
+@pytest.mark.parametrize("d, width, tau_num, error", [
+    (2, 10.0, 5, "tau grid too coarse"),
+    (NONLOCAL_DIM_LIMIT + 1, 1.0, 101, f"supports d <= {NONLOCAL_DIM_LIMIT}"),
+], ids=["coarse-tau-grid", "too-many-levels"])
+def test_failed_nonlocal_run_writes_nothing(tmp_path, capsys, d, width, tau_num,
+                                            error):
+    doc = {
+        "spectrum": {"levels": [float(p) for p in range(d)]},
+        "couplings": {"kind": "ladder", "matrix": as_json_matrix(np.eye(d, k=1))},
+        "bath": {"kind": "gaussian", "rate": 0.1, "width": width},
+        "experiment": {
+            "t_grid": {"start": 0.0, "stop": 1.0, "num": 11},
+            "nonlocal": {"tau_grid": {"start": 0.0, "stop": 1.0, "num": tau_num},
+                         "tau_memory": 1.0},
+        },
+    }
+    rc, out = run(tmp_path, "evolve", doc)
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_only_build_kernel_computes_kernel_provenance(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("kernel provenance computed")
+
+    monkeypatch.setattr("qmekit.cli.kernel_provenance", unused)
+    for command in ("evolve", "steady-state", "block-report"):
+        rc, _ = run(tmp_path, command, qubit_doc())
+        assert rc == 0, command
+    with pytest.raises(AssertionError, match="kernel provenance computed"):
+        run(tmp_path, "build-kernel", qubit_doc())
 
 
 def test_steady_state_thermal_ratio(tmp_path, capsys):

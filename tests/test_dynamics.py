@@ -251,23 +251,44 @@ def test_trace_distance_known_values():
     assert abs(trace_distance(a, np.eye(2) / 2) - 0.5) < 1e-15
 
 
+def test_trace_distance_takes_stacks():
+    rng = np.random.default_rng(3)
+    for d in (2, 5, 9, 14):
+        a = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+        b = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+        per_pair = [trace_distance(x, y) for x, y in zip(a, b)]
+        assert all(type(td) is float for td in per_pair)
+        assert np.array_equal(trace_distance(a, b), per_pair)
+        assert np.array_equal(trace_distance(a[None], b[None])[0], per_pair)
+
+
 def test_trajectory_csv_schema(tmp_path):
-    liouv = qubit_liouvillian()
-    traj = evolve_markov(liouv, EXCITED, np.linspace(0, 1, 5))
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split(",")
-    assert head[0] == "t"
-    assert head[1:3] == ["re_rho_0_0", "im_rho_0_0"]
-    assert head[-2:] == ["trace", "min_eig"]
-    assert len(lines) == 1 + 5
-    row0 = [float(x) for x in lines[1].split(",")]
-    assert row0[0] == 0.0
-    # excited initial state: rho_11 = 1
-    assert row0[1 + 2 * 3] == 1.0
-    rows = [[fmt(t)] + [fmt(f(z)) for z in s.ravel() for f in (np.real, np.imag)]
-            + [fmt(np.trace(s).real), fmt(m)]
-            for t, s, m in zip(traj.times, traj.states, traj.min_eigenvalue)]
-    assert lines[1:] == [",".join(r) for r in rows]
-    assert abs(row0[-2] - 1.0) < 1e-15
+    # a qubit, and a d = 9 trajectory, where sums over the diagonal run
+    # past numpy's eight-way unrolled summation
+    spec9 = build_spectrum(0.25 * np.arange(9))
+    h = np.random.default_rng(5).normal(size=(9, 9))
+    liouv9 = build_liouvillian(spec9, build_kernel(
+        spec9, hermitian_channel(h + h.T), flat_spectrum(1, 0.3), "redfield-in"))
+    excited9 = np.zeros((9, 9), dtype=complex)
+    excited9[-1, -1] = 1.0
+    for liouv, rho0 in ((qubit_liouvillian(), EXCITED), (liouv9, excited9)):
+        d = rho0.shape[0]
+        traj = evolve_markov(liouv, rho0, np.linspace(0, 1, 5))
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, path)
+        lines = path.read_text().splitlines()
+        head = lines[0].split(",")
+        assert head[0] == "t"
+        assert head[1:3] == ["re_rho_0_0", "im_rho_0_0"]
+        assert head[-2:] == ["trace", "min_eig"]
+        assert len(head) == 1 + 2 * d * d + 2
+        assert len(lines) == 1 + 5
+        row0 = [float(x) for x in lines[1].split(",")]
+        assert row0[0] == 0.0
+        # excited initial state: rho_{d-1, d-1} = 1
+        assert row0[1 + 2 * (d * d - 1)] == 1.0
+        rows = [[fmt(t)] + [fmt(f(z)) for z in s.ravel() for f in (np.real, np.imag)]
+                + [fmt(np.trace(s).real), fmt(m)]
+                for t, s, m in zip(traj.times, traj.states, traj.min_eigenvalue)]
+        assert lines[1:] == [",".join(r) for r in rows]
+        assert abs(row0[-2] - 1.0) < 1e-15
