@@ -369,17 +369,40 @@ class TimeCorrelation:
         return float(self.tau_grid[1] - self.tau_grid[0])
 
     def at(self, tau):
-        """D(tau) for any real tau, linear interpolation on the grid."""
-        if tau < 0:
-            pos = self.at(-tau)
-            adj = list(self.adjoint_map)
-            return np.conj(pos[np.ix_(adj, adj)].T)
-        idx = tau / self.dtau
-        lo = int(np.floor(idx))
-        if lo >= len(self.tau_grid) - 1:
-            return self.values[-1] if tau <= self.tau_grid[-1] * (1 + 1e-12) else np.zeros_like(self.values[0])
-        frac = idx - lo
-        return (1 - frac) * self.values[lo] + frac * self.values[lo + 1]
+        """D(tau) at a scalar or an array of real tau; shape (..., n, n).
+
+        One linear interpolation at |tau| on the grid, zero past its end;
+        negative arguments then take D^{ab}(-tau) = conj(D^{b-bar,
+        a-bar}(tau)) from the adjoint map.
+        """
+        tau = np.asarray(tau, dtype=float)
+        idx = np.abs(tau) / self.dtau
+        lo = np.minimum(np.floor(idx), self.tau_grid.size - 2)
+        # past the last node frac clips to 1, which is the last value
+        frac = np.minimum(idx - lo, 1.0)[..., None, None]
+        lo = lo.astype(int)
+        pos = (1 - frac) * self.values[lo] + frac * self.values[lo + 1]
+        past = np.abs(tau) > self.tau_grid[-1] * (1 + 1e-12)
+        pos = np.where(past[..., None, None], 0.0, pos)
+        return np.where((tau < 0)[..., None, None], self._reversed(pos), pos)
+
+    def _reversed(self, pos):
+        """D(-tau) from a stack of D(tau), by stationarity."""
+        adj = list(self.adjoint_map)
+        return np.conj(np.swapaxes(pos[..., adj, :][..., adj], -1, -2))
+
+    def check_system(self, spectrum, couplings):
+        """Raise InputError unless the couplings act on the spectrum's
+        levels and pair with this correlation's channels and adjoint map."""
+        if couplings.dim != spectrum.dim:
+            raise InputError("coupling dimension does not match spectrum")
+        if self.n_channels != couplings.n_channels:
+            raise InputError("correlation/coupling channel mismatch")
+        if tuple(self.adjoint_map) != tuple(couplings.adjoint_map):
+            raise InputError(
+                "correlation function was built with a different channel adjoint "
+                "map than the couplings; rebuild it with the matching map"
+            )
 
     def fourier_transform(self, omega_grid):
         """Trapezoid forward transform int_{-T}^{T} e^{i w tau} D(tau) dtau,
@@ -387,8 +410,7 @@ class TimeCorrelation:
         w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
         t = self.tau_grid
         v = self.values
-        adj = list(self.adjoint_map)
-        vneg = np.conj(np.swapaxes(v[:, adj][:, :, adj], 1, 2))  # D(-tau_j)
+        vneg = self._reversed(v)                 # D(-tau_j)
         weights = np.full(t.size, self.dtau)
         weights[0] = weights[-1] = self.dtau / 2
         # half weight at tau=0 on each side adds up to the full interior

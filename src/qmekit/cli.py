@@ -37,7 +37,6 @@ from .oracle import FiniteBathModel, exact_reduced_evolution, gauss_legendre_mod
 __all__ = ["main", "parse_config", "serialize_config", "ModelConfig"]
 
 TRACE_RESIDUAL_LIMIT = 1e-12          # relative to max|K|
-EC_AGREEMENT_LIMIT = 1e-12
 SCALING_BAND = (3.0, 5.0)
 
 
@@ -488,8 +487,7 @@ def cmd_steady_state(cfg, args, out_dir):
 
 def cmd_compare(cfg, args, out_dir):
     rep = equivalence_report(cfg.spectrum, cfg.couplings, cfg.bath,
-                             omega=cfg.experiment.omega,
-                             ec_tol=EC_AGREEMENT_LIMIT)
+                             omega=cfg.experiment.omega)
     rep["provenance"] = _provenance(cfg)
     _io.write_json(out_dir / "compare.json", rep)
     width = max(len(k) for k in rep["pairs"])

@@ -273,26 +273,23 @@ def ladder_channels(s, label="L"):
 class DensityMatrix:
     """Validated density matrix.
 
-    Hermiticity and unit trace are enforced at tolerances tol_herm and
-    tol_trace (1e-10 by default); the smallest eigenvalue may dip to
-    -tol_pos (1e-8) to leave room for float noise in downstream checks.
+    Hermiticity and unit trace are enforced at tolerances TOL_HERM and
+    TOL_TRACE (1e-10); the smallest eigenvalue may dip to -TOL_POS
+    (1e-8) to leave room for float noise in downstream checks.
     """
 
     matrix: np.ndarray
-    tol_herm: float = TOL_HERM
-    tol_trace: float = TOL_TRACE
-    tol_pos: float = TOL_POS
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("density matrix must be square")
         object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.conj().T)) > self.tol_herm:
+        if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
             raise InputError("density matrix is not hermitian within tol_herm")
-        if abs(np.trace(m).real - 1.0) > self.tol_trace or abs(np.trace(m).imag) > self.tol_trace:
+        if abs(np.trace(m).real - 1.0) > TOL_TRACE or abs(np.trace(m).imag) > TOL_TRACE:
             raise InputError("density matrix trace is not 1 within tol_trace")
-        if self.min_eigenvalue() < -self.tol_pos:
+        if self.min_eigenvalue() < -TOL_POS:
             raise InputError("density matrix has an eigenvalue below -tol_pos")
 
     @property
@@ -303,14 +300,14 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0])
 
     @classmethod
-    def from_ket(cls, ket, **kw):
+    def from_ket(cls, ket):
         ket = np.asarray(ket, dtype=complex)
         ket = ket / np.linalg.norm(ket)
-        return cls(np.outer(ket, ket.conj()), **kw)
+        return cls(np.outer(ket, ket.conj()))
 
     @classmethod
-    def maximally_mixed(cls, dim, **kw):
-        return cls(np.eye(dim, dtype=complex) / dim, **kw)
+    def maximally_mixed(cls, dim):
+        return cls(np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 CHOI_TOL = 1e-8
+# energy-conserving and lindblad kernels coincide within this fraction
+# of the largest kernel entry
+EC_AGREEMENT_LIMIT = 1e-12
 
 
 def choi_matrix(superop_data, dim):
@@ -178,15 +181,15 @@ def flip_gain_sign(spectrum, couplings, bath_spec):
     return _jump_kernel(spectrum, couplings, bath_spec, gain_sign=-1.0)
 
 
-def equivalence_report(spectrum, couplings, bath_spec, omega=0.0,
-                       ec_tol=1e-12, coincide_tol=None):
+def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
     """Pairwise comparison of the four Markov kernels plus the resolved
     kernel at a chosen frequency.
 
     Asserts nothing; reports max |difference| per pair, whether the
-    energy-conserving and jump constructions coincide below ec_tol
-    (relative to the largest kernel entry), and where the in/out
-    discrepancy lives relative to the population block.
+    energy-conserving and jump constructions coincide below
+    EC_AGREEMENT_LIMIT times the largest kernel entry, and where the
+    in/out entries that differ by more than that much live relative to
+    the population block.
     """
     from .kernels import build_kernel
     tags = ("redfield-in", "redfield-out", "energy-conserving", "lindblad")
@@ -200,15 +203,15 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0,
             diff, where = kernel_difference(kernels[a], kernels[b])
             pairs[f"{a}|{b}"] = {"max_abs_diff": diff, "at": [list(where[0]), list(where[1])]}
     ec_diff = pairs["energy-conserving|lindblad"]["max_abs_diff"]
+    limit = EC_AGREEMENT_LIMIT * max(scale, 1e-300)
     in_out = _in_out_entries(kernels["redfield-in"], kernels["redfield-out"],
-                             threshold=(coincide_tol if coincide_tol is not None
-                                        else 1e-12 * max(scale, 1e-300)))
+                             threshold=limit)
     return {
         "dim": spectrum.dim,
         "born_omega": float(omega),
         "scale": scale,
         "pairs": pairs,
-        "ec_equals_lindblad": bool(ec_diff <= ec_tol * max(scale, 1e-300)),
+        "ec_equals_lindblad": bool(ec_diff <= limit),
         "ec_lindblad_diff": ec_diff,
         "in_out": in_out,
         "trace_residuals": {tag: trace_condition_residual(k)

@@ -12,8 +12,9 @@ the connected components of its nonzero pattern.  Covariant generators
 Bohr frequency, so they split into one block per Bohr bin (or finer);
 redfield and born generators are one block, a stack of one for the same
 code.  The split is exact, because off-block entries are structural
-zeros.  Non-Markovian propagation integrates the time-nonlocal memory
-kernel with a Heun predictor-corrector and trapezoid memory quadrature.
+zeros.  Non-Markovian propagation builds all memory-kernel nodes in one
+array pass and integrates with a Heun predictor-corrector and trapezoid
+memory quadrature, one history product per step.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .core import DensityMatrix, InputError, InvariantError, Superoperator, lrmul
+from .core import DensityMatrix, InputError, InvariantError, Superoperator
 from . import io as _io
 
 __all__ = [
@@ -38,6 +39,9 @@ __all__ = [
     "trajectory_to_csv",
     "steady_result_json",
 ]
+
+NULL_REL_THRESHOLD = 1e-10     # steady_state: zero singular values, relative
+GAP_FACTOR = 10.0              # ... and the margin the next one must clear
 
 # largest d propagated by dense matrix exponentials; a generator that
 # splits into blocks takes them while its largest block has at most
@@ -103,13 +107,18 @@ class Trajectory:
         return self.states[-1]
 
 
-def _diagnostics(states):
-    tr = np.einsum("tii->t", states)
-    drift = np.abs(tr - 1.0)
+def _trajectory(t, states, method):
+    """Trajectory with its diagnostics; raises InvariantError naming the
+    first time whose state is not finite (a propagator that overflowed)."""
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        raise InvariantError(
+            f"propagated state is not finite from t={t[np.argmin(finite)]:g} on")
+    drift = np.abs(np.einsum("tii->t", states) - 1.0)
     herm = np.max(np.abs(states - np.conj(np.swapaxes(states, 1, 2))), axis=(1, 2))
     hermitized = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
     mineig = np.linalg.eigvalsh(hermitized)[:, 0]
-    return drift, herm, mineig
+    return Trajectory(t, states, drift, herm, mineig, method)
 
 
 def _as_state(rho0):
@@ -175,9 +184,7 @@ def evolve_markov(liouv, rho0, t_grid, method="auto"):
             )
         vecs = sol.y.T.astype(complex)
 
-    states = vecs.reshape(t.size, d, d)
-    drift, herm, mineig = _diagnostics(states)
-    return Trajectory(t, states, drift, herm, mineig, method)
+    return _trajectory(t, vecs.reshape(t.size, d, d), method)
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +194,35 @@ NONLOCAL_DIM_LIMIT = 12
 
 
 def _memory_kernels(spectrum, couplings, corr, taus):
-    """Superoperator memory kernel K(tau) at each tau node.
+    """Superoperator memory kernel K(tau) at each tau node, all at once.
 
     Four-term second-order kernel with the free propagators diagonal in
     the energy basis; the retarded step function is taken at its one-
     sided tau -> 0+ limit, the trapezoid endpoint weight handles the
-    boundary.
+    boundary.  The (T, d^2, d^2) stack is a view of a (d^2, T, d^2)
+    buffer, so the nodes side by side are a reshape, not a copy.
     """
-    esnap = spectrum.snapped
+    taus = np.asarray(taus, dtype=float)
     s = couplings.matrices
-    n = couplings.n_channels
     d = spectrum.dim
-    out = np.empty((len(taus), d * d, d * d), dtype=complex)
-    for idx, tau in enumerate(taus):
-        u = np.diag(np.exp(-1j * esnap * tau))
-        ud = u.conj()
-        dp = corr.at(tau)
-        dm = corr.at(-tau)
-        k = np.zeros((d * d, d * d), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                sa, sb = s[a], s[b]
-                k -= dp[a, b] * lrmul(sa @ u @ sb, ud)
-                k -= dm[a, b] * lrmul(u, sa @ ud @ sb)
-                k += dm[a, b] * lrmul(sb @ u, sa @ ud)
-                k += dp[a, b] * lrmul(u @ sb, ud @ sa)
-        out[idx] = k
-    return out
+    ph = np.exp(-1j * np.multiply.outer(taus, spectrum.snapped))   # U(tau) diagonals
+    phc = ph.conj()
+    dp, dm = corr.at(taus), corr.at(-taus)
+    # gains rho -> S_b U rho S_a U^dag (weight D^{ab}(-tau)) and
+    # U S_b rho U^dag S_a (weight D^{ab}(tau)), stacked on one channel
+    # axis so that a single einsum sums both
+    left = np.concatenate([s * ph[:, None, None, :], ph[:, None, :, None] * s], axis=1)
+    right = np.concatenate([np.einsum("tab,aqp,tp->tbqp", dm, s, phc),
+                            np.einsum("tab,tq,aqp->tbqp", dp, phc, s)], axis=1)
+    k = np.empty((d, d, taus.size, d, d), dtype=complex)
+    np.einsum("tcpq,tcQP->pPtqQ", left, right, out=k)
+    # losses rho -> S_a U S_b rho U^dag and U rho S_a U^dag S_b, on the
+    # diagonals P = Q and p = q (einsum diagonals are writeable views)
+    diag = np.einsum("pPtqP->pPtq", k)
+    diag -= np.einsum("tab,apr,tr,brq->ptq", dp, s, ph, s)[:, None] * phc.T[:, :, None]
+    diag = np.einsum("pPtpQ->pPtQ", k)
+    diag -= ph.T[:, None, :, None] * np.einsum("tab,aqr,tr,brp->ptq", dm, s, phc, s)
+    return k.reshape(d * d, taus.size, d * d).transpose(1, 0, 2)
 
 
 def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
@@ -226,6 +235,10 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     O(h^2).  The memory integral is truncated at the trajectory start
     for early times (no history is invented before t0), so the first
     few steps carry the documented initial transient.
+    The kernel is stored once, times h, as the window [K(m h) ... K(0)],
+    and m zero rows precede t0 in the history, so a node's history sum
+    is one product with a contiguous slice; the corrector's sum at node
+    i + 1 is also the next predictor's, one history product per step.
     """
     t = _check_grid(t_grid)
     h = t[1] - t[0]
@@ -234,46 +247,32 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     d = spectrum.dim
     if d > NONLOCAL_DIM_LIMIT:
         raise InputError(f"nonlocal propagation supports d <= {NONLOCAL_DIM_LIMIT}")
-    if couplings.dim != d:
-        raise InputError("coupling dimension does not match spectrum")
-    if corr.n_channels != couplings.n_channels:
-        raise InputError("correlation/coupling channel mismatch")
-    if tuple(corr.adjoint_map) != tuple(couplings.adjoint_map):
-        raise InputError(
-            "correlation function was built with a different channel adjoint "
-            "map than the couplings; rebuild it with the matching map"
-        )
+    corr.check_system(spectrum, couplings)
     rho = _as_state(rho0)
 
     m = max(int(round(corr.tau_memory / h)), 1)
-    kt = _memory_kernels(spectrum, couplings, corr, np.arange(m + 1) * h)
-    lh = -1j * spectrum.bohr_matrix().ravel()
-
-    hist = np.empty((t.size, d * d), dtype=complex)
-    hist[0] = rho.ravel()
-
-    def deriv(i, head):
-        # time derivative at node i with hist[i] replaced by head
-        if i == 0:
-            return lh * head
-        j = min(i, m)
-        w = np.ones(j + 1)
-        w[0] = w[-1] = 0.5
-        window = np.empty((j + 1, d * d), dtype=complex)
-        window[0] = head
-        window[1:] = hist[i - j:i][::-1]
-        mem = h * np.einsum("j,jab,jb->a", w, kt[: j + 1], window)
-        return lh * head + mem
-
-    for i in range(t.size - 1):
-        f0 = deriv(i, hist[i])
-        pred = hist[i] + h * f0
-        f1 = deriv(i + 1, pred)
-        hist[i + 1] = hist[i] + 0.5 * h * (f0 + f1)
-
-    states = hist.reshape(t.size, d, d)
-    drift, herm, mineig = _diagnostics(states)
-    return Trajectory(t, states, drift, herm, mineig, "heun-nonlocal")
+    dd = d * d
+    win = _memory_kernels(spectrum, couplings, corr, h * np.arange(m, -1, -1))
+    win = win.transpose(1, 0, 2).reshape(dd, (m + 1) * dd)
+    win *= h
+    past = win[:, :m * dd]
+    kern = win.reshape(dd, m + 1, dd)[:, ::-1]           # kern[:, j] = h K(j h)
+    # the node's own state enters with the coherent part and half of K(0)
+    head = np.diag(-1j * spectrum.bohr_matrix().ravel()) + 0.5 * kern[:, 0]
+    hist = np.zeros((m + t.size, dd), dtype=complex)      # node i at row m + i
+    hist[m] = rho.ravel()
+    # mem: what the earlier nodes add to a node's derivative, the history
+    # sum minus half its far end (t0 while the window is still short);
+    # node 0 has no memory, so its far end is itself and cancels the head
+    mem = -0.5 * (kern[:, 0] @ hist[m])
+    with np.errstate(over="ignore", invalid="ignore"):   # _trajectory reports it
+        for i in range(t.size - 1):
+            x = hist[m + i]
+            f0 = head @ x + mem
+            j = min(i + 1, m)
+            mem = past @ hist[i + 1:i + 1 + m].ravel() - 0.5 * (kern[:, j] @ hist[m + i + 1 - j])
+            hist[m + i + 1] = x + 0.5 * h * (f0 + head @ (x + h * f0) + mem)
+    return _trajectory(t, hist[m:].reshape(t.size, d, d), "heun-nonlocal")
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +300,11 @@ class SteadyStateResult:
         return self.states[0]
 
 
-def steady_state(liouv, rel_threshold=1e-10, gap_factor=10.0):
+def steady_state(liouv):
     """Null space of L by SVD.
 
-    Singular values below rel_threshold * ||L||_2 count as zero; the
-    smallest surviving one must clear the cutoff by gap_factor, since a
+    Singular values below NULL_REL_THRESHOLD * ||L||_2 count as zero; the
+    smallest surviving one must clear the cutoff by GAP_FACTOR, since a
     borderline value means the rank decision would be a guess.  A
     generator that splits into blocks runs one stacked SVD per block
     size; the union of their singular values is that of L.
@@ -319,7 +318,7 @@ def steady_state(liouv, rel_threshold=1e-10, gap_factor=10.0):
     order = np.argsort(-svals, kind="stable")
     svals = svals[order]
     norm = svals[0] if svals.size else 0.0
-    cut = rel_threshold * norm
+    cut = NULL_REL_THRESHOLD * norm
     null_idx = np.flatnonzero(svals <= cut)
     mult = int(null_idx.size)
     if mult == 0:
@@ -329,10 +328,10 @@ def steady_state(liouv, rel_threshold=1e-10, gap_factor=10.0):
         )
     if mult < svals.size:
         smallest_kept = svals[null_idx[0] - 1]
-        if smallest_kept <= gap_factor * cut:
+        if smallest_kept <= GAP_FACTOR * cut:
             raise InvariantError(
                 f"no clean spectral gap: sigma={smallest_kept:g} sits within "
-                f"{gap_factor:g}x of the null cutoff {cut:g}"
+                f"{GAP_FACTOR:g}x of the null cutoff {cut:g}"
             )
     # scatter each block's null vector back onto the full pair index
     offsets = np.cumsum([0] + [sv.size for sv, _ in svds])
@@ -425,9 +424,7 @@ def trajectory_to_csv(traj, path):
     trace = np.trace(traj.states, axis1=1, axis2=2).real
     table = np.column_stack([traj.times, states.view(float), trace,
                              traj.min_eigenvalue])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        _io.write_csv_rows(fh, table)
+    _io.write_csv_rows(path, cols, table)
 
 
 def steady_result_json(result):

@@ -9,7 +9,8 @@ writes the text directly: keys as ``str(k)``, sorted, no whitespace;
 +-inf as the strings ``"inf"``/``"-inf"``; complex numbers as
 ``[re, im]``; arrays through ``tolist()``; NaN raises.  CSV tables go
 through :func:`write_csv_rows`, which applies fmt's rules to a whole
-array at once.
+array at once.  Both writers format or check all of their input before
+they open the file, so a failed write leaves nothing on disk.
 """
 
 import hashlib
@@ -50,12 +51,11 @@ def fmt(x):
 CSV_CHUNK_VALUES = 12288      # values formatted per write
 
 
-def write_csv_rows(fh, table, index=False):
-    """Write the rows of a 2-d float array as CSV lines, every value as
-    :func:`fmt` writes it, optionally led by the row number.
-
-    Rows go out in chunks of at most ``CSV_CHUNK_VALUES`` values, so the
-    text in memory stays bounded whatever the table size.
+def write_csv_rows(path, header, table, index=False):
+    """Write a CSV file: the header names, then the rows of a 2-d float
+    array, every value as :func:`fmt` writes it, optionally led by the
+    row number.  Rows go out in chunks of at most ``CSV_CHUNK_VALUES``
+    values, so the text in memory stays bounded whatever the table size.
     """
     table = np.asarray(table, dtype=float)
     finite = np.isfinite(table)
@@ -64,11 +64,13 @@ def write_csv_rows(fh, table, index=False):
     n_rows, n_cols = table.shape
     line = ("%d," if index else "") + ",".join(["%.17g"] * n_cols) + "\n"
     step = max(1, CSV_CHUNK_VALUES // (n_cols + index))
-    for start in range(0, n_rows, step):
-        chunk = table[start:start + step] + 0.0          # -0.0 -> 0.0
-        if index:
-            chunk = np.column_stack([np.arange(start, start + len(chunk)), chunk])
-        fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, step):
+            chunk = table[start:start + step] + 0.0          # -0.0 -> 0.0
+            if index:
+                chunk = np.column_stack([np.arange(start, start + len(chunk)), chunk])
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _emit(obj):
@@ -122,9 +124,9 @@ def canonical_dumps(obj):
 
 
 def write_json(path, obj):
+    text = canonical_dumps(obj) + "\n"
     with open(path, "w") as fh:
-        fh.write(canonical_dumps(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def complex_matrix_to_json(m):

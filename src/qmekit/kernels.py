@@ -367,20 +367,15 @@ def kernel_provenance(spectrum, couplings, bath_spec, variant, omega=None):
 def kernel_to_csv(kernel, path):
     """Write entries as (flat index, Re, Im); index is row*d^2 + col."""
     entries = np.ascontiguousarray(kernel.data).view(float).reshape(-1, 2)
-    with open(path, "w", newline="") as fh:
-        fh.write("index,re,im\n")
-        _io.write_csv_rows(fh, entries, index=True)
+    _io.write_csv_rows(path, ["index", "re", "im"], entries, index=True)
 
 
-def kernel_envelope(kernel, variant, include_entries=False):
+def kernel_envelope(kernel, variant):
     """JSON-ready report enveloping a kernel build."""
-    env = {
+    return {
         "dim": kernel.dim,
         "variant": variant.as_dict(),
         "trace_residual": trace_condition_residual(kernel),
         "max_abs_entry": float(np.max(np.abs(kernel.data))),
         "version": _io.PACKAGE_VERSION,
     }
-    if include_entries:
-        env["entries"] = _io.complex_matrix_to_json(kernel.data)
-    return env

@@ -10,7 +10,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .core import DensityMatrix, InputError, InvariantError, Superoperator, lrmul
-from .dynamics import Trajectory, _check_grid, _as_state, _diagnostics
+from .dynamics import _as_state, _check_grid, _trajectory
 
 __all__ = [
     "QubitClosedForms",
@@ -131,7 +131,6 @@ class FiniteBathModel:
     n_max: int
     beta: float
     coupling_kind: str
-    dim_cap: int = DIM_CAP
     quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -157,10 +156,10 @@ class FiniteBathModel:
                     "rotating-pair coupling kind needs a (lower, raise) "
                     "channel doublet with the swap adjoint map"
                 )
-        if self.effective_dim > self.dim_cap:
+        if self.effective_dim > DIM_CAP:
             raise InputError(
                 f"Hilbert dimension {self.effective_dim} exceeds the cap "
-                f"{self.dim_cap}"
+                f"{DIM_CAP}"
             )
 
     @property
@@ -363,8 +362,7 @@ def exact_reduced_evolution(model, rho_s0, t_grid):
     else:
         states, _ = _exact_dense(model, rho0, t)
         method = "exact-dense"
-    drift, herm, mineig = _diagnostics(states)
-    return Trajectory(t, states, drift, herm, mineig, method)
+    return _trajectory(t, states, method)
 
 
 # ---------------------------------------------------------------------------
@@ -382,37 +380,23 @@ def eqm_born_kernel(spectrum, couplings, corr):
     cancel pairwise.  Comparable entry by entry to the Markov kernel
     with the incoming-pair resonance argument.
     """
-    if couplings.dim != spectrum.dim:
-        raise InputError("coupling dimension does not match spectrum")
-    if corr.n_channels != couplings.n_channels:
-        raise InputError("correlation/coupling channel mismatch")
-    if tuple(corr.adjoint_map) != tuple(couplings.adjoint_map):
-        raise InputError(
-            "correlation function was built with a different channel adjoint "
-            "map than the couplings; rebuild it with the matching map"
-        )
+    corr.check_system(spectrum, couplings)
     grid = corr.tau_grid
     taus = np.concatenate([-grid[:0:-1], grid])
-    weights = np.full(taus.size, corr.dtau)
-    weights[0] = weights[-1] = 0.5 * corr.dtau
+    # half the trapezoid weights: the double commutator carries a 1/2
+    w = np.full(taus.size, 0.5 * corr.dtau)
+    w[0] = w[-1] = 0.25 * corr.dtau
 
-    esnap = spectrum.snapped
     s = couplings.matrices
-    n = couplings.n_channels
     d = spectrum.dim
+    ph = np.exp(-1j * np.multiply.outer(taus, spectrum.snapped))   # U(tau) diagonals
+    # the tau sums of S_b(-tau) = U S_b U^dag against each correlation:
+    # gp[a] with D^{ab}(tau), gm[a] with D^{ba}(-tau)
+    gp = np.einsum("t,tab,tp,bpq,tq->apq", w, corr.at(taus), ph, s, ph.conj())
+    gm = np.einsum("t,tba,tp,bpq,tq->apq", w, corr.at(-taus), ph, s, ph.conj())
     eye = np.eye(d)
-    data = np.zeros((d * d, d * d), dtype=complex)
-    for tau, w in zip(taus, weights):
-        u = np.diag(np.exp(-1j * esnap * tau))
-        dp = corr.at(tau)
-        dm = corr.at(-tau)
-        for a in range(n):
-            for b in range(n):
-                sbt = u @ s[b] @ u.conj().T       # S_b(-tau)
-                sa = s[a]
-                term = (-dp[a, b] * lrmul(sa @ sbt, eye)
-                        - dm[b, a] * lrmul(eye, sbt @ sa)
-                        + dm[b, a] * lrmul(sa, sbt)
-                        + dp[a, b] * lrmul(sbt, sa))
-                data += 0.5 * w * term
+    gain = (np.einsum("apq,aQP->pPqQ", s, gm)
+            + np.einsum("apq,aQP->pPqQ", gp, s)).reshape(d * d, d * d)
+    data = (gain - lrmul(np.einsum("apr,arq->pq", s, gp), eye)
+            - lrmul(eye, np.einsum("apr,arq->pq", gm, s)))
     return Superoperator(d, data)

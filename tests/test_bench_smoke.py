@@ -1,5 +1,5 @@
 """The benchmark's d <= 4 smoke runs of every workload, untraced, and of
-the jump-operator workload traced."""
+the jump-operator and memory-kernel workloads traced."""
 
 import json
 import subprocess
@@ -29,7 +29,12 @@ def test_smoke_run_is_correct(workload):
     run_smoke(workload)
 
 
-def test_jump_large_traced_smoke_run_counts_bohr_bins():
-    # the tracer wraps library functions by name and reads result.n_bins
-    result = run_smoke("jump-large", "--trace", "1")
-    assert result["metrics"]["kernels.bohr_bins"]["value"] > 0
+@pytest.mark.parametrize("workload, counter", [
+    ("jump-large", "kernels.bohr_bins"),
+    ("memory-kernel", "dynamics.memory_nodes"),
+], ids=["jump-large", "memory-kernel"])
+def test_traced_smoke_run_counts_work(workload, counter):
+    # the tracer wraps library functions by name and reads their results
+    # (result.n_bins) or arguments (the tau nodes of _memory_kernels)
+    result = run_smoke(workload, "--trace", "1")
+    assert result["metrics"][counter]["value"] > 0

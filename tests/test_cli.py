@@ -209,6 +209,17 @@ def test_failed_nonlocal_run_writes_nothing(tmp_path, capsys, d, width, tau_num,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_evolve_is_a_breach_that_writes_nothing(tmp_path, capsys, fmt):
+    # a finite rate so large that the propagated states overflow
+    doc = qubit_doc(bath={"kind": "flat", "rate": 1e300})
+    rc, out = run(tmp_path, "evolve", doc, "--format", fmt)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "invariant breach: propagated state is not finite from t=0.1 on\n")
+    assert list(out.iterdir()) == []
+
+
 def test_only_build_kernel_computes_kernel_provenance(tmp_path, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("kernel provenance computed")

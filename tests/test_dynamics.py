@@ -17,6 +17,7 @@ from qmekit.kernels import build_kernel
 from qmekit.dynamics import (
     EXPM_DIM_LIMIT,
     NONLOCAL_DIM_LIMIT,
+    Trajectory,
     block_structure_report,
     build_liouvillian,
     evolve_markov,
@@ -183,6 +184,19 @@ def test_nonlocal_matches_markov_for_short_memory():
     assert np.max(nl.trace_drift) < 1e-10
 
 
+def test_non_finite_propagation_names_the_first_time():
+    # a rate so large that the propagated states overflow within a step
+    # or two
+    with pytest.raises(InvariantError, match=r"not finite from t=0\.1 on"):
+        evolve_markov(qubit_liouvillian(1e300), EXCITED, np.linspace(0, 1, 11))
+    sigma = 200.0
+    tau = np.arange(0, 8.0 / sigma + 0.1 / sigma, 0.25 / sigma)
+    corr = time_correlation(gaussian_spectrum(1e300, sigma), tau, tau_memory=8.0 / sigma)
+    t = np.arange(0, 0.1, 0.5 / sigma)
+    with pytest.raises(InvariantError, match=r"not finite from t=0\.005 on"):
+        evolve_nonlocal(QUBIT, hermitian_channel(SIGMA_X), corr, EXCITED, t)
+
+
 def test_nonlocal_rejects_mismatched_adjoint_map():
     sigma = 200.0
     bath = gaussian_spectrum(0.1, sigma, n_channels=2)
@@ -292,3 +306,14 @@ def test_trajectory_csv_schema(tmp_path):
                 for t, s, m in zip(traj.times, traj.states, traj.min_eigenvalue)]
         assert lines[1:] == [",".join(r) for r in rows]
         assert abs(row0[-2] - 1.0) < 1e-15
+
+
+def test_trajectory_csv_of_non_finite_states_writes_nothing(tmp_path):
+    traj = evolve_markov(qubit_liouvillian(), EXCITED, np.linspace(0, 1, 5))
+    states = traj.states.copy()
+    states[3, 0, 1] = np.nan
+    path = tmp_path / "traj.csv"
+    with pytest.raises(InputError, match="non-finite value nan"):
+        trajectory_to_csv(Trajectory(traj.times, states, traj.trace_drift,
+                                     traj.herm_defect, traj.min_eigenvalue), path)
+    assert not path.exists()

@@ -1,7 +1,6 @@
 """Canonical text forms: the bulk CSV row writer against per-float fmt,
 and the JSON emitter against the two-pass serializer it replaced."""
 
-import io
 import json
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmekit.core import InputError
-from qmekit.io import CSV_CHUNK_VALUES, canonical_dumps, fmt, write_csv_rows
+from qmekit.io import CSV_CHUNK_VALUES, canonical_dumps, fmt, write_csv_rows, write_json
 
 
 def per_float(table, index=False):
@@ -21,39 +20,54 @@ def per_float(table, index=False):
     return "".join(lines)
 
 
-def written(table, index=False):
-    fh = io.StringIO()
-    write_csv_rows(fh, table, index=index)
-    return fh.getvalue()
+def written(path, table, index=False):
+    """The rows write_csv_rows puts below its header line."""
+    header = [f"c{j}" for j in range(np.shape(table)[1])]
+    write_csv_rows(path, header, table, index=index)
+    head, _, body = path.read_text().partition("\n")
+    assert head == ",".join(header)
+    return body
 
 
 @pytest.mark.parametrize("index", [False, True])
-def test_bulk_rows_match_per_float_fmt(index):
+def test_bulk_rows_match_per_float_fmt(tmp_path, index):
     table = np.array([[-0.0, 5e-324, 1e22, 0.1],
                       [-1e-310, 2.0 ** 60, -3.25, 1 / 3]])
-    text = written(table, index)
+    text = written(tmp_path / "t.csv", table, index)
     assert text == per_float(table, index)
     assert text.splitlines()[0].split(",")[int(index)] == "0"
 
 
-def test_bulk_rows_span_chunks():
+def test_bulk_rows_span_chunks(tmp_path):
     rng = np.random.default_rng(0)
     table = rng.normal(size=(CSV_CHUNK_VALUES, 3)) * 10.0 ** rng.integers(
         -300, 300, size=(CSV_CHUNK_VALUES, 3))
     table[::7, 1] = -0.0
-    assert written(table, index=True) == per_float(table, index=True)
-    assert written(table[:1].T) == per_float(table[:1].T)
+    path = tmp_path / "t.csv"
+    assert written(path, table, index=True) == per_float(table, index=True)
+    assert written(path, table[:1].T) == per_float(table[:1].T)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_bulk_rows_reject_non_finite(bad):
+def test_bulk_rows_reject_non_finite(tmp_path, bad):
     table = np.ones((3, 2))
     table[2, 1] = bad
     with pytest.raises(InputError) as per:
         fmt(bad)
+    path = tmp_path / "t.csv"
     with pytest.raises(InputError) as bulk:
-        written(table)
+        written(path, table)
     assert str(bulk.value) == str(per.value)
+    assert not path.exists()
+
+
+def test_write_json_leaves_no_file_it_cannot_fill(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(InputError, match="^NaN cannot be serialized$"):
+        write_json(path, {"a": 1.0, "b": [2.0, np.nan]})
+    assert not path.exists()
+    write_json(path, {"a": 1.0, "b": [2.0, -0.0]})
+    assert path.read_text() == '{"a":1,"b":[2,0]}\n'
 
 
 # -- reference: the two-pass serializer (a tree of raw-float markers, then

@@ -12,6 +12,7 @@ from qmekit.bath import (
 from qmekit.core import (
     CouplingChannelSet,
     InputError,
+    Superoperator,
     build_spectrum,
     decompose_jump_operators,
     hermitian_channel,
@@ -331,10 +332,17 @@ def test_kernel_export_and_envelope(tmp_path):
     assert path.read_text() == per_entry
 
     variant = kernel_provenance(QUBIT, couplings, bath, "lindblad")
-    env = kernel_envelope(k, variant, include_entries=True)
+    env = kernel_envelope(k, variant)
     assert env["dim"] == 2
     assert env["variant"]["tag"] == "lindblad"
     assert env["trace_residual"] < 1e-13
-    assert len(env["entries"]) == 4
-    env2 = kernel_envelope(k, variant)
-    assert "entries" not in env2
+    assert "entries" not in env
+
+
+def test_kernel_csv_of_a_non_finite_kernel_writes_nothing(tmp_path):
+    data = np.zeros((4, 4), dtype=complex)
+    data[3, 1] = complex(0.0, np.inf)
+    path = tmp_path / "kernel.csv"
+    with pytest.raises(InputError, match="non-finite value inf"):
+        kernel_to_csv(Superoperator(2, data), path)
+    assert not path.exists()
