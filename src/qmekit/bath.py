@@ -17,6 +17,7 @@ the 1/(2 pi).
 """
 
 import csv
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ def thermal_ohmic_spectrum(coupling, cutoff, beta, n_channels=1):
 def lorentzian_spectrum(rate, width, n_channels=1):
     """gamma(w) = rate * width^2 / (w^2 + width^2); correlation time 1/width."""
     rate = float(rate)
-    width = float(width)
+    width = np.float64(float(width))    # width**2 overflows to inf, not an error
     if rate < 0 or width <= 0:
         raise InputError("lorentzian needs rate >= 0 and width > 0")
     return _scalar_kind(
@@ -169,7 +170,7 @@ def lorentzian_spectrum(rate, width, n_channels=1):
 def gaussian_spectrum(rate, width, n_channels=1):
     """gamma(w) = rate * exp(-w^2 / (2 width^2)); entire, fast-decaying."""
     rate = float(rate)
-    width = float(width)
+    width = np.float64(float(width))    # width**2 overflows to inf, not an error
     if rate < 0 or width <= 0:
         raise InputError("gaussian needs rate >= 0 and width > 0")
     return _scalar_kind(
@@ -200,6 +201,13 @@ def _pair_columns(labels):
     return cols
 
 
+def _pair_table(gammas):
+    """The (n_omega, 2 n^2) real table of (n_omega, n, n) complex samples:
+    Re and Im of each channel pair side by side, in _pair_columns order."""
+    g = np.ascontiguousarray(gammas, dtype=complex)
+    return g.reshape(g.shape[0], g.shape[1] * g.shape[2]).view(float)
+
+
 def write_tabulated_csv(path, omega_grid, gamma_samples, labels):
     """Write gamma samples to CSV: omega column plus one Re/Im column
     pair per channel pair, header naming the pair as re[a,b]/im[a,b]."""
@@ -208,16 +216,11 @@ def write_tabulated_csv(path, omega_grid, gamma_samples, labels):
     n = len(labels)
     if g.shape != (omega_grid.size, n, n):
         raise InputError("gamma_samples must have shape (n_omega, n, n)")
+    table = np.column_stack([omega_grid, _pair_table(g)])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_pair_columns(labels))
-        for i, om in enumerate(omega_grid):
-            row = [f"{om:.17g}"]
-            for a in range(n):
-                for b in range(n):
-                    row.append(f"{g[i, a, b].real:.17g}")
-                    row.append(f"{g[i, a, b].imag:.17g}")
-            w.writerow(row)
+        w.writerows([f"{x:.17g}" for x in row] for row in table.tolist())
 
 
 def read_tabulated_csv(path):
@@ -247,8 +250,7 @@ def read_tabulated_csv(path):
         )
     n = len(labels)
     width = 1 + 2 * n * n
-    omegas = []
-    gammas = []
+    table = []
     for i, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -258,16 +260,18 @@ def read_tabulated_csv(path):
             vals = [float(c) for c in row]
         except ValueError as exc:
             raise InputError(f"{path}: row {i}: {exc}") from None
-        omegas.append(vals[0])
-        flat = np.array(vals[1:]).reshape(n, n, 2)
-        gammas.append(flat[..., 0] + 1j * flat[..., 1])
-    omegas = np.array(omegas)
+        if not all(map(math.isfinite, vals)):
+            raise InputError(f"{path}: row {i}: values must be finite")
+        table.append(vals)
+    table = np.array(table).reshape(-1, width)
+    omegas = table[:, 0]
     if omegas.size < 2:
         raise InputError(f"{path}: need at least two omega samples")
-    if np.any(np.diff(omegas) <= 0):
-        bad = int(np.flatnonzero(np.diff(omegas) <= 0)[0]) + 3
-        raise InputError(f"{path}: omega column must be strictly increasing (row {bad})")
-    return labels, omegas, np.array(gammas)
+    down = np.flatnonzero(np.diff(omegas) <= 0)
+    if down.size:
+        raise InputError(f"{path}: omega column must be strictly increasing "
+                         f"(row {down[0] + 3})")
+    return labels, omegas, (table[:, 1::2] + 1j * table[:, 2::2]).reshape(-1, n, n)
 
 
 def tabulated_spectrum(path, beta=None):
@@ -275,17 +279,13 @@ def tabulated_spectrum(path, beta=None):
     tabulated support."""
     labels, omegas, gammas = read_tabulated_csv(path)
     n = len(labels)
+    columns = np.ascontiguousarray(_pair_table(gammas).T)
 
     def ev(w):
         w = np.asarray(w, dtype=float)
-        out = np.zeros(w.shape + (n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                out[..., a, b] = (
-                    np.interp(w, omegas, gammas[:, a, b].real, left=0.0, right=0.0)
-                    + 1j * np.interp(w, omegas, gammas[:, a, b].imag, left=0.0, right=0.0)
-                )
-        return out
+        vals = np.stack([np.interp(w, omegas, c, left=0.0, right=0.0)
+                         for c in columns], axis=-1)
+        return (vals[..., 0::2] + 1j * vals[..., 1::2]).reshape(w.shape + (n, n))
 
     return BathSpectrum(
         n, "tabulated", beta,

@@ -43,16 +43,6 @@ SCALING_BAND = (3.0, 5.0)
 # ---------------------------------------------------------------------------
 # config parsing: parse first, validate everything, name the field
 
-# parameters of each bath kind, besides "kind"
-BATH_KEYS = {
-    "flat": {"rate"},
-    "thermal-ohmic": {"coupling", "cutoff", "beta"},
-    "lorentzian": {"rate", "width"},
-    "gaussian": {"rate", "width"},
-    "tabulated": {"path", "beta"},
-}
-
-
 def _fail(path, msg):
     raise InputError(f"{path}: {msg}")
 
@@ -82,6 +72,13 @@ def _num(x, path):
     return float(x)
 
 
+def _positive(x, path):
+    x = _num(x, path)
+    if x <= 0:
+        _fail(path, "must be positive")
+    return x
+
+
 def _beta(x, path):
     """An inverse temperature: a number, or Infinity for a vacuum bath."""
     return np.inf if x == np.inf else _num(x, path)
@@ -101,11 +98,35 @@ def _str(x, path, allowed=None):
     return x
 
 
-def _matrix(x, path):
+def _matrix(x, path, dim):
     try:
-        return _io.complex_matrix_from_json(x)
+        m = _io.complex_matrix_from_json(x)
     except (InputError, ValueError, TypeError) as exc:
         _fail(path, f"not a complex matrix of [re, im] pairs ({exc})")
+    if m.shape != (dim, dim):
+        _fail(path, f"expected shape {(dim, dim)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        _fail(path, "entries must be finite")
+    return m
+
+
+def _tabulated(path, n_channels, beta=None):
+    spec = _bath.tabulated_spectrum(path, beta=beta)
+    if spec.n_channels != n_channels:
+        _fail("bath.path", f"tabulated file has {spec.n_channels} channels, "
+                           f"couplings have {n_channels}")
+    return spec
+
+
+# each bath kind: its constructor and its parameters besides "kind", read
+# in this order; only tabulated may leave out beta
+BATHS = {
+    "flat": (_bath.flat_spectrum, ("rate",)),
+    "thermal-ohmic": (_bath.thermal_ohmic_spectrum, ("coupling", "cutoff", "beta")),
+    "lorentzian": (_bath.lorentzian_spectrum, ("rate", "width")),
+    "gaussian": (_bath.gaussian_spectrum, ("rate", "width")),
+    "tabulated": (_tabulated, ("path", "beta")),
+}
 
 
 @dataclass(frozen=True)
@@ -156,9 +177,7 @@ def _parse_couplings(d, dim):
                 {"hermitian", "ladder", "explicit"})
     if kind in ("hermitian", "ladder"):
         _keys(d, "couplings", {"kind", "matrix", "label"})
-        m = _matrix(_req(d, "matrix", "couplings"), "couplings.matrix")
-        if m.shape != (dim, dim):
-            _fail("couplings.matrix", f"expected shape {(dim, dim)}, got {m.shape}")
+        m = _matrix(_req(d, "matrix", "couplings"), "couplings.matrix", dim)
         label = d.get("label", "S" if kind == "hermitian" else "L")
         _str(label, "couplings.label")
         try:
@@ -176,12 +195,8 @@ def _parse_couplings(d, dim):
         _keys(entry, f"couplings.matrices[{i}]", {"label", "matrix"})
         labels.append(_str(_req(entry, "label", f"couplings.matrices[{i}]"),
                            f"couplings.matrices[{i}].label"))
-        m = _matrix(_req(entry, "matrix", f"couplings.matrices[{i}]"),
-                    f"couplings.matrices[{i}].matrix")
-        if m.shape != (dim, dim):
-            _fail(f"couplings.matrices[{i}].matrix",
-                  f"expected shape {(dim, dim)}, got {m.shape}")
-        arrays.append(m)
+        arrays.append(_matrix(_req(entry, "matrix", f"couplings.matrices[{i}]"),
+                              f"couplings.matrices[{i}].matrix", dim))
     amap = _req(d, "adjoint_map", "couplings")
     if (not isinstance(amap, list)
             or len(amap) != len(arrays)
@@ -195,40 +210,17 @@ def _parse_couplings(d, dim):
 
 
 def _parse_bath(d, n_channels):
-    kind = _str(_req(d, "kind", "bath"), "bath.kind", set(BATH_KEYS))
-    _keys(d, "bath", {"kind"} | BATH_KEYS[kind])
+    kind = _str(_req(d, "kind", "bath"), "bath.kind", set(BATHS))
+    make, names = BATHS[kind]
+    _keys(d, "bath", {"kind", *names})
+    params = {}
+    for name in names:
+        if kind == "tabulated" and name == "beta" and d.get("beta") is None:
+            continue
+        read = {"path": _str, "beta": _beta}.get(name, _num)
+        params[name] = read(_req(d, name, "bath"), f"bath.{name}")
     try:
-        if kind == "flat":
-            return _bath.flat_spectrum(n_channels, _num(_req(d, "rate", "bath"), "bath.rate"))
-        if kind == "thermal-ohmic":
-            return _bath.thermal_ohmic_spectrum(
-                _num(_req(d, "coupling", "bath"), "bath.coupling"),
-                _num(_req(d, "cutoff", "bath"), "bath.cutoff"),
-                _beta(_req(d, "beta", "bath"), "bath.beta"),
-                n_channels=n_channels,
-            )
-        if kind == "lorentzian":
-            return _bath.lorentzian_spectrum(
-                _num(_req(d, "rate", "bath"), "bath.rate"),
-                _num(_req(d, "width", "bath"), "bath.width"),
-                n_channels=n_channels,
-            )
-        if kind == "gaussian":
-            return _bath.gaussian_spectrum(
-                _num(_req(d, "rate", "bath"), "bath.rate"),
-                _num(_req(d, "width", "bath"), "bath.width"),
-                n_channels=n_channels,
-            )
-        path = _str(_req(d, "path", "bath"), "bath.path")
-        beta = d.get("beta")
-        if beta is not None:
-            beta = _beta(beta, "bath.beta")
-        spec = _bath.tabulated_spectrum(path, beta=beta)
-        if spec.n_channels != n_channels:
-            _fail("bath.path",
-                  f"tabulated file has {spec.n_channels} channels, "
-                  f"couplings have {n_channels}")
-        return spec
+        return make(n_channels=n_channels, **params)
     except InputError as exc:
         msg = str(exc)
         if msg.startswith("bath"):
@@ -238,8 +230,13 @@ def _parse_bath(d, n_channels):
 
 def _parse_t_grid(d, path):
     if isinstance(d, list):
-        vals = [_num(x, f"{path}[{i}]") for i, x in enumerate(d)]
-        return np.asarray(vals)
+        vals = np.array([_num(x, f"{path}[{i}]") for i, x in enumerate(d)])
+        if vals.size < 2:
+            _fail(path, "need at least 2 points")
+        down = np.flatnonzero(np.diff(vals) <= 0)
+        if down.size:
+            _fail(f"{path}[{down[0] + 1}]", "must exceed the previous point")
+        return vals
     _keys(d, path, {"start", "stop", "num"})
     start = _num(_req(d, "start", path), f"{path}.start")
     stop = _num(_req(d, "stop", path), f"{path}.stop")
@@ -267,10 +264,7 @@ def _parse_initial_state(d, dim):
         m = np.eye(dim, dtype=complex) / dim
     else:
         m = _matrix(_req(d, "matrix", "experiment.initial_state"),
-                    "experiment.initial_state.matrix")
-        if m.shape != (dim, dim):
-            _fail("experiment.initial_state.matrix",
-                  f"expected shape {(dim, dim)}, got {m.shape}")
+                    "experiment.initial_state.matrix", dim)
     try:
         return DensityMatrix(m).matrix
     except InputError as exc:
@@ -306,16 +300,20 @@ def _parse_validate(d):
         return {}
     _keys(d, "validate", {"eta", "omega_band", "n_modes", "t_star", "num", "scales"})
     out = {
-        "eta": _num(_req(d, "eta", "validate"), "validate.eta"),
-        "omega_band": _num(_req(d, "omega_band", "validate"), "validate.omega_band"),
+        "eta": _positive(_req(d, "eta", "validate"), "validate.eta"),
+        "omega_band": _positive(_req(d, "omega_band", "validate"), "validate.omega_band"),
         "n_modes": _int(_req(d, "n_modes", "validate"), "validate.n_modes"),
-        "t_star": _num(_req(d, "t_star", "validate"), "validate.t_star"),
+        "t_star": _positive(_req(d, "t_star", "validate"), "validate.t_star"),
         "num": _int(d.get("num", 121), "validate.num"),
-        "scales": [_num(x, f"validate.scales[{i}]")
-                   for i, x in enumerate(d.get("scales", [1.0, 0.5, 0.25]))],
     }
+    scales = d.get("scales", [1.0, 0.5, 0.25])
+    if not isinstance(scales, list):
+        _fail("validate.scales", "expected a list of numbers")
+    out["scales"] = [_positive(x, f"validate.scales[{i}]") for i, x in enumerate(scales)]
     if out["n_modes"] < 2:
         _fail("validate.n_modes", "need at least 2 modes")
+    if out["num"] < 2:
+        _fail("validate.num", "need at least 2 points")
     if len(out["scales"]) < 3:
         _fail("validate.scales", "need at least 3 scale points")
     return out
@@ -416,10 +414,8 @@ def cmd_build_kernel(cfg, args, out_dir):
     return 0 if residual < TRACE_RESIDUAL_LIMIT * scale else 1
 
 
-def _trajectory_json(traj):
+def _health(traj):
     return {
-        "times": [float(t) for t in traj.times],
-        "states": _io.complex_matrix_to_json(traj.states),
         "trace_drift_max": float(np.max(traj.trace_drift)),
         "herm_defect_max": float(np.max(traj.herm_defect)),
         "min_eigenvalue": float(np.min(traj.min_eigenvalue)),
@@ -431,7 +427,9 @@ def _write_trajectory(traj, out_dir, stem, fmt):
     if fmt == "csv":
         trajectory_to_csv(traj, out_dir / f"{stem}.csv")
     else:
-        _io.write_json(out_dir / f"{stem}.json", _trajectory_json(traj))
+        _io.write_json(out_dir / f"{stem}.json", dict(
+            _health(traj), times=[float(t) for t in traj.times],
+            states=_io.complex_matrix_to_json(traj.states)))
 
 
 def cmd_evolve(cfg, args, out_dir):
@@ -440,16 +438,8 @@ def cmd_evolve(cfg, args, out_dir):
     exp = cfg.experiment
     liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     traj = evolve_markov(liouv, exp.initial_state, exp.t_grid)
-    diag = {
-        "provenance": _provenance(cfg),
-        "variant": exp.variant,
-        "markov": {
-            "trace_drift_max": float(np.max(traj.trace_drift)),
-            "herm_defect_max": float(np.max(traj.herm_defect)),
-            "min_eigenvalue": float(np.min(traj.min_eigenvalue)),
-            "method": traj.method,
-        },
-    }
+    diag = {"provenance": _provenance(cfg), "variant": exp.variant,
+            "markov": _health(traj)}
     if exp.nonlocal_params:
         corr = _bath.time_correlation(
             cfg.bath, exp.nonlocal_params["tau_grid"],
@@ -469,7 +459,7 @@ def cmd_evolve(cfg, args, out_dir):
         _write_trajectory(nl, out_dir, "trajectory-nonlocal", args.format)
     _io.write_json(out_dir / "evolve-diagnostics.json", diag)
     print(f"evolved {exp.t_grid.size} steps; "
-          f"trace drift {_io.fmt(float(np.max(traj.trace_drift)))}")
+          f"trace drift {_io.fmt(diag['markov']['trace_drift_max'])}")
     return 0
 
 
@@ -557,6 +547,10 @@ def cmd_validate(cfg, args, out_dir):
         markov = evolve_markov(liouv, rho0, t)
         td = trace_distance(exact.states[-1], markov.states[-1])
         rows.append({"scale": float(c), "trace_distance": float(td)})
+    zero = [row["scale"] for row in rows if row["trace_distance"] == 0.0]
+    if zero:
+        raise InvariantError(f"trace distance to the exact evolution is 0 at scale "
+                             f"{zero[0]:g}; the contraction ratios are undefined")
     ratios = [rows[i]["trace_distance"] / rows[i + 1]["trace_distance"]
               for i in range(len(rows) - 1)]
     in_band = all(SCALING_BAND[0] <= r <= SCALING_BAND[1] for r in ratios)

@@ -142,6 +142,23 @@ class EnergySpectrum:
         return self.class_of[:, None] == self.class_of[None, :]
 
 
+def _chain(values, eps):
+    """Group sorted values whose neighbours lie within eps: the one rule
+    behind degeneracy classes and Bohr bins.  Returns the group of each
+    value, each group's np.mean over its slice (a single value copied),
+    and the slice of the first group spread over more than eps, or None.
+    """
+    opens = np.diff(values, prepend=-np.inf) > eps
+    bounds = np.append(np.flatnonzero(opens), values.size)
+    lo, hi = bounds[:-1], bounds[1:]        # group g is values[lo[g]:hi[g]]
+    means = values[lo]
+    for g in np.flatnonzero(hi - lo > 1):
+        means[g] = np.mean(values[lo[g]:hi[g]])
+    wide = np.flatnonzero(values[hi - 1] - values[lo] > eps)
+    wide = slice(lo[wide[0]], hi[wide[0]]) if wide.size else None
+    return np.cumsum(opens) - 1, means, wide
+
+
 def build_spectrum(levels, eps_deg=None, labels=None):
     """Validate levels and derive the degeneracy-class structure.
 
@@ -164,22 +181,14 @@ def build_spectrum(levels, eps_deg=None, labels=None):
     if not (eps_deg >= 0.0 and np.isfinite(eps_deg)):
         raise InputError("eps_deg must be a finite non-negative number")
 
-    class_of = np.empty(arr.size, dtype=int)
-    class_of[0] = 0
-    for n in range(1, arr.size):
-        # chain: a gap <= eps_deg keeps the class open
-        class_of[n] = class_of[n - 1] + (1 if arr[n] - arr[n - 1] > eps_deg else 0)
-    class_energy = np.array(
-        [arr[class_of == c].mean() for c in range(class_of[-1] + 1)]
-    )
-    for c in range(class_of[-1] + 1):
-        members = arr[class_of == c]
-        span = members[-1] - members[0]
-        if span > eps_deg:
-            raise InputError(
-                f"degeneracy chaining is ambiguous: levels {members.tolist()} "
-                f"chain within eps_deg={eps_deg:g} but spread over {span:g}"
-            )
+    class_of, class_energy, wide = _chain(arr, eps_deg)
+    if wide is not None:
+        members = arr[wide]
+        raise InputError(
+            f"degeneracy chaining is ambiguous: levels {members.tolist()} "
+            f"chain within eps_deg={eps_deg:g} but spread over "
+            f"{members[-1] - members[0]:g}"
+        )
     if labels is None:
         labels = tuple(f"E{n}" for n in range(arr.size))
     else:
@@ -355,21 +364,14 @@ def bohr_frequencies(spectrum):
     diff = -spectrum.bohr_matrix()          # diff[p, q] = E[q] - E[p]
     up = diff > 0
     pos, value_of = np.unique(diff[up], return_inverse=True)
-    opens = np.diff(pos, prepend=-np.inf) > eps
-    bounds = np.append(np.flatnonzero(opens), pos.size)
-    lo, hi = bounds[:-1], bounds[1:]        # bin g holds pos[lo[g]:hi[g]]
-    wide = np.flatnonzero(pos[hi - 1] - pos[lo] > eps)
-    if wide.size:
-        g = wide[0]
+    group, omega, wide = _chain(pos, eps)
+    if wide is not None:
         raise InputError(
-            f"Bohr frequencies {pos[lo[g]:hi[g]].tolist()} chain within "
+            f"Bohr frequencies {pos[wide].tolist()} chain within "
             f"eps_deg={eps:g} but spread over more than eps_deg"
         )
-    omega = pos[lo]
-    for g in np.flatnonzero(hi - lo > 1):
-        omega[g] = np.mean(pos[lo[g]:hi[g]])
     n = omega.size                          # bin n holds omega = 0
-    group = (np.cumsum(opens) - 1)[value_of]
+    group = group[value_of]
     label = np.full(diff.shape, n)
     label[up] = n + 1 + group
     label.T[up] = n - 1 - group             # mirror: transposed pairs at -omega

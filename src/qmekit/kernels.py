@@ -30,7 +30,7 @@ import numpy as np
 from dataclasses import dataclass
 from functools import partial
 
-from .core import InputError, Superoperator, decompose_jump_operators
+from .core import InputError, InvariantError, Superoperator, decompose_jump_operators
 from . import io as _io
 
 __all__ = [
@@ -261,20 +261,24 @@ def _jump_kernel(spectrum, couplings, bath_spec, gain_sign):
 
 
 def build_kernel(spectrum, couplings, bath_spec, variant, omega=None):
-    """Dispatch on a variant tag; see ``VARIANT_TAGS``."""
+    """Dispatch on a variant tag; see ``VARIANT_TAGS``.  Finite inputs
+    that overflow to a non-finite kernel raise InvariantError."""
+    system = (spectrum, couplings, bath_spec)
     if variant == "born":
         if omega is None:
             raise InputError("born variant needs omega")
-        return born_kernel_frequency(spectrum, couplings, bath_spec, omega)
-    if variant == "redfield-in":
-        return redfield_kernel(spectrum, couplings, bath_spec, "in")
-    if variant == "redfield-out":
-        return redfield_kernel(spectrum, couplings, bath_spec, "out")
-    if variant == "energy-conserving":
-        return energy_conserving_kernel(spectrum, couplings, bath_spec)
-    if variant == "lindblad":
-        return lindblad_kernel(spectrum, couplings, bath_spec)
-    raise InputError(f"unknown kernel variant {variant!r}")
+        kernel = born_kernel_frequency(*system, omega)
+    elif variant in ("redfield-in", "redfield-out"):
+        kernel = redfield_kernel(*system, variant.split("-")[1])
+    elif variant == "energy-conserving":
+        kernel = energy_conserving_kernel(*system)
+    elif variant == "lindblad":
+        kernel = lindblad_kernel(*system)
+    else:
+        raise InputError(f"unknown kernel variant {variant!r}")
+    if not np.isfinite(kernel.data).all():
+        raise InvariantError(f"the {variant} kernel has a non-finite entry")
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,10 @@ def _exact_sector(model, rho0, t_grid):
     h[1:, 1:] = np.diag(w0[0] + model.mode_frequencies)
     h[0, 1:] = g
     h[1:, 0] = g
-    evals, vecs = np.linalg.eigh(h)
+    try:
+        evals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:       # finite entries past LAPACK's range
+        raise InvariantError(f"sector Hamiltonian: {exc}") from None
 
     phases = np.exp(-1j * np.outer(t_grid, evals))          # (nt, n+1)
     coeffs = phases * vecs[0].conj()[None, :]               # e^{-iEt} V^H e_0

@@ -1,5 +1,8 @@
 """Bath spectra: detailed balance, transforms, tabulated round trips."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,39 @@ def test_tabulated_round_trip(tmp_path):
     assert np.all(tab.gamma(np.array([-9.0, 9.0])) == 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
+    # the per-row writer and per-entry interpolation the column table
+    # replaced, as byte and bit references; -0.0 entries included
+    rng = np.random.default_rng(n)
+    labels = [f"c{a}" for a in range(n)]
+    grid = np.linspace(-4.0, 4.0, 9)
+    g = rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
+    g[2, 0, 0], g[3, -1, -1] = complex(-0.0, 1.0), complex(0.5, -0.0)
+    path = tmp_path / "spec.csv"
+    write_tabulated_csv(path, grid, g, labels)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["omega"] + [f"{p}[{a},{b}]" for a in labels for b in labels
+                                for p in ("re", "im")])
+        for i, om in enumerate(grid):
+            w.writerow([f"{om:.17g}"] + [f"{x:.17g}" for a in range(n) for b in range(n)
+                                         for x in (g[i, a, b].real, g[i, a, b].imag)])
+    assert path.read_bytes() == ref.read_bytes()
+    _, omegas, gammas = read_tabulated_csv(path)
+    w = np.array([[-5.0, -4.0, -0.3], [0.0, 1.7, 4.5]])
+    want = np.zeros(w.shape + (n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            want[..., a, b] = (
+                np.interp(w, omegas, gammas[:, a, b].real, left=0.0, right=0.0)
+                + 1j * np.interp(w, omegas, gammas[:, a, b].imag, left=0.0, right=0.0))
+    got = tabulated_spectrum(path).gamma(w)
+    assert got.tobytes() == want.tobytes()
+    assert tabulated_spectrum(path).gamma(1.7).tobytes() == want[1, 1].tobytes()
+
+
 def test_tabulated_malformed_rows_are_named(tmp_path):
     good = tmp_path / "good.csv"
     b = gaussian_spectrum(0.4, 1.5)
@@ -166,6 +202,14 @@ def test_tabulated_malformed_rows_are_named(tmp_path):
     noheader.write_text("frequency,value\n0,1\n1,2\n")
     with pytest.raises(InputError, match="omega"):
         read_tabulated_csv(noheader)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_tabulated_non_finite_values_are_named(tmp_path, value):
+    path = tmp_path / "spec.csv"
+    path.write_text(f'omega,"re[S,S]","im[S,S]"\n-5,0.1,0\n0,0.2,{value}\n5,0.1,0\n')
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: row 3: values must be finite$"):
+        read_tabulated_csv(path)
 
 
 def test_tabulated_kms_residual_detects_violation(tmp_path):

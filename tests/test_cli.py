@@ -1,16 +1,19 @@
 """End-to-end runs of the batch front-end, in process."""
 
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qmekit.kernels as kernels
-from qmekit.cli import main, parse_config
+from qmekit.cli import COMMANDS, main, parse_config
 from qmekit.diagnostics import flip_gain_sign
 from qmekit.dynamics import NONLOCAL_DIM_LIMIT
 from qmekit.io import canonical_dumps, complex_matrix_from_json
@@ -312,6 +315,9 @@ def test_trace_gate_fails_a_kernel_that_leaks_trace(tmp_path, monkeypatch):
     assert rc == 1
 
 
+VALIDATE = {"eta": 2e-5, "omega_band": 5.0, "n_modes": 60, "t_star": 30.0, "num": 121}
+
+
 def validate_doc(eta):
     return qubit_doc(
         experiment={"initial_state": {"kind": "excited"}},
@@ -335,6 +341,22 @@ def test_validate_strong_coupling_breaches(tmp_path, capsys):
     assert rc == 1
     rep = json.loads((out / "validate.json").read_text())
     assert rep["in_band"] is False
+
+
+@pytest.mark.parametrize("doc, error", [
+    (qubit_doc(experiment={"initial_state": {"kind": "ground"}}, validate=VALIDATE),
+     "trace distance to the exact evolution is 0 at scale 1; "
+     "the contraction ratios are undefined"),
+    # LAPACK's eigh gives up on this finite sector Hamiltonian here; where
+    # it converges, the kernel overflows instead
+    (qubit_doc(couplings={"kind": "ladder", "matrix": as_json_matrix([[0, 1e300], [0, 0]])},
+               validate=dict(VALIDATE, n_modes=20, t_star=10.0)), ""),
+], ids=["stationary-state", "coupling-out-of-range"])
+def test_validate_without_a_measurable_deviation_is_a_breach(tmp_path, capsys, doc, error):
+    rc, out = run(tmp_path, "validate", doc)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"invariant breach: {error}")
+    assert list(out.iterdir()) == []
 
 
 def test_validate_requires_its_section(tmp_path, capsys):
@@ -455,6 +477,82 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, where
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, where, doc", [
+    ("evolve", "experiment.t_grid[1]", qubit_doc(experiment={"t_grid": [0, 0, 1]})),
+    ("evolve", "experiment.t_grid", qubit_doc(experiment={"t_grid": [0.5]})),
+    ("evolve", "experiment.nonlocal.tau_grid[2]",
+     qubit_doc(experiment={"nonlocal": {"tau_grid": [0, 0.5, 0.5], "tau_memory": 0.5}})),
+    ("validate", "validate.eta", qubit_doc(validate=dict(VALIDATE, eta=0))),
+    ("validate", "validate.eta", qubit_doc(validate=dict(VALIDATE, eta=-1e-5))),
+    ("validate", "validate.omega_band", qubit_doc(validate=dict(VALIDATE, omega_band=0))),
+    ("validate", "validate.t_star", qubit_doc(validate=dict(VALIDATE, t_star=0))),
+    ("validate", "validate.num", qubit_doc(validate=dict(VALIDATE, num=1))),
+    ("validate", "validate.scales[1]",
+     qubit_doc(validate=dict(VALIDATE, scales=[1.0, 0.0, 0.25]))),
+    ("validate", "validate.scales", qubit_doc(validate=dict(VALIDATE, scales=5))),
+], ids=["repeated-time", "one-time", "repeated-tau", "eta-zero", "eta-negative",
+        "band-zero", "t-star-zero", "num-one", "scale-zero", "scales-not-a-list"])
+def test_grids_and_validate_values_are_checked_at_parse_time(tmp_path, capsys, command,
+                                                             where, doc):
+    rc, out = run(tmp_path, command, doc)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-kernel", "steady-state", "compare",
+                                     "block-report"])
+def test_non_finite_tabulated_values_are_rejected(tmp_path, capsys, command):
+    table = tmp_path / "bath.csv"
+    table.write_text('omega,"re[S,S]","im[S,S]"\n-5,0.1,0\n0,nan,0\n5,inf,0\n')
+    doc = qubit_doc(couplings={"kind": "hermitian", "matrix": SIGMA_X},
+                    bath={"kind": "tabulated", "path": str(table)})
+    rc, out = run(tmp_path, command, doc)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: bath: {table}: row 3: values must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, variant", [
+    ("build-kernel", "lindblad"), ("steady-state", "lindblad"),
+    ("compare", "redfield-in"), ("block-report", "lindblad"),
+])
+def test_overflowing_kernel_is_a_breach_that_writes_nothing(tmp_path, capsys, command,
+                                                           variant):
+    # finite couplings and rate whose products overflow in the kernel
+    big = as_json_matrix(1e200 * np.array([[0, 1], [1, 0]]))
+    doc = qubit_doc(couplings={"kind": "hermitian", "matrix": big},
+                    bath={"kind": "flat", "rate": 1e200})
+    rc, out = run(tmp_path, command, doc)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"invariant breach: the {variant} kernel has a non-finite entry\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("where, doc", [
+    ("couplings.matrix",
+     qubit_doc(couplings={"kind": "ladder", "matrix": [[[0, 0], [float("nan"), 0]],
+                                                      [[0, 0], [0, 0]]]})),
+    ("experiment.initial_state.matrix",
+     qubit_doc(experiment={"initial_state": {"kind": "matrix", "matrix": [
+         [[1, 0], [0, float("inf")]], [[0, 0], [0, 0]]]}})),
+])
+def test_non_finite_matrix_entries_are_rejected_with_their_path(tmp_path, capsys, where,
+                                                                doc):
+    rc, out = run(tmp_path, "steady-state", doc)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {where}: entries must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, rc", [("gaussian", 0), ("lorentzian", 1)])
+def test_bath_width_whose_square_overflows_runs_to_an_exit_code(tmp_path, kind, rc):
+    # gaussian: exp(-w^2 / inf) is a flat spectrum; lorentzian: inf / inf
+    doc = qubit_doc(bath={"kind": kind, "rate": 0.2, "width": 1e300})
+    assert run(tmp_path, "steady-state", doc)[0] == rc
+
+
 def test_vacuum_bath_takes_infinite_beta(tmp_path):
     rc, out = run(tmp_path, "steady-state", qubit_doc(bath=dict(OHMIC, beta=float("inf"))))
     assert rc == 0
@@ -487,3 +585,105 @@ def test_parse_serialize_round_trip():
     cfg = parse_config(json.dumps(doc))
     again = parse_config(cfg.normalized)
     assert canonical_dumps(again.normalized) == canonical_dumps(cfg.normalized)
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: one mutation of a valid document, one command
+
+README_DOC = {
+    "spectrum": {"levels": [0.0, 1.0]},
+    "couplings": {"kind": "ladder", "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+    "bath": {"kind": "thermal-ohmic", "coupling": 0.2, "cutoff": 5.0, "beta": 1.3},
+    "experiment": {
+        "variant": "lindblad",
+        "t_grid": {"start": 0.0, "stop": 10.0, "num": 101},
+        "initial_state": {"kind": "excited"},
+    },
+}
+QUTRIT_DOC = {
+    "spectrum": {"levels": [0.0, 0.7, 1.5], "eps_deg": 1e-9},
+    "couplings": {"kind": "hermitian",
+                  "matrix": as_json_matrix([[0, 0.5, 0.2], [0.5, 0, 0.4], [0.2, 0.4, 0]])},
+    "bath": {"kind": "gaussian", "rate": 0.2, "width": 1.0},
+    "experiment": {
+        "variant": "redfield-in",
+        "omega": 0.7,
+        "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
+        "initial_state": {"kind": "matrix", "matrix": as_json_matrix(np.eye(3) / 3)},
+        "seed": 1,
+        "nonlocal": {"tau_grid": {"start": 0.0, "stop": 2.0, "num": 41},
+                     "tau_memory": 1.0},
+    },
+    "validate": {"eta": 1e-4, "omega_band": 5.0, "n_modes": 8, "t_star": 5.0,
+                 "num": 11, "scales": [1.0, 0.5, 0.25]},
+}
+FUZZ_VALUES = (0, -1, 1e-300, 1e300, float("nan"), float("inf"), -float("inf"),
+               True, "x", None, [])
+
+
+def _nodes(node, path=()):
+    """(path, value) of node and of every value below it."""
+    yield path, node
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutations(doc):
+    """Every single mutation of doc: replace one value (a leaf, list or
+    object) by one FUZZ_VALUES entry, delete one key, or add one unknown
+    key to one object."""
+    for path, value in _nodes(doc):
+        if isinstance(value, dict):
+            yield "add", path, None
+        if path:
+            yield from (("replace", path, v) for v in range(len(FUZZ_VALUES)))
+        if path and isinstance(path[-1], str):
+            yield "delete", path, None
+
+
+FUZZ_CASES = [(doc, *m) for doc in (README_DOC, QUTRIT_DOC) for m in _mutations(doc)]
+
+
+def mutated(doc, op, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1] if op != "add" else path:
+        parent = parent[key]
+    if op == "add":
+        parent["unknown_key"] = 1
+    elif op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = FUZZ_VALUES[value]
+    return doc
+
+
+def run_contract(doc, command):
+    """Run one command in process; the exit code is 0, 1 or 2, nothing
+    escapes main, and an input error leaves --out empty."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = Path(tmp) / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert not out.exists() or not any(out.iterdir())
+        return rc
+
+
+@pytest.mark.parametrize("doc", [README_DOC, QUTRIT_DOC], ids=["readme", "qutrit"])
+def test_fuzz_base_documents_run(doc):
+    assert run_contract(doc, "evolve") == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(FUZZ_CASES), st.sampled_from(sorted(COMMANDS)))
+def test_fuzzed_config_keeps_the_exit_contract(case, command):
+    run_contract(mutated(*case), command)

@@ -107,6 +107,46 @@ def test_ambiguous_bohr_chaining_rejected():
         bohr_frequencies(spec)
 
 
+def reference_classes(levels, eps):
+    """Degeneracy classes by the per-level chaining loop: (class_of,
+    class_energy), or the text of the ambiguity error."""
+    class_of = np.zeros(levels.size, dtype=int)
+    for n in range(1, levels.size):
+        class_of[n] = class_of[n - 1] + (1 if levels[n] - levels[n - 1] > eps else 0)
+    energy = np.array([levels[class_of == c].mean() for c in range(class_of[-1] + 1)])
+    for c in range(class_of[-1] + 1):
+        members = levels[class_of == c]
+        span = members[-1] - members[0]
+        if span > eps:
+            return (f"degeneracy chaining is ambiguous: levels {members.tolist()} "
+                    f"chain within eps_deg={eps:g} but spread over {span:g}")
+    return class_of, energy
+
+
+# clusters of up to 12 levels (np.mean sums more than 8 values pairwise),
+# inner gaps near eps so that some chains spread too wide
+clusters = st.lists(st.tuples(st.integers(min_value=1, max_value=12),
+                              st.sampled_from([0.0, 1e-10, 3e-10, 6e-10, 1e-9]),
+                              st.sampled_from([1e-9, 0.3, 1.0])), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=3.0), clusters,
+       st.sampled_from([0.0, 5e-10, 1e-9]))
+def test_classes_match_the_chaining_loop_bit_for_bit(base, clusters, eps):
+    gaps = [g for k, inner, outer in clusters for g in [inner] * (k - 1) + [outer]]
+    levels = base + np.cumsum([0.0] + gaps)
+    want = reference_classes(levels, eps)
+    if isinstance(want, str):
+        with pytest.raises(InputError) as err:
+            build_spectrum(levels, eps_deg=eps)
+        assert str(err.value) == want
+    else:
+        spec = build_spectrum(levels, eps_deg=eps)
+        assert np.array_equal(spec.class_of, want[0])
+        assert spec.class_energy.tobytes() == want[1].tobytes()
+
+
 dyadic_levels = st.lists(
     st.integers(min_value=-128, max_value=128), min_size=2, max_size=6
 ).map(lambda ticks: np.sort(np.array(ticks)) / 64.0)

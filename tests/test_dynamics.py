@@ -13,6 +13,7 @@ from qmekit.core import (
     hermitian_channel,
     ladder_channels,
 )
+import qmekit.dynamics as dynamics
 from qmekit.kernels import build_kernel
 from qmekit.dynamics import (
     EXPM_DIM_LIMIT,
@@ -68,14 +69,17 @@ def test_relaxation_and_dephasing_closed_forms():
     assert np.max(np.abs(coh - want)) < 1e-13
 
 
-def test_expm_and_rk_paths_agree():
+def test_expm_and_rk_paths_agree(monkeypatch):
     spectrum, couplings, bath = make_system(14)
     k = build_kernel(spectrum, couplings, bath, "lindblad")
     liouv = build_liouvillian(spectrum, k)
     rho0 = DensityMatrix.maximally_mixed(spectrum.dim)
     t = np.linspace(0, 5, 21)
-    a = evolve_markov(liouv, rho0, t, method="expm")
-    b = evolve_markov(liouv, rho0, t, method="rk")
+    # the path follows EXPM_DIM_LIMIT: 14 takes every block, 0 none
+    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 14)
+    a = evolve_markov(liouv, rho0, t)
+    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 0)
+    b = evolve_markov(liouv, rho0, t)
     assert a.method == "expm" and b.method == "rk"
     assert np.max(np.abs(a.states - b.states)) < 1e-8
 
@@ -110,8 +114,6 @@ def test_evolve_input_rejections():
         evolve_markov(liouv, EXCITED, [0.0, 0.0, 1.0])
     with pytest.raises(InputError):
         evolve_markov(liouv, np.eye(3) / 3, [0.0, 1.0])
-    with pytest.raises(InputError, match="method"):
-        evolve_markov(liouv, EXCITED, [0.0, 1.0], method="euler")
 
 
 def test_trajectory_diagnostics_stay_clean():

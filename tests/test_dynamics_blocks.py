@@ -19,6 +19,7 @@ from qmekit.core import (
     build_spectrum,
     hermitian_channel,
 )
+import qmekit.dynamics as dynamics
 from qmekit.dynamics import build_liouvillian, evolve_markov, steady_state
 from qmekit.kernels import build_kernel
 
@@ -143,7 +144,7 @@ def test_box_trajectories_match_dense(system_box):
         assert np.max(np.abs(traj.states - want)) < 1e-12
 
 
-def test_harmonic_ladder_interior_times_match_the_exponential():
+def test_harmonic_ladder_interior_times_match_the_exponential(monkeypatch):
     # d=24 harmonic ladder, thermal bath at beta=2: the adaptive path used
     # to miss expm(L t) rho0 by 6.7e-8 at interior grid times
     d = 24
@@ -157,7 +158,9 @@ def test_harmonic_ladder_interior_times_match_the_exponential():
     traj = evolve_markov(liouv, rho0, t)
     assert traj.method == "expm"
     assert np.max(np.abs(traj.states - want)) < 1e-12
-    rk = evolve_markov(liouv, rho0, t, method="rk")
+    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 0)
+    rk = evolve_markov(liouv, rho0, t)
+    assert rk.method == "rk"
     assert np.max(np.abs(rk.states - want)) < 1e-8
 
 
@@ -176,3 +179,19 @@ def test_one_block_generators_run_the_dense_path(d):
     traj = evolve_markov(liouv, excited(d), t)
     assert np.array_equal(traj.states, dense_trajectory(liouv.data, excited(d), t))
 
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_steps_of_one_relative_size_share_an_exponential(d):
+    # the per-step loop of keys round(dt / span, 15), one exponential per
+    # key taken at its first step, as a bit reference; 0.6 - 0.5 rounds
+    # to the key of 0.1
+    liouv = liouvillian(spectra(d)["generic"], "redfield-in")
+    t = np.array([0.0, 0.1, 0.2, 0.5, 0.6, 0.9, 1.7, 1.8])
+    props, vecs = {}, [excited(d).ravel()]
+    for dt in np.diff(t):
+        prop = props.setdefault(round(dt / (t[-1] - t[0]), 15), expm(liouv.data * dt))
+        vecs.append(prop @ vecs[-1])
+    assert len(props) == 3
+    traj = evolve_markov(liouv, excited(d), t)
+    assert np.array_equal(traj.states, np.array(vecs).reshape(len(t), d, d))

@@ -12,6 +12,7 @@ from qmekit.bath import (
 from qmekit.core import (
     CouplingChannelSet,
     InputError,
+    InvariantError,
     Superoperator,
     build_spectrum,
     decompose_jump_operators,
@@ -91,6 +92,14 @@ def test_build_kernel_dispatch_and_rejections():
         build_kernel(FIX3, couplings, bath, "lindblad")
     with pytest.raises(InputError, match="channels"):
         build_kernel(QUBIT, ladder_channels(SIGMA_MINUS), bath, "lindblad")
+
+
+@pytest.mark.parametrize("variant", VARIANT_TAGS)
+def test_overflowing_kernel_is_a_breach_naming_the_variant(variant):
+    # finite couplings and rate whose products overflow
+    with pytest.raises(InvariantError, match=f"^the {variant} kernel has a non-finite entry$"):
+        build_kernel(QUBIT, hermitian_channel(1e200 * SIGMA_X), flat_spectrum(1, 1e200),
+                     variant, omega=1.0)
 
 
 def test_trace_condition_all_variants():
