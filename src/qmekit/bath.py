@@ -250,7 +250,7 @@ def read_tabulated_csv(path):
         )
     n = len(labels)
     width = 1 + 2 * n * n
-    table = []
+    table, file_rows = [], []
     for i, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -263,6 +263,7 @@ def read_tabulated_csv(path):
         if not all(map(math.isfinite, vals)):
             raise InputError(f"{path}: row {i}: values must be finite")
         table.append(vals)
+        file_rows.append(i)
     table = np.array(table).reshape(-1, width)
     omegas = table[:, 0]
     if omegas.size < 2:
@@ -270,7 +271,7 @@ def read_tabulated_csv(path):
     down = np.flatnonzero(np.diff(omegas) <= 0)
     if down.size:
         raise InputError(f"{path}: omega column must be strictly increasing "
-                         f"(row {down[0] + 3})")
+                         f"(row {file_rows[down[0] + 1]})")
     return labels, omegas, (table[:, 1::2] + 1j * table[:, 2::2]).reshape(-1, n, n)
 
 

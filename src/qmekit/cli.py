@@ -524,12 +524,16 @@ def cmd_validate(cfg, args, out_dir):
     rho0 = cfg.experiment.initial_state
     omegas, gs, record = gauss_legendre_modes(
         lambda w: eta0 * w, band, p["n_modes"])
+    models = [FiniteBathModel(cfg.spectrum, cfg.couplings, omegas, c * gs,
+                              n_max=1, beta=np.inf, coupling_kind="rotating-pair",
+                              quadrature=record)
+              for c in p["scales"]]
+    t_rec = models[0].recurrence_time()
+    if p["t_star"] >= t_rec:
+        _fail("validate.t_star", f"requested horizon {p['t_star']:g} exceeds the "
+                                 f"recurrence guard {t_rec:g} for this mode grid")
     rows = []
-    for c in p["scales"]:
-        model = FiniteBathModel(cfg.spectrum, cfg.couplings, omegas, c * gs,
-                                n_max=1, beta=np.inf,
-                                coupling_kind="rotating-pair",
-                                quadrature=record)
+    for c, model in zip(p["scales"], models):
         exact = exact_reduced_evolution(model, rho0, t)
         eta = eta0 * c * c
 

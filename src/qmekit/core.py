@@ -33,10 +33,6 @@ __all__ = [
     "default_degeneracy_tol",
     "bohr_frequencies",
     "decompose_jump_operators",
-    "flat_index",
-    "index_pair",
-    "lmul",
-    "rmul",
     "lrmul",
     "hermitian_channel",
     "ladder_channels",
@@ -58,28 +54,6 @@ class InvariantError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # flat superoperator indexing
-
-def flat_index(p, p2, dim):
-    """Flat row-major index of the ordered pair (p, p2), i.e. p*dim + p2."""
-    return p * dim + p2
-
-
-def index_pair(k, dim):
-    """Inverse of :func:`flat_index`."""
-    return divmod(k, dim)
-
-
-def lmul(a):
-    """Superoperator matrix of rho -> a @ rho."""
-    d = a.shape[0]
-    return np.kron(a, np.eye(d))
-
-
-def rmul(b):
-    """Superoperator matrix of rho -> rho @ b."""
-    d = b.shape[0]
-    return np.kron(np.eye(d), b.T)
-
 
 def lrmul(a, b):
     """Superoperator matrix of rho -> a @ rho @ b."""

@@ -136,10 +136,18 @@ def complex_matrix_to_json(m):
 
 
 def complex_matrix_from_json(obj, what="matrix"):
+    """Inverse of :func:`complex_matrix_to_json`.  Entries must be JSON
+    numbers: booleans and strings, which numpy would convert, are not."""
+    entries = np.array(obj, dtype=object)
+    others = [k for k in set(map(type, entries.flat))
+              if issubclass(k, bool) or not issubclass(k, (int, float))]
+    if others:
+        raise InputError(f"{what}: entries must be [re, im] number pairs, got "
+                         f"{', '.join(sorted(k.__name__ for k in others))}")
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{what}: entries must be [re, im] number pairs") from None
+        arr = entries.astype(float)
+    except OverflowError:                       # an integer past the float range
+        raise InputError(f"{what}: entries must be finite") from None
     if arr.ndim < 3 or arr.shape[-1] != 2:
         raise InputError(f"{what}: expected a nested list of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

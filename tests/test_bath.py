@@ -198,6 +198,11 @@ def test_tabulated_malformed_rows_are_named(tmp_path):
     with pytest.raises(InputError, match="strictly increasing"):
         read_tabulated_csv(order)
 
+    blank = tmp_path / "blank.csv"
+    blank.write_text('omega,"re[S,S]","im[S,S]"\n\n-1,0.1,0\n1,0.2,0\n0.5,0.1,0\n')
+    with pytest.raises(InputError, match=r"strictly increasing \(row 5\)$"):
+        read_tabulated_csv(blank)
+
     noheader = tmp_path / "noheader.csv"
     noheader.write_text("frequency,value\n0,1\n1,2\n")
     with pytest.raises(InputError, match="omega"):

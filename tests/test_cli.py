@@ -359,6 +359,17 @@ def test_validate_without_a_measurable_deviation_is_a_breach(tmp_path, capsys, d
     assert list(out.iterdir()) == []
 
 
+def test_validate_horizon_past_the_recurrence_guard_names_the_field(tmp_path, capsys):
+    doc = qubit_doc(experiment={"initial_state": {"kind": "excited"}},
+                    validate=dict(VALIDATE, n_modes=10))
+    rc, out = run(tmp_path, "validate", doc)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: validate.t_star: requested horizon 30 exceeds the recurrence "
+        "guard 5.80638 for this mode grid\n")
+    assert list(out.iterdir()) == []
+
+
 def test_validate_requires_its_section(tmp_path, capsys):
     rc, _ = run(tmp_path, "validate", qubit_doc())
     assert rc == 2
@@ -543,6 +554,26 @@ def test_non_finite_matrix_entries_are_rejected_with_their_path(tmp_path, capsys
     rc, out = run(tmp_path, "steady-state", doc)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {where}: entries must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, doc", [
+    ("couplings.matrix",
+     qubit_doc(couplings={"kind": "hermitian", "matrix": [[[0, 0], [True, 0]],
+                                                         [[1, 0], [0, 0]]]})),
+    ("couplings.matrices[0].matrix",
+     qubit_doc(couplings={"kind": "explicit", "adjoint_map": [0], "matrices": [
+         {"label": "S", "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, False]]]}]})),
+    ("experiment.initial_state.matrix",
+     qubit_doc(experiment={"initial_state": {"kind": "matrix", "matrix": [
+         [[0, 0], [0, 0]], [[0, 0], [True, 0]]]}})),
+])
+def test_boolean_matrix_entries_are_rejected_with_their_path(tmp_path, capsys, where, doc):
+    rc, out = run(tmp_path, "build-kernel", doc)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {where}: not a complex matrix of [re, im] pairs "
+        f"(matrix: entries must be [re, im] number pairs, got bool)\n")
     assert not out.exists()
 
 

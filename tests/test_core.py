@@ -13,22 +13,11 @@ from qmekit.core import (
     build_spectrum,
     decompose_jump_operators,
     default_degeneracy_tol,
-    flat_index,
     hermitian_channel,
-    index_pair,
     ladder_channels,
-    lmul,
     lrmul,
-    rmul,
 )
 from conftest import make_system, reference_bohr_bins, reference_jump_stack
-
-
-def test_flat_index_round_trip():
-    d = 5
-    for p in range(d):
-        for q in range(d):
-            assert index_pair(flat_index(p, q, d), d) == (p, q)
 
 
 def test_mul_superoperators_match_direct_products():
@@ -37,8 +26,6 @@ def test_mul_superoperators_match_direct_products():
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    assert np.allclose((lmul(a) @ rho.ravel()).reshape(d, d), a @ rho, atol=1e-14)
-    assert np.allclose((rmul(b) @ rho.ravel()).reshape(d, d), rho @ b, atol=1e-14)
     assert np.allclose((lrmul(a, b) @ rho.ravel()).reshape(d, d), a @ rho @ b,
                        atol=1e-13)
 

@@ -18,9 +18,7 @@ from qmekit.core import (
     decompose_jump_operators,
     hermitian_channel,
     ladder_channels,
-    lmul,
     lrmul,
-    rmul,
 )
 from qmekit.kernels import (
     VARIANT_TAGS,
@@ -51,7 +49,9 @@ FIX3_BATH = thermal_ohmic_spectrum(0.4, 5.0, 1.3)
 def dissipator(l_op):
     """Hand-built GKLS sandwich-plus-anticommutator superoperator."""
     ld_l = l_op.conj().T @ l_op
-    return lrmul(l_op, l_op.conj().T) - 0.5 * lmul(ld_l) - 0.5 * rmul(ld_l)
+    eye = np.eye(l_op.shape[0])
+    return (lrmul(l_op, l_op.conj().T)
+            - 0.5 * lrmul(ld_l, eye) - 0.5 * lrmul(eye, ld_l))
 
 
 def test_flat_qubit_matches_hand_built_gkls():

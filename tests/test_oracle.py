@@ -112,6 +112,71 @@ def test_dense_path_agrees_with_sector():
     assert np.max(np.abs(sector.states - dense)) < 1e-13
 
 
+def reference_dense(model, rho0, t_grid):
+    """The global density matrix in H's eigenbasis, rotated to each time
+    by two dense D x D products, then traced over the bath."""
+    d, nm, m1 = model.spectrum.dim, model.n_modes, model.n_max + 1
+    mdim = m1 ** nm
+
+    def embed(k, op):
+        ops = [np.eye(m1)] * nm
+        ops[k] = op
+        out = np.eye(1)
+        for o in ops:
+            out = np.kron(out, o)
+        return out
+
+    b_lower = sum(g * embed(k, np.diag(np.sqrt(np.arange(1, m1)), k=1))
+                  for k, g in enumerate(model.mode_couplings))
+    h_bath = sum(w * embed(k, np.diag(np.arange(m1, dtype=float)))
+                 for k, w in enumerate(model.mode_frequencies))
+    s = model.couplings.matrices
+    h = (np.kron(np.diag(model.spectrum.snapped), np.eye(mdim))
+         + np.kron(np.eye(d), h_bath))
+    if model.coupling_kind == "hermitian":
+        h = h + np.kron(s[0], b_lower + b_lower.T)
+    else:
+        h = h + np.kron(s[0], b_lower.T) + np.kron(s[1], b_lower)
+    evals, vecs = np.linalg.eigh(h)
+    pbath = np.ones(1)
+    for w in model.mode_frequencies:
+        n = np.arange(m1)
+        p = np.exp(-model.beta * w * n) if np.isfinite(model.beta) else n == 0
+        pbath = np.kron(pbath, p / np.sum(p))
+    coeff = vecs.conj().T @ np.kron(rho0, np.diag(pbath)) @ vecs
+    states = []
+    for t in t_grid:
+        ph = np.exp(-1j * evals * t)
+        rho_t = vecs @ (coeff * np.outer(ph, ph.conj())) @ vecs.conj().T
+        states.append(np.einsum("pmqm->pq", rho_t.reshape(d, mdim, d, mdim)))
+    return np.array(states)
+
+
+PURE = np.outer([0.6, 0.8j], [0.6, -0.8j])
+MIXED = np.array([[0.35, 0.2 - 0.1j], [0.2 + 0.1j, 0.65]])
+# eigenvalues 1 + 5e-9 and -5e-9: inside the -TOL_POS allowance
+SIGNED = PURE - 5e-9 * (np.outer([0.8, -0.6j], [0.8, 0.6j]) - PURE)
+
+
+@pytest.mark.parametrize("rho0", [PURE, MIXED, SIGNED], ids=["pure", "mixed", "signed"])
+@pytest.mark.parametrize("beta", [np.inf, 3.0], ids=["vacuum", "beta3"])
+@pytest.mark.parametrize("kind", ["hermitian", "rotating-pair"])
+def test_dense_path_matches_the_density_matrix_reference(kind, beta, rho0):
+    if kind == "hermitian":
+        couplings = hermitian_channel(np.array([[0.3, 0.7 - 0.2j], [0.7 + 0.2j, -0.1]]))
+    else:
+        couplings = ladder_channels(np.array([[0.2, 1.0], [0.5j, -0.3]]))
+    # weak enough that the thermal top Fock level stays within the gate
+    model = FiniteBathModel(QUBIT, couplings, np.array([2.0, 2.6, 3.3, 4.5]),
+                            np.array([0.008, 0.01, 0.012, 0.01]), n_max=2,
+                            beta=beta, coupling_kind=kind)
+    assert not model.sector_eligible and model.total_dim == 162
+    t = np.linspace(0.5, 2.5, 21)
+    states, drift = _exact_dense(model, rho0, t)
+    assert drift < 1e-12
+    assert np.max(np.abs(states - reference_dense(model, rho0, t))) < 1e-12
+
+
 def test_zero_coupling_evolves_unitarily():
     model = rabi_model(0.0)
     t = np.linspace(0, 5.0, 11)
