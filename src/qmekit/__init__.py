@@ -42,7 +42,6 @@ from .bath import (
 )
 from .kernels import (
     VARIANT_TAGS,
-    KernelVariant,
     KossakowskiBlock,
     born_kernel_frequency,
     redfield_kernel,

@@ -330,6 +330,21 @@ def positivity_check(spectrum, omega_grid):
 # ---------------------------------------------------------------------------
 # time-domain correlation
 
+def _tau_grid(tau_grid, tau_memory):
+    """tau_grid as a float array, checked to be uniform and increasing from
+    0 and to hold tau_memory."""
+    t = np.asarray(tau_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise InputError("tau grid must hold at least two points")
+    dtau = t[1] - t[0]
+    tol = 1e-12 * (abs(t[-1]) + abs(dtau))
+    if dtau <= 0 or np.any(np.abs(np.diff(t) - dtau) > tol) or t[0] != 0.0:
+        raise InputError("tau grid must be uniform, increasing, starting at 0")
+    if not (0.0 < tau_memory <= t[-1] * (1 + 1e-12)):
+        raise InputError("tau_memory must lie inside the tau grid")
+    return t
+
+
 @dataclass(frozen=True)
 class TimeCorrelation:
     """D^{ab}(tau) on a uniform tau >= 0 grid, with the memory cutoff.
@@ -346,18 +361,10 @@ class TimeCorrelation:
     quadrature: dict              # omega-grid metadata of the transform
 
     def __post_init__(self):
-        t = np.asarray(self.tau_grid, dtype=float)
+        t = _tau_grid(self.tau_grid, self.tau_memory)
         v = np.asarray(self.values, dtype=complex)
-        if t.ndim != 1 or t.size < 2:
-            raise InputError("tau grid must hold at least two points")
-        steps = np.diff(t)
-        tol = 1e-12 * (abs(t[-1]) + steps[0])
-        if t[0] != 0.0 or np.any(np.abs(steps - steps[0]) > tol):
-            raise InputError("tau grid must be uniform and start at 0")
         if v.shape[0] != t.size or v.ndim != 3 or v.shape[1] != v.shape[2]:
             raise InputError("values must have shape (len(tau_grid), n, n)")
-        if not (0.0 < self.tau_memory <= t[-1] * (1 + 1e-12)):
-            raise InputError("tau_memory must lie inside the tau grid")
         object.__setattr__(self, "tau_grid", t)
         object.__setattr__(self, "values", v)
 
@@ -434,13 +441,8 @@ def time_correlation(spectrum, tau_grid, tau_memory, adjoint_map=None):
         (band edge below the kind's declared support scale) or
         tau_memory falls outside the grid.
     """
-    t = np.asarray(tau_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise InputError("tau grid must hold at least two points")
+    t = _tau_grid(tau_grid, tau_memory)
     dtau = t[1] - t[0]
-    tol = 1e-12 * (abs(t[-1]) + abs(dtau))
-    if dtau <= 0 or np.any(np.abs(np.diff(t) - dtau) > tol) or t[0] != 0.0:
-        raise InputError("tau grid must be uniform, increasing, starting at 0")
     band_edge = np.pi / dtau
     if spectrum.support_scale is not None and band_edge < spectrum.support_scale:
         raise InputError(

@@ -394,9 +394,6 @@ def _build(cfg, variant):
 
 def cmd_build_kernel(cfg, args, out_dir):
     variant = args.variant or cfg.experiment.variant
-    if variant not in VARIANT_TAGS:
-        raise InputError(f"--variant: expected one of {list(VARIANT_TAGS)}, "
-                         f"got {variant!r}")
     kernel = _build(cfg, variant)
     report = kernel_envelope(kernel, kernel_provenance(
         cfg.spectrum, cfg.couplings, cfg.bath, variant, omega=cfg.experiment.omega))
@@ -433,21 +430,24 @@ def _write_trajectory(traj, out_dir, stem, fmt):
 
 
 def cmd_evolve(cfg, args, out_dir):
-    # both trajectories and the diagnostics are computed before the first
-    # file is written, so a run that fails in the numerics writes nothing
+    # the nonlocal run goes first, so its input checks precede all
+    # propagation; both trajectories and the diagnostics are computed
+    # before the first file is written, so a failed run writes nothing
     exp = cfg.experiment
+    nl = None
+    if exp.nonlocal_params:
+        try:
+            corr = _bath.time_correlation(cfg.bath, **exp.nonlocal_params,
+                                          adjoint_map=cfg.couplings.adjoint_map)
+            nl = evolve_nonlocal(cfg.spectrum, cfg.couplings, corr,
+                                 exp.initial_state, exp.t_grid)
+        except InputError as exc:
+            _fail("experiment.nonlocal", str(exc))
     liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     traj = evolve_markov(liouv, exp.initial_state, exp.t_grid)
     diag = {"provenance": _provenance(cfg), "variant": exp.variant,
             "markov": _health(traj)}
-    if exp.nonlocal_params:
-        corr = _bath.time_correlation(
-            cfg.bath, exp.nonlocal_params["tau_grid"],
-            exp.nonlocal_params["tau_memory"],
-            adjoint_map=cfg.couplings.adjoint_map,
-        )
-        nl = evolve_nonlocal(cfg.spectrum, cfg.couplings, corr,
-                             exp.initial_state, exp.t_grid)
+    if nl is not None:
         diag["nonlocal"] = {
             "trace_drift_max": float(np.max(nl.trace_drift)),
             "min_eigenvalue": float(np.min(nl.min_eigenvalue)),
@@ -455,7 +455,7 @@ def cmd_evolve(cfg, args, out_dir):
                 float(np.max(trace_distance(nl.states, traj.states))),
         }
     _write_trajectory(traj, out_dir, "trajectory", args.format)
-    if exp.nonlocal_params:
+    if nl is not None:
         _write_trajectory(nl, out_dir, "trajectory-nonlocal", args.format)
     _io.write_json(out_dir / "evolve-diagnostics.json", diag)
     print(f"evolved {exp.t_grid.size} steps; "
@@ -524,10 +524,13 @@ def cmd_validate(cfg, args, out_dir):
     rho0 = cfg.experiment.initial_state
     omegas, gs, record = gauss_legendre_modes(
         lambda w: eta0 * w, band, p["n_modes"])
-    models = [FiniteBathModel(cfg.spectrum, cfg.couplings, omegas, c * gs,
-                              n_max=1, beta=np.inf, coupling_kind="rotating-pair",
-                              quadrature=record)
-              for c in p["scales"]]
+    try:
+        models = [FiniteBathModel(cfg.spectrum, cfg.couplings, omegas, c * gs,
+                                  n_max=1, beta=np.inf, coupling_kind="rotating-pair",
+                                  quadrature=record)
+                  for c in p["scales"]]
+    except InputError as exc:               # the oracle's dimension cap
+        _fail("validate.n_modes", str(exc))
     t_rec = models[0].recurrence_time()
     if p["t_star"] >= t_rec:
         _fail("validate.t_star", f"requested horizon {p['t_star']:g} exceeds the "
@@ -576,13 +579,21 @@ def cmd_validate(cfg, args, out_dir):
     return 0 if in_band else 1
 
 
+# the flags some commands read; all take --config, --out and --seed
+FLAGS = {
+    "--variant": dict(choices=VARIANT_TAGS, help="overrides experiment.variant"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="payload format for kernels and trajectories"),
+}
+
+# each command: its handler and the FLAGS it reads
 COMMANDS = {
-    "build-kernel": cmd_build_kernel,
-    "evolve": cmd_evolve,
-    "steady-state": cmd_steady_state,
-    "compare": cmd_compare,
-    "validate": cmd_validate,
-    "block-report": cmd_block_report,
+    "build-kernel": (cmd_build_kernel, ("--variant", "--format")),
+    "evolve": (cmd_evolve, ("--format",)),
+    "steady-state": (cmd_steady_state, ()),
+    "compare": (cmd_compare, ()),
+    "validate": (cmd_validate, ()),
+    "block-report": (cmd_block_report, ()),
 }
 
 
@@ -592,21 +603,25 @@ def _parser():
         description="Dissipative kernel builders, propagators and oracles.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--variant", default=None,
-                        help="kernel variant override (build-kernel)")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed override recorded in provenance")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="payload format for kernels and trajectories")
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return p
 
 
+PARSER = _parser()
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = PARSER.parse_args(argv)
+    except SystemExit as exc:       # argparse: 2 for bad argv, 0 for --help
+        return exc.code
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -618,7 +633,7 @@ def main(argv=None):
             cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, args, out_dir)
+        return COMMANDS[args.command][0](cfg, args, out_dir)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from scipy.linalg import expm
 
 from .core import InputError
-from .kernels import _jump_kernel, kernel_difference, trace_condition_residual
+from .kernels import _jump_kernel, build_kernel, kernel_difference, trace_condition_residual
 from . import io as _io
 
 __all__ = [
@@ -191,7 +191,6 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
     in/out entries that differ by more than that much live relative to
     the population block.
     """
-    from .kernels import build_kernel
     tags = ("redfield-in", "redfield-out", "energy-conserving", "lindblad")
     kernels = {tag: build_kernel(spectrum, couplings, bath_spec, tag) for tag in tags}
     kernels["born"] = build_kernel(spectrum, couplings, bath_spec, "born", omega=omega)

@@ -150,7 +150,8 @@ def complex_matrix_from_json(obj, what="matrix"):
         raise InputError(f"{what}: entries must be finite") from None
     if arr.ndim < 3 or arr.shape[-1] != 2:
         raise InputError(f"{what}: expected a nested list of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):    # 1j * inf; callers reject non-finite
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 # ---------------------------------------------------------------------------

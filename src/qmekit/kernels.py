@@ -34,7 +34,6 @@ from .core import InputError, InvariantError, Superoperator, decompose_jump_oper
 from . import io as _io
 
 __all__ = [
-    "KernelVariant",
     "KossakowskiBlock",
     "VARIANT_TAGS",
     "born_kernel_frequency",
@@ -51,28 +50,6 @@ __all__ = [
 ]
 
 VARIANT_TAGS = ("born", "redfield-in", "redfield-out", "energy-conserving", "lindblad")
-
-
-@dataclass(frozen=True)
-class KernelVariant:
-    """Kernel tag plus the provenance of everything that went into it."""
-
-    tag: str
-    omega: float          # only meaningful for the born variant
-    spectrum_hash: str
-    coupling_hash: str
-    bath_id: str
-
-    def as_dict(self):
-        d = {
-            "tag": self.tag,
-            "spectrum_hash": self.spectrum_hash,
-            "coupling_hash": self.coupling_hash,
-            "bath_id": self.bath_id,
-        }
-        if self.tag == "born":
-            d["omega"] = self.omega
-        return d
 
 
 def _prep(spectrum, couplings, bath_spec):
@@ -359,13 +336,17 @@ def trace_condition_residual(kernel):
 # provenance and export
 
 def kernel_provenance(spectrum, couplings, bath_spec, variant, omega=None):
-    return KernelVariant(
-        tag=variant,
-        omega=float(omega) if omega is not None else 0.0,
-        spectrum_hash=_io.spectrum_hash(spectrum),
-        coupling_hash=_io.coupling_hash(couplings),
-        bath_id=_io.bath_id(bath_spec),
-    )
+    """Kernel tag plus the provenance of everything that went into it;
+    omega enters for the born variant only."""
+    prov = {
+        "tag": variant,
+        "spectrum_hash": _io.spectrum_hash(spectrum),
+        "coupling_hash": _io.coupling_hash(couplings),
+        "bath_id": _io.bath_id(bath_spec),
+    }
+    if variant == "born":
+        prov["omega"] = float(omega) if omega is not None else 0.0
+    return prov
 
 
 def kernel_to_csv(kernel, path):
@@ -374,11 +355,12 @@ def kernel_to_csv(kernel, path):
     _io.write_csv_rows(path, ["index", "re", "im"], entries, index=True)
 
 
-def kernel_envelope(kernel, variant):
-    """JSON-ready report enveloping a kernel build."""
+def kernel_envelope(kernel, provenance):
+    """JSON-ready report enveloping a kernel build, with the
+    :func:`kernel_provenance` dict as its variant."""
     return {
         "dim": kernel.dim,
-        "variant": variant.as_dict(),
+        "variant": provenance,
         "trace_residual": trace_condition_residual(kernel),
         "max_abs_entry": float(np.max(np.abs(kernel.data))),
         "version": _io.PACKAGE_VERSION,

@@ -1,11 +1,16 @@
 """End-to-end runs of the batch front-end, in process."""
 
+import argparse
+import contextlib
 import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +117,39 @@ def test_build_kernel_rejects_unknown_variant(tmp_path, capsys):
     assert "--variant" in capsys.readouterr().err
 
 
+# the flag slots that no command reads: 30 slots less these 9 leaves 21
+@pytest.mark.parametrize("command, flag, value", [
+    ("evolve", "--variant", "lindblad"),
+    *[(command, flag, value)
+      for command in ("steady-state", "compare", "validate", "block-report")
+      for flag, value in (("--variant", "lindblad"), ("--format", "json"))],
+])
+def test_a_flag_the_command_does_not_read_is_an_argv_error(tmp_path, capsys, command,
+                                                           flag, value):
+    rc, out = run(tmp_path, command, qubit_doc(), flag, value)
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["evolve"], 2), (["evolve", "--config", "c.json", "--seed", "x"], 2),
+    (["bogus-command"], 2), (["evolve", "--help"], 0), (["--help"], 0),
+], ids=["no-config", "bad-seed", "bad-command", "command-help", "help"])
+def test_argv_exit_codes_are_returned(capsys, argv, rc):
+    assert main(argv) == rc
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    rc, out = run(tmp_path, "build-kernel", qubit_doc(), "--format", "json")
+    assert rc == 0
+    assert (out / "kernel-lindblad.json").exists()
+
+
 def test_zero_coupling_yields_zero_kernel(tmp_path):
     doc = qubit_doc()
     doc["couplings"]["matrix"] = as_json_matrix(np.zeros((2, 2)))
@@ -190,25 +228,40 @@ def test_evolve_nonlocal_pairing(tmp_path):
     assert 0.0 <= nl["max_trace_distance_to_markov"] < 0.1
 
 
-@pytest.mark.parametrize("d, width, tau_num, error", [
-    (2, 10.0, 5, "tau grid too coarse"),
-    (NONLOCAL_DIM_LIMIT + 1, 1.0, 101, f"supports d <= {NONLOCAL_DIM_LIMIT}"),
-], ids=["coarse-tau-grid", "too-many-levels"])
-def test_failed_nonlocal_run_writes_nothing(tmp_path, capsys, d, width, tau_num,
-                                            error):
+T_GRID = {"start": 0.0, "stop": 1.0, "num": 11}
+TAU_GRID = {"start": 0.0, "stop": 1.0, "num": 101}
+
+
+@pytest.mark.parametrize("d, width, t_grid, tau_grid, tau_memory, error", [
+    (2, 10.0, T_GRID, dict(TAU_GRID, num=5), 1.0, "tau grid too coarse: band edge "
+     "pi/dtau = 12.5664 is below the spectral support 80 of kind 'gaussian'"),
+    (NONLOCAL_DIM_LIMIT + 1, 1.0, T_GRID, TAU_GRID, 1.0,
+     f"nonlocal propagation supports d <= {NONLOCAL_DIM_LIMIT}"),
+    (2, 1.0, T_GRID, TAU_GRID, 2.0, "tau_memory must lie inside the tau grid"),
+    (2, 1.0, T_GRID, dict(TAU_GRID, start=0.5), 0.5,
+     "tau grid must be uniform, increasing, starting at 0"),
+    (2, 1.0, [0.0, 0.1, 0.3, 0.4], TAU_GRID, 1.0,
+     "nonlocal propagation needs a uniform time grid"),
+], ids=["coarse-tau-grid", "too-many-levels", "memory-past-the-grid", "tau-from-0.5",
+        "non-uniform-t-grid"])
+def test_failed_nonlocal_run_writes_nothing(tmp_path, capsys, monkeypatch, d, width,
+                                            t_grid, tau_grid, tau_memory, error):
+    def unreached(*args):
+        raise AssertionError("Markov propagation ran before the nonlocal checks")
+
+    monkeypatch.setattr("qmekit.cli.evolve_markov", unreached)
     doc = {
         "spectrum": {"levels": [float(p) for p in range(d)]},
         "couplings": {"kind": "ladder", "matrix": as_json_matrix(np.eye(d, k=1))},
         "bath": {"kind": "gaussian", "rate": 0.1, "width": width},
         "experiment": {
-            "t_grid": {"start": 0.0, "stop": 1.0, "num": 11},
-            "nonlocal": {"tau_grid": {"start": 0.0, "stop": 1.0, "num": tau_num},
-                         "tau_memory": 1.0},
+            "t_grid": t_grid,
+            "nonlocal": {"tau_grid": tau_grid, "tau_memory": tau_memory},
         },
     }
     rc, out = run(tmp_path, "evolve", doc)
     assert rc == 2
-    assert error in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: experiment.nonlocal: {error}\n"
     assert list(out.iterdir()) == []
 
 
@@ -367,6 +420,18 @@ def test_validate_horizon_past_the_recurrence_guard_names_the_field(tmp_path, ca
     assert capsys.readouterr().err == (
         "error: validate.t_star: requested horizon 30 exceeds the recurrence "
         "guard 5.80638 for this mode grid\n")
+    assert list(out.iterdir()) == []
+
+
+def test_validate_past_the_oracle_dimension_cap_names_the_field(tmp_path, capsys):
+    # a ladder that is not c sigma-minus leaves the one-excitation sector
+    doc = qubit_doc(couplings={"kind": "ladder", "matrix": SIGMA_X},
+                    experiment={"initial_state": {"kind": "excited"}}, validate=VALIDATE)
+    rc, out = run(tmp_path, "validate", doc)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: validate.n_modes: Hilbert dimension 2305843009213693952 exceeds "
+        "the cap 4096\n")
     assert list(out.iterdir()) == []
 
 
@@ -548,10 +613,16 @@ def test_overflowing_kernel_is_a_breach_that_writes_nothing(tmp_path, capsys, co
     ("experiment.initial_state.matrix",
      qubit_doc(experiment={"initial_state": {"kind": "matrix", "matrix": [
          [[1, 0], [0, float("inf")]], [[0, 0], [0, 0]]]}})),
+    ("couplings.matrix",
+     qubit_doc(couplings={"kind": "ladder", "matrix": [[[0, 0], [1, float("inf")]],
+                                                      [[0, 0], [0, 0]]]})),
 ])
 def test_non_finite_matrix_entries_are_rejected_with_their_path(tmp_path, capsys, where,
                                                                 doc):
-    rc, out = run(tmp_path, "steady-state", doc)
+    # a warning would print before the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run(tmp_path, "steady-state", doc)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {where}: entries must be finite\n"
     assert not out.exists()
@@ -695,17 +766,27 @@ def mutated(doc, op, path, value):
     return doc
 
 
+# a top-level key, known or not, then .key and [i] segments
+FIELD_ERROR = re.compile(r"error: \w+(\.\w+|\[\d+\])*: [^\n]*\n")
+
+
 def run_contract(doc, command):
     """Run one command in process; the exit code is 0, 1 or 2, nothing
-    escapes main, and an input error leaves --out empty."""
+    escapes main, and an input error leaves --out empty and prints one
+    line that names the field, with no warning before it."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(doc))
         out = Path(tmp) / "out"
-        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--config", str(cfg), "--out", str(out)])
         assert rc in (0, 1, 2)
         if rc == 2:
             assert not out.exists() or not any(out.iterdir())
+            assert FIELD_ERROR.fullmatch(err.getvalue()), err.getvalue()
+            assert not caught, [str(w.message) for w in caught]
         return rc
 
 
