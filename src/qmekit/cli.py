@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .core import (
     DensityMatrix, InputError, InvariantError,
-    build_spectrum, hermitian_channel, ladder_channels, CouplingChannelSet,
+    bohr_frequencies, build_spectrum, hermitian_channel, ladder_channels,
+    CouplingChannelSet,
 )
 from . import bath as _bath
 from . import io as _io
@@ -167,9 +168,11 @@ def _parse_spectrum(d):
     if eps is not None:
         eps = _num(eps, "spectrum.eps_deg")
     try:
-        return build_spectrum(vals, eps_deg=eps) if eps is not None else build_spectrum(vals)
+        spectrum = build_spectrum(vals, eps_deg=eps)
+        bohr_frequencies(spectrum)          # an ambiguous Bohr chain is an input error
     except InputError as exc:
         _fail("spectrum", str(exc))
+    return spectrum
 
 
 def _parse_couplings(d, dim):
@@ -531,6 +534,9 @@ def cmd_validate(cfg, args, out_dir):
                   for c in p["scales"]]
     except InputError as exc:               # the oracle's dimension cap
         _fail("validate.n_modes", str(exc))
+    if not models[0].sector_eligible:
+        _fail("couplings", "validate needs c sigma-minus, a ladder whose only nonzero "
+                           "entry is matrix[0][1]: its exact run holds one excitation")
     t_rec = models[0].recurrence_time()
     if p["t_star"] >= t_rec:
         _fail("validate.t_star", f"requested horizon {p['t_star']:g} exceeds the "
@@ -598,13 +604,15 @@ COMMANDS = {
 
 
 def _parser():
+    # allow_abbrev=False: each flag has one spelling, no prefix of it
     p = argparse.ArgumentParser(
         prog="qmekit",
         description="Dissipative kernel builders, propagators and oracles.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
@@ -617,6 +625,9 @@ def _parser():
 PARSER = _parser()
 
 
+# explicit checks catch every non-finite value (the kernel and trajectory
+# builders, the writers), so no numpy warning is printed on any exit
+@np.errstate(all="ignore")
 def main(argv=None):
     try:
         args = PARSER.parse_args(argv)

@@ -111,10 +111,6 @@ class EnergySpectrum:
         e = self.snapped
         return e[:, None] - e[None, :]
 
-    def same_class(self):
-        """Boolean d x d mask, True where two levels are degenerate."""
-        return self.class_of[:, None] == self.class_of[None, :]
-
 
 def _chain(values, eps):
     """Group sorted values whose neighbours lie within eps: the one rule
@@ -122,15 +118,15 @@ def _chain(values, eps):
     value, each group's np.mean over its slice (a single value copied),
     and the slice of the first group spread over more than eps, or None.
     """
-    opens = np.diff(values, prepend=-np.inf) > eps
-    bounds = np.append(np.flatnonzero(opens), values.size)
+    opens = np.diff(np.concatenate(([-np.inf], values, [np.inf]))) > eps
+    bounds = np.flatnonzero(opens)          # the group starts, then values.size
     lo, hi = bounds[:-1], bounds[1:]        # group g is values[lo[g]:hi[g]]
     means = values[lo]
     for g in np.flatnonzero(hi - lo > 1):
         means[g] = np.mean(values[lo[g]:hi[g]])
     wide = np.flatnonzero(values[hi - 1] - values[lo] > eps)
     wide = slice(lo[wide[0]], hi[wide[0]]) if wide.size else None
-    return np.cumsum(opens) - 1, means, wide
+    return np.cumsum(opens[:-1]) - 1, means, wide
 
 
 def build_spectrum(levels, eps_deg=None, labels=None):
@@ -337,7 +333,7 @@ def bohr_frequencies(spectrum):
     eps = spectrum.eps_deg
     diff = -spectrum.bohr_matrix()          # diff[p, q] = E[q] - E[p]
     up = diff > 0
-    pos, value_of = np.unique(diff[up], return_inverse=True)
+    pos = np.unique(diff[up])
     group, omega, wide = _chain(pos, eps)
     if wide is not None:
         raise InputError(
@@ -345,7 +341,7 @@ def bohr_frequencies(spectrum):
             f"eps_deg={eps:g} but spread over more than eps_deg"
         )
     n = omega.size                          # bin n holds omega = 0
-    group = group[value_of]
+    group = group[np.searchsorted(pos, diff[up])]
     label = np.full(diff.shape, n)
     label[up] = n + 1 + group
     label.T[up] = n - 1 - group             # mirror: transposed pairs at -omega

@@ -84,8 +84,9 @@ def build_liouvillian(spectrum, kernel):
     to a dissipative kernel, as a Superoperator on the flat pair index."""
     if kernel.dim != spectrum.dim:
         raise InputError("kernel dimension does not match spectrum")
-    lh = -1j * spectrum.bohr_matrix().ravel()
-    return Superoperator(spectrum.dim, np.diag(lh) + kernel.data)
+    data = kernel.data.copy()
+    data.flat[::data.shape[0] + 1] += -1j * spectrum.bohr_matrix().ravel()
+    return Superoperator(spectrum.dim, data)
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,12 @@ def evolve_markov(liouv, rho0, t_grid):
     Matrix exponentials of each block (method "expm") while the largest
     block has at most EXPM_DIM_LIMIT**2 pairs (d <= 16 for one block),
     adaptive DOP853 (method "rk") beyond; the paths agree to 1e-8.  Steps
-    of one relative size (to 15 decimals) share an exponential, and each
-    block size takes all of its distinct steps in one expm call.
+    of one relative size (to 15 decimals) share an exponential, taken
+    with one expm call per block size and run of consecutive steps; a run
+    holds as many distinct sizes as have propagators no larger than the
+    trajectory (two at least).  So a uniform grid, or a linspace grid
+    that rounds to two sizes, pays once, and memory does not grow with
+    the number of distinct steps.
     """
     t = _check_grid(t_grid)
     rho = _as_state(rho0)
@@ -154,17 +159,25 @@ def evolve_markov(liouv, rho0, t_grid):
     vecs = np.empty((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
     if method == "expm":
-        # one exponential per distinct step size; uniform grids pay once
         steps = np.diff(t)
         _, first, step_id = np.unique(np.round(steps / (t[-1] - t[0]), 15),
                                       return_index=True, return_inverse=True)
-        dts = steps[first][:, None, None, None]
+        step_id = step_id.tolist()
         for idx in blocks:
-            props = expm(_sub(liouv.data, idx) * dts)   # [step, block]
+            sub = _sub(liouv.data, idx)
+            width = max(2, vecs.size // sub.size)
             xs = np.empty((t.size, *idx.shape, 1), dtype=complex)
             xs[0, ..., 0] = vecs[0, idx]
-            for i, s in enumerate(step_id.tolist(), 1):
-                np.matmul(props[s], xs[i - 1], out=xs[i])
+            i = 0
+            while i < steps.size:
+                run, j = {}, i                  # step id -> its propagator's slot
+                while j < steps.size and (step_id[j] in run or len(run) < width):
+                    run.setdefault(step_id[j], len(run))
+                    j += 1
+                props = expm(sub * steps[first[list(run)]][:, None, None, None])
+                for k in range(i, j):
+                    np.matmul(props[run[step_id[k]]], xs[k], out=xs[k + 1])
+                i = j
             vecs[:, idx] = xs[..., 0]
     else:
         sol = solve_ivp(
@@ -253,7 +266,7 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     past = win[:, :m * dd]
     kern = win.reshape(dd, m + 1, dd)[:, ::-1]           # kern[:, j] = h K(j h)
     # the node's own state enters with the coherent part and half of K(0)
-    head = np.diag(-1j * spectrum.bohr_matrix().ravel()) + 0.5 * kern[:, 0]
+    head = build_liouvillian(spectrum, Superoperator(d, 0.5 * kern[:, 0])).data
     hist = np.zeros((m + t.size, dd), dtype=complex)      # node i at row m + i
     hist[m] = rho.ravel()
     # mem: what the earlier nodes add to a node's derivative, the history

@@ -11,17 +11,18 @@ system/bath data, differing in where the bath spectrum is sampled:
     (column) index pair (``ansatz="in"``) or the outgoing (row) pair
     (``ansatz="out"``).
 ``energy_conserving_kernel``
-    the "in" kernel with Kronecker selection rules enforcing energy
-    conservation between the paired indices.
+    the "in" kernel with Kronecker deltas enforcing energy conservation
+    between the paired indices, taken from the Bohr bins.
 ``lindblad_kernel``
     jump-operator (GKLS) form summed over Bohr-frequency bins.
 
 The energy-conserving and Lindblad constructions are algebraically the
 same object; ``tests`` and the comparison helpers check the agreement to
-float rounding with no rotating-wave step involved.
+float rounding with no rotating-wave step involved; both take energy
+conservation from the Bohr bins, each with its own formula.
 
 Index conventions live in :mod:`qmekit.core`: rows are the out pair
-(p, p'), columns the in pair (q, q'), flat index p*d + p'.The bath
+(p, p'), columns the in pair (q, q'), flat index p*d + p'.  The bath
 enters through D^{ab}(w) = gamma^{a-bar, b}(w) with the channel adjoint
 map supplied by the coupling set.
 """
@@ -30,7 +31,8 @@ import numpy as np
 from dataclasses import dataclass
 from functools import partial
 
-from .core import InputError, InvariantError, Superoperator, decompose_jump_operators
+from .core import (InputError, InvariantError, Superoperator, bohr_frequencies,
+                   decompose_jump_operators)
 from . import io as _io
 
 __all__ = [
@@ -153,37 +155,46 @@ def redfield_kernel(spectrum, couplings, bath_spec, ansatz="in"):
 
 
 def energy_conserving_kernel(spectrum, couplings, bath_spec):
-    """The "in" kernel restricted by energy-conservation selection rules.
+    """The "in" kernel with the Kronecker deltas of energy conservation
+    taken from the Bohr bins of :func:`qmekit.core.bohr_frequencies`.
 
-    Loss terms pick up the same-degeneracy-class masks on (p, q) and
-    (p', q'); the two gain terms collapse into a single unit-weight term
-    carrying the mass-shell constraint |E_pq + E_q'p'| <= eps_deg with
-    the bath sampled at E_{q'p'}.  On the constraint surface the
-    alternative argument E_{qp} is the same number; tests assert that
-    instead of choosing.
-
-    Cross-blocks between populations and coherences vanish identically
-    for nondegenerate spectra: the masks are built from exact
-    class-snapped energies, so the zeros are structural, not rounded.
+    Loss terms keep (p, q) and (p', q') in the zero bin (one degeneracy
+    class); the two gain terms collapse into a single unit-weight term,
+    evaluated only where (p, q) and (p', q') share a bin, with the bath
+    sampled at E_{q'p'}.  There the alternative argument E_{qp} is the
+    same number; tests assert that instead of choosing.  Cross-blocks
+    between populations and coherences vanish identically for
+    nondegenerate spectra: the bins come from exact class-snapped
+    energies, so the zeros are structural, not rounded.
     """
     bohr, s, dtilde = _prep(spectrum, couplings, bath_spec)
     d = spectrum.dim
     g = dtilde(bohr)                       # g[x, y, a, b] = D^{ab}(E_{xy})
-    same = spectrum.same_class().astype(float)
-    # mass shell |E_pq + E_q'p'| <= eps_deg, axes [p, q, Q, P]
-    shell = (
-        np.abs(bohr[:, :, None, None] + bohr[None, None, :, :]) <= spectrum.eps_deg
-    ).astype(float)
+    omegas, label = bohr_frequencies(spectrum)
+    zero = omegas.size // 2                # the bin of omega = 0
     k = np.zeros((d, d, d, d), dtype=complex)
     rng = np.arange(d)
 
-    t1 = np.einsum("apl,blq,qlab,pq->pq", s, s, g, same)
-    t2 = np.einsum("aQl,blP,Qlab,QP->QP", s, s, g, same)
+    t1 = np.einsum("apl,blq,qlab->pq", s, s, g) * (label == zero)
+    t2 = np.einsum("aQl,blP,Qlab->QP", s, s, g) * (label == zero)
     k[:, rng, :, rng] -= 0.5 * t1[None, :, :]
     k[rng, :, rng, :] -= 0.5 * t2.T[None, :, :]
-    k += np.einsum("bpq,aQP,QPab,pqQP->pPqQ", s, s, g, shell)
+    # coupled (p, q) and (q', p') in mirrored bins: S_b[p, q] S_a[q', p']
+    p, q, b, v = _coupled_pairs(s, label)
+    i, j = np.nonzero(b[:, None] + b[None, :] == 2 * zero)
+    k = k.reshape(d * d, d * d)
+    k[p[i] * d + q[j], q[i] * d + p[j]] += np.einsum(
+        "eb,ea,eab->e", v[i], v[j], g[p[j], q[j]])
+    return Superoperator(d, k)
 
-    return Superoperator(d, k.reshape(d * d, d * d))
+
+def _coupled_pairs(s, label):
+    """Coupled level pairs (p, q) grouped by bin (C order within a bin),
+    their bins label[p, q] and channel entries v[i, a] = S_a[p_i, q_i]."""
+    p, q = np.nonzero(np.any(s != 0, axis=0))
+    order = np.argsort(label[p, q], kind="stable")
+    p, q = p[order], q[order]
+    return p, q, label[p, q], s.transpose(1, 2, 0)[p, q]
 
 
 def lindblad_kernel(spectrum, couplings, bath_spec):
@@ -214,13 +225,7 @@ def _jump_kernel(spectrum, couplings, bath_spec, gain_sign):
     _, s, _ = _prep(spectrum, couplings, bath_spec)
     d = spectrum.dim
     jumps = decompose_jump_operators(spectrum, couplings)
-    # coupled pairs, grouped by bin (C order within a bin), and their
-    # (pair, channel) entries
-    p, q = np.nonzero(np.any(s != 0, axis=0))
-    order = np.argsort(jumps.label[p, q], kind="stable")
-    p, q = p[order], q[order]
-    b = jumps.label[p, q]
-    v = s.transpose(1, 2, 0)[p, q]
+    p, q, b, v = _coupled_pairs(s, jumps.label)
     gv = np.einsum("iab,ib->ia", bath_spec.gamma(jumps.omegas[b]), v)
     i, j = np.nonzero(b[:, None] == b[None, :])
     # sum_ab gamma^{ab} J_b[p_i, q_i] conj(J_a[p_j, q_j])
@@ -286,8 +291,7 @@ def kossakowski_matrix(spectrum, couplings, bath_spec, omega):
         When omega matches no bin, or the bin carries no coupling
         support (empty Kossakowski block).
     """
-    if bath_spec.n_channels != couplings.n_channels:
-        raise InputError("bath/coupling channel mismatch")
+    _prep(spectrum, couplings, bath_spec)
     jumps = decompose_jump_operators(spectrum, couplings)
     b = jumps.bin_index(float(omega), spectrum.eps_deg)
     active = np.flatnonzero(
@@ -326,7 +330,6 @@ def kernel_difference(kernel_a, kernel_b):
 def trace_condition_residual(kernel):
     """max over columns of |sum_p K[p p, q q']|; zero means trace is
     conserved by the dissipator."""
-    d = kernel.dim
     t = kernel.tensor()
     col_sums = np.einsum("ppqr->qr", t)
     return float(np.max(np.abs(col_sums)))

@@ -54,7 +54,8 @@ def reference_bohr_bins(spectrum):
             groups[-1].append(v)
         else:
             groups.append([v])
-    bins = [(0.0, set(zip(*np.nonzero(spectrum.same_class()))))]
+    same = spectrum.class_of[:, None] == spectrum.class_of[None, :]
+    bins = [(0.0, set(zip(*np.nonzero(same))))]
     for g in groups:
         sel = np.zeros(diff.shape, dtype=bool)
         for v in g:

@@ -23,6 +23,9 @@ from qmekit.diagnostics import flip_gain_sign
 from qmekit.dynamics import NONLOCAL_DIM_LIMIT
 from qmekit.io import canonical_dumps, complex_matrix_from_json
 
+# no numpy warning may reach stderr, on any exit
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def as_json_matrix(m):
     m = np.asarray(m, dtype=complex)
@@ -138,6 +141,22 @@ def test_a_flag_the_command_does_not_read_is_an_argv_error(tmp_path, capsys, com
 ], ids=["no-config", "bad-seed", "bad-command", "command-help", "help"])
 def test_argv_exit_codes_are_returned(capsys, argv, rc):
     assert main(argv) == rc
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build-kernel", "--config", "{cfg}", "--out", "{out}", "--form", "json"],
+     "qmekit: error: unrecognized arguments: --form json\n"),
+    (["steady-state", "--config", "{cfg}", "--o", "{out}"],
+     "qmekit: error: unrecognized arguments: --o {out}\n"),
+    # --conf is no spelling of --config, so --config is missing
+    (["evolve", "--conf", "{cfg}", "--out", "{out}"],
+     "qmekit evolve: error: the following arguments are required: --config\n"),
+], ids=["form", "o", "conf"])
+def test_each_flag_has_one_spelling(tmp_path, capsys, argv, message):
+    paths = {"cfg": write_doc(tmp_path, qubit_doc()), "out": tmp_path / "out"}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.endswith(message.format(**paths))
+    assert not paths["out"].exists()
 
 
 def test_main_builds_no_parser(tmp_path, monkeypatch):
@@ -435,10 +454,63 @@ def test_validate_past_the_oracle_dimension_cap_names_the_field(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
+@pytest.mark.parametrize("extra", [0.1, 0.3])
+@pytest.mark.parametrize("n_modes", [4, 8])
+def test_validate_rejects_a_ladder_outside_the_one_excitation_sector(
+        tmp_path, capsys, monkeypatch, entry, extra, n_modes):
+    # the exact run holds one excitation, which only c sigma-minus keeps
+    matrix = np.array([[0, 1], [0, 0]], dtype=complex)
+    matrix[entry] = extra
+    doc = qubit_doc(couplings={"kind": "ladder", "matrix": as_json_matrix(matrix)},
+                    experiment={"initial_state": {"kind": "excited"}},
+                    validate=dict(VALIDATE, n_modes=n_modes, t_star=0.5))
+
+    def no_exact_run(*args):
+        raise AssertionError("validate ran the exact evolution")
+
+    monkeypatch.setattr("qmekit.cli.exact_reduced_evolution", no_exact_run)
+    rc, out = run(tmp_path, "validate", doc)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: couplings: validate needs c sigma-minus, a ladder whose only "
+        "nonzero entry is matrix[0][1]: its exact run holds one excitation\n")
+    assert list(out.iterdir()) == []
+
+
 def test_validate_requires_its_section(tmp_path, capsys):
     rc, _ = run(tmp_path, "validate", qubit_doc())
     assert rc == 2
     assert "validate: section missing" in capsys.readouterr().err
+
+
+AMBIGUOUS_DOC = {
+    # Bohr frequencies 1, 1.0008, 1.0016 chain within eps_deg over 1.6 eps_deg
+    "spectrum": {"levels": [0.0, 1.0, 2.0008, 3.0024], "eps_deg": 1e-3},
+    "couplings": {"kind": "hermitian",
+                  "matrix": as_json_matrix(np.diag([1.0, 1.0, 1.0], 1)
+                                           + np.diag([1.0, 1.0, 1.0], -1))},
+    "bath": {"kind": "flat", "rate": 0.3},
+}
+
+
+@pytest.mark.parametrize("command, flags", [
+    *[("build-kernel", ("--variant", tag)) for tag in kernels.VARIANT_TAGS],
+    ("evolve", ()), ("steady-state", ()), ("compare", ()), ("block-report", ()),
+])
+def test_an_ambiguous_bohr_chain_is_a_spectrum_error(tmp_path, capsys, monkeypatch,
+                                                     command, flags):
+    def no_numerics(*args, **kwargs):
+        raise AssertionError("numerics ran on an ambiguous spectrum")
+
+    for name in ("build_kernel", "equivalence_report"):
+        monkeypatch.setattr(f"qmekit.cli.{name}", no_numerics)
+    rc, out = run(tmp_path, command, AMBIGUOUS_DOC, *flags)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: spectrum: Bohr frequencies [1.0, 1.0008, 1.0016000000000003] chain "
+        "within eps_deg=0.001 but spread over more than eps_deg\n")
+    assert not out.exists()
 
 
 def test_deterministic_reruns_are_byte_identical(tmp_path):
@@ -772,8 +844,8 @@ FIELD_ERROR = re.compile(r"error: \w+(\.\w+|\[\d+\])*: [^\n]*\n")
 
 def run_contract(doc, command):
     """Run one command in process; the exit code is 0, 1 or 2, nothing
-    escapes main, and an input error leaves --out empty and prints one
-    line that names the field, with no warning before it."""
+    escapes main, no warning is issued, and an input error leaves --out
+    empty and prints one line that names the field."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(doc))
@@ -783,10 +855,10 @@ def run_contract(doc, command):
             warnings.simplefilter("always")
             rc = main([command, "--config", str(cfg), "--out", str(out)])
         assert rc in (0, 1, 2)
+        assert not caught, [str(w.message) for w in caught]
         if rc == 2:
             assert not out.exists() or not any(out.iterdir())
             assert FIELD_ERROR.fullmatch(err.getvalue()), err.getvalue()
-            assert not caught, [str(w.message) for w in caught]
         return rc
 
 

@@ -7,6 +7,8 @@ dense result inline (one SVD of the whole generator, one exponential of
 the whole generator) and compares.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -195,3 +197,25 @@ def test_steps_of_one_relative_size_share_an_exponential(d):
     assert len(props) == 3
     traj = evolve_markov(liouv, excited(d), t)
     assert np.array_equal(traj.states, np.array(vecs).reshape(len(t), d, d))
+
+
+def test_propagator_memory_does_not_grow_with_distinct_steps():
+    # a d=8 one-block generator: one 64 x 64 propagator per distinct step;
+    # holding all 500 of a random grid at once peaked at 29x the uniform one
+    liouv = liouvillian(spectra(8)["generic"], "redfield-in")
+    t_random = np.concatenate(
+        [[0.0], np.cumsum(np.random.default_rng(1).uniform(0.004, 0.04, 500))])
+    peaks = {}
+    for name, t in (("uniform", np.linspace(0.0, t_random[-1], 501)),
+                    ("random", t_random)):
+        tracemalloc.start()
+        traj = evolve_markov(liouv, excited(8), t)
+        peaks[name] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks["random"] <= 2 * peaks["uniform"], peaks
+    props = expm(liouv.data * np.diff(t_random)[:, None, None])    # one per step
+    vec, err = excited(8).ravel(), 0.0
+    for state, prop in zip(traj.states[1:], props):
+        vec = prop @ vec
+        err = max(err, np.max(np.abs(state.ravel() - vec)))
+    assert err < 1e-12

@@ -23,6 +23,7 @@ from qmekit.core import (
 from qmekit.kernels import (
     VARIANT_TAGS,
     build_kernel,
+    energy_conserving_kernel,
     kernel_difference,
     kernel_envelope,
     kernel_provenance,
@@ -140,6 +141,82 @@ def test_energy_conserving_equals_lindblad_sample():
         diff, _ = kernel_difference(kec, kl)
         scale = max(np.max(np.abs(kl.data)), 1e-300)
         assert diff < 1e-13 * scale, seed
+
+
+def dense_energy_conserving(spectrum, couplings, bath):
+    """The energy-conserving kernel as one dense d^4 formula: the loss
+    terms masked to same-class pairs, the gain masked by the pointwise
+    mass shell |E_pq + E_q'p'| <= eps_deg."""
+    d = spectrum.dim
+    s = couplings.matrices
+    bohr = spectrum.bohr_matrix()
+    g = bath.correlation_ft(bohr, adjoint_map=couplings.adjoint_map)
+    same = (spectrum.class_of[:, None] == spectrum.class_of[None, :]).astype(float)
+    shell = (np.abs(bohr[:, :, None, None] + bohr[None, None, :, :])
+             <= spectrum.eps_deg).astype(float)
+    k = np.zeros((d, d, d, d), dtype=complex)
+    rng = np.arange(d)
+    t1 = np.einsum("apl,blq,qlab,pq->pq", s, s, g, same)
+    t2 = np.einsum("aQl,blP,Qlab,QP->QP", s, s, g, same)
+    k[:, rng, :, rng] -= 0.5 * t1[None, :, :]
+    k[rng, :, rng, :] -= 0.5 * t2.T[None, :, :]
+    k += np.einsum("bpq,aQP,QPab,pqQP->pPqQ", s, s, g, shell)
+    return k.reshape(d * d, d * d)
+
+
+def test_energy_conserving_kernel_equals_the_dense_mass_shell_formula(system_box):
+    for seed, (spectrum, couplings, bath) in enumerate(system_box):
+        assert np.array_equal(energy_conserving_kernel(spectrum, couplings, bath).data,
+                              dense_energy_conserving(spectrum, couplings, bath)), seed
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+@pytest.mark.parametrize("family", ["generic", "harmonic"])
+@pytest.mark.parametrize("channels", ["hermitian", "ladder"])
+def test_energy_conserving_kernel_equals_the_dense_formula_at_large_d(d, family,
+                                                                      channels):
+    rng = np.random.default_rng(d)
+    spectrum = build_spectrum(np.sort(rng.uniform(0.0, 4.0, d)) if family == "generic"
+                              else 0.25 * np.arange(d))
+    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    if channels == "hermitian":
+        couplings = hermitian_channel(m + m.conj().T)
+    else:
+        couplings = ladder_channels(m)
+    bath = thermal_ohmic_spectrum(0.2, 5.0, 1.0, n_channels=couplings.n_channels)
+    assert np.array_equal(energy_conserving_kernel(spectrum, couplings, bath).data,
+                          dense_energy_conserving(spectrum, couplings, bath))
+
+
+def test_energy_conserving_kernel_matches_the_dense_formula_for_three_channels():
+    d = 12
+    rng = np.random.default_rng(5)
+    spectrum = build_spectrum(np.sort(rng.uniform(0.0, 4.0, d)))
+    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    x = rng.standard_normal((d, d))
+    couplings = CouplingChannelSet(np.stack([x + x.T, m, m.conj().T]),
+                                   ("X", "L", "Ldag"), adjoint_map=(0, 2, 1))
+    mix = np.array([[1.0, 0.3 + 0.1j, 0.2], [0.3 - 0.1j, 0.8, 0.1j], [0.2, -0.1j, 0.6]])
+    bath = custom_spectrum(
+        3, lambda w: np.multiply.outer(0.3 / (1.0 + np.exp(-1.5 * w)), mix))
+    k = energy_conserving_kernel(spectrum, couplings, bath).data
+    ref = dense_energy_conserving(spectrum, couplings, bath)
+    assert np.max(np.abs(k - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_energy_conserving_kernel_rejects_an_ambiguous_bohr_chain():
+    # Bohr frequencies 1, 1.0008, 1.0016 chain within eps_deg over 1.6 eps_deg;
+    # a pointwise mass shell would still build a kernel here
+    spectrum = build_spectrum([0.0, 1.0, 2.0008, 3.0024], eps_deg=1e-3)
+    m = np.random.default_rng(0).standard_normal((4, 4))
+    couplings = hermitian_channel(m + m.T)
+    bath = flat_spectrum(1, 0.3)
+    with pytest.raises(InputError) as jump:
+        lindblad_kernel(spectrum, couplings, bath)
+    with pytest.raises(InputError) as ec:
+        energy_conserving_kernel(spectrum, couplings, bath)
+    assert str(ec.value) == str(jump.value)
+    assert str(ec.value).startswith("Bohr frequencies [1.0, 1.0008, 1.0016000000000003]")
 
 
 def dense_per_bin_lindblad(spectrum, couplings, bath):
