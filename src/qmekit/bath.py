@@ -23,6 +23,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .core import InputError
+from .io import fmt
 
 __all__ = [
     "BathSpectrum",
@@ -217,6 +218,8 @@ def write_tabulated_csv(path, omega_grid, gamma_samples, labels):
     if g.shape != (omega_grid.size, n, n):
         raise InputError("gamma_samples must have shape (n_omega, n, n)")
     table = np.column_stack([omega_grid, _pair_table(g)])
+    if not np.isfinite(table).all():        # fmt raises, naming the value
+        fmt(table[~np.isfinite(table)][0])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_pair_columns(labels))

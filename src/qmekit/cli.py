@@ -404,9 +404,8 @@ def cmd_build_kernel(cfg, args, out_dir):
     if args.format == "csv":
         kernel_to_csv(kernel, out_dir / f"kernel-{variant}.csv")
     else:
-        entries = _io.complex_matrix_to_json(kernel.data)
         _io.write_json(out_dir / f"kernel-{variant}.json",
-                       dict(report, entries=entries))
+                       dict(report, entries=kernel.data))
     _io.write_json(out_dir / f"kernel-{variant}-report.json", report)
     residual = report["trace_residual"]
     print(f"trace residual: {_io.fmt(residual)}")
@@ -427,9 +426,8 @@ def _write_trajectory(traj, out_dir, stem, fmt):
     if fmt == "csv":
         trajectory_to_csv(traj, out_dir / f"{stem}.csv")
     else:
-        _io.write_json(out_dir / f"{stem}.json", dict(
-            _health(traj), times=[float(t) for t in traj.times],
-            states=_io.complex_matrix_to_json(traj.states)))
+        _io.write_json(out_dir / f"{stem}.json",
+                       dict(_health(traj), times=traj.times, states=traj.states))
 
 
 def cmd_evolve(cfg, args, out_dir):
@@ -572,7 +570,7 @@ def cmd_validate(cfg, args, out_dir):
         "quadrature": record,
         "t_star": p["t_star"],
         "points": rows,
-        "ratios": [float(r) for r in ratios],
+        "ratios": ratios,
         "expected_band": list(SCALING_BAND),
         "in_band": in_band,
     }
@@ -651,6 +649,9 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:      # an input too large for this host
+        print(f"error: {args.config}: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

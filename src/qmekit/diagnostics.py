@@ -126,16 +126,16 @@ class MapCheck:
     def as_dict(self):
         rep = {
             "verdict": self.verdict,
-            "probe_times": [float(t) for t in self.probe_times],
-            "choi_min": [float(x) for x in self.choi_min],
-            "choi_herm_defect": [float(x) for x in self.choi_herm_defect],
+            "probe_times": self.probe_times,
+            "choi_min": self.choi_min,
+            "choi_herm_defect": self.choi_herm_defect,
             "scan_min_eigenvalue": self.scan_min,
             "tolerance": CHOI_TOL,
             "version": _io.PACKAGE_VERSION,
         }
         if self.witness_ket is not None:
             rep["witness"] = {
-                "ket": _io.complex_matrix_to_json(self.witness_ket),
+                "ket": self.witness_ket,
                 "time": self.witness_time,
             }
         return rep

@@ -439,10 +439,10 @@ def steady_result_json(result):
     return {
         "multiplicity": result.multiplicity,
         "threshold": result.threshold,
-        "singular_values": [float(s) for s in result.singular_values],
+        "singular_values": result.singular_values,
         "states": [
             {
-                "matrix": _io.complex_matrix_to_json(s),
+                "matrix": s,
                 "trace_normalized": bool(f),
                 "raw_trace": [t.real, t.imag],
             }

@@ -2,14 +2,14 @@
 provenance hashes.
 
 Reports must be byte-identical across runs with the same inputs, so
-every float that reaches disk goes through :func:`fmt` (17 significant
-digits, enough to round-trip a double, -0.0 written as 0).  JSON
-documents go through :func:`canonical_dumps`, one recursive pass that
-writes the text directly: keys as ``str(k)``, sorted, no whitespace;
-+-inf as the strings ``"inf"``/``"-inf"``; complex numbers as
-``[re, im]``; arrays through ``tolist()``; NaN raises.  CSV tables go
-through :func:`write_csv_rows`, which applies fmt's rules to a whole
-array at once.  Both writers format or check all of their input before
+every float in a report is written by :func:`fmt`'s rule (17
+significant digits, enough to round-trip a double, -0.0 written as 0).
+JSON documents go through :func:`canonical_dumps`, one recursive pass:
+keys as ``str(k)``, sorted, no whitespace; +-inf as the strings
+``"inf"``/``"-inf"``; complex numbers as ``[re, im]``; NaN raises.  A
+finite float or complex array is one fill of a nested ``%.17g``
+template, other arrays go through ``tolist()``; CSV tables get the same
+fill in :func:`write_csv_rows`.  Both writers check all input before
 they open the file, so a failed write leaves nothing on disk.
 """
 
@@ -111,6 +111,14 @@ def _emit(obj):
         return json.dumps(int(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         return "[" + fmt(obj.real) + "," + fmt(obj.imag) + "]"
+    if tp is np.ndarray and obj.dtype.kind in "fc":
+        a = np.stack([obj.real, obj.imag], -1) if obj.dtype.kind == "c" else obj
+        a = a.astype(float) + 0.0               # -0.0 -> 0.0, as in fmt
+        if np.isfinite(a).all():
+            text = "%.17g"
+            for n in reversed(a.shape):
+                text = "[" + ",".join([text] * n) + "]"
+            return text % tuple(a.ravel().tolist())
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")
@@ -171,7 +179,7 @@ def spectrum_hash(spectrum):
 
 def coupling_hash(couplings):
     return sha256_of({
-        "matrices": [complex_matrix_to_json(m) for m in couplings.matrices],
+        "matrices": couplings.matrices,
         "labels": list(couplings.labels),
         "adjoint_map": list(couplings.adjoint_map),
     })

@@ -171,6 +171,21 @@ def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
     assert tabulated_spectrum(path).gamma(1.7).tobytes() == want[1, 1].tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["omega", "gamma"])
+def test_tabulated_writer_rejects_non_finite_samples(tmp_path, bad, where):
+    grid = np.linspace(-1.0, 1.0, 3)
+    g = np.full((3, 2, 2), 0.5 + 0.25j)
+    if where == "omega":
+        grid[1] = bad
+    else:
+        g[1, 0, 1] = complex(0.5, bad)
+    path = tmp_path / "spec.csv"
+    with pytest.raises(InputError, match=rf"^non-finite value {bad!r} cannot be serialized$"):
+        write_tabulated_csv(path, grid, g, labels=("u", "v"))
+    assert not path.exists()
+
+
 def test_tabulated_malformed_rows_are_named(tmp_path):
     good = tmp_path / "good.csv"
     b = gaussian_spectrum(0.4, 1.5)

@@ -295,6 +295,18 @@ def test_overflowing_evolve_is_a_breach_that_writes_nothing(tmp_path, capsys, fm
     assert list(out.iterdir()) == []
 
 
+def test_allocation_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.00 GiB for an array")
+
+    monkeypatch.setattr("qmekit.cli.build_kernel", too_large)
+    rc, out = run(tmp_path, "build-kernel", qubit_doc())
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'config.json'}: Unable to allocate 5.00 GiB for an array\n")
+    assert list(out.iterdir()) == []
+
+
 def test_only_build_kernel_computes_kernel_provenance(tmp_path, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("kernel provenance computed")

@@ -8,6 +8,7 @@ from qmekit.bath import flat_spectrum, thermal_ohmic_spectrum
 from qmekit.core import InputError, Superoperator, build_spectrum, hermitian_channel, ladder_channels
 from qmekit.kernels import build_kernel, trace_condition_residual
 from qmekit.dynamics import build_liouvillian
+from qmekit.io import canonical_dumps
 from qmekit.diagnostics import (
     CHOI_TOL,
     choi_matrix,
@@ -87,6 +88,14 @@ def test_map_check_convicts_flipped_gain():
     out = (prop @ rho.ravel()).reshape(2, 2)
     out = (out + out.conj().T) / 2
     assert abs(np.linalg.eigvalsh(out)[0] - check.scan_min) < 1e-12
+
+    # the payload holds arrays; its text is that of the float lists it held
+    lists = dict(check.as_dict(),
+                 probe_times=[float(t) for t in check.probe_times],
+                 choi_min=[float(x) for x in check.choi_min],
+                 choi_herm_defect=[float(x) for x in check.choi_herm_defect],
+                 witness={"ket": [[z.real, z.imag] for z in ket.tolist()], "time": t_w})
+    assert canonical_dumps(check.as_dict()) == canonical_dumps(lists)
 
 
 def test_map_check_inconclusive_for_redfield_coherence_terms():

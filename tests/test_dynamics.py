@@ -28,7 +28,7 @@ from qmekit.dynamics import (
     trace_distance,
     trajectory_to_csv,
 )
-from qmekit.io import fmt
+from qmekit.io import canonical_dumps, fmt
 from conftest import make_system
 
 
@@ -137,6 +137,12 @@ def test_steady_state_thermal_gibbs():
     doc = steady_result_json(result)
     assert doc["multiplicity"] == 1
     assert doc["states"][0]["trace_normalized"] is True
+    # the payload holds arrays; its text is that of the float lists it held
+    lists = dict(doc, singular_values=[float(s) for s in result.singular_values],
+                 states=[dict(entry, matrix=[[[z.real, z.imag] for z in row]
+                                             for row in s.tolist()])
+                         for entry, s in zip(doc["states"], result.states)])
+    assert canonical_dumps(doc) == canonical_dumps(lists)
 
 
 def test_steady_state_zero_kernel_multiplicity():

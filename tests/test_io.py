@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import qmekit.io
 from qmekit.core import InputError
 from qmekit.io import CSV_CHUNK_VALUES, canonical_dumps, fmt, write_csv_rows, write_json
 
@@ -137,6 +138,7 @@ def outcome(dumps, obj):
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 0.1, 1 / 3, 2.0 ** 60,
                np.inf, -np.inf]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
+shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
 leaves = st.one_of(
     floats,
     floats.map(np.float64),
@@ -144,8 +146,10 @@ leaves = st.one_of(
     st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.booleans(), st.booleans().map(np.bool_), st.none(), st.text(max_size=4),
     st.complex_numbers(allow_nan=False, allow_infinity=False),
-    hnp.arrays(st.sampled_from([float, complex, np.int64, np.bool_]),
-               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    # real arrays may hold +-inf, which take the per-float route
+    hnp.arrays(float, shapes, elements=floats),
+    hnp.arrays(np.float32, shapes, elements={"allow_nan": False}),
+    hnp.arrays(st.sampled_from([complex, np.complex64, np.int64, np.bool_]), shapes,
                elements={"allow_nan": False, "allow_infinity": False}),
 )
 # int and str keys that collide after str(k): the last duplicate wins
@@ -167,7 +171,9 @@ def test_emitter_matches_the_two_pass_serializer(obj):
 
 @settings(max_examples=100, deadline=None)
 @given(nests, st.sampled_from([float("nan"), np.float64("nan"), np.float32("nan"),
-                               complex(np.inf, 0.0), complex(1.0, np.nan)]))
+                               complex(np.inf, 0.0), complex(1.0, np.nan),
+                               np.array([[1.0, np.nan]]),
+                               np.array([0.5j, complex(1.0, -np.inf)])]))
 def test_emitter_raises_as_the_two_pass_serializer(obj, bad):
     for doc in ({"z": bad, "a": obj}, [obj, bad], {0: bad, "0": obj}):
         kind, message = outcome(canonical_dumps, doc)
@@ -176,13 +182,32 @@ def test_emitter_raises_as_the_two_pass_serializer(obj, bad):
 
 
 def test_emitter_edge_values():
+    transposed = (np.arange(6.0).reshape(2, 3) * (1 - 1j)).T     # not contiguous
     doc = {2: [-0.0, 5e-324, 1e22, np.inf, -np.inf], "2": np.float32(0.1),
-           "c": complex(-0.0, 1.0), "e": np.zeros((0, 3)), "s": np.float64(2.5)}
+           "c": complex(-0.0, 1.0), "e": np.zeros((0, 3)), "s": np.float64(2.5),
+           "f": np.zeros((2, 0)), "z": np.array(complex(-0.0, 2.5)), "t": transposed}
     text = canonical_dumps(doc)
     assert text == reference_dumps(doc)
-    assert text == ('{"2":0.10000000149011612,"c":[0,1],"e":[],'
-                    '"s":2.5}')
+    assert text == ('{"2":0.10000000149011612,"c":[0,1],"e":[],"f":[[],[]],'
+                    '"s":2.5,"t":[[[0,0],[3,-3]],[[1,-1],[4,-4]],[[2,-2],[5,-5]]],'
+                    '"z":[0,2.5]}')
     assert canonical_dumps([-0.0, 5e-324, 1e22, np.inf, -np.inf]) == \
         '[0,4.9406564584124654e-324,1e+22,"inf","-inf"]'
     with pytest.raises(InputError, match="^NaN cannot be serialized$"):
         canonical_dumps({"a": [1.0, np.nan]})
+
+
+def test_finite_arrays_are_filled_without_per_float_calls(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(qmekit.io, "fmt", counted)
+    rng = np.random.default_rng(0)
+    stack = rng.normal(size=(101, 6, 6)) + 1j * rng.normal(size=(101, 6, 6))
+    stack[0, 0, 0] = complex(-0.0, 5e-324)
+    text = canonical_dumps(stack)
+    assert calls == []
+    assert text == reference_dumps(stack)
