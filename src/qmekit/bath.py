@@ -23,7 +23,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .core import InputError
-from .io import fmt
+from .io import write_csv_rows
 
 __all__ = [
     "BathSpectrum",
@@ -211,19 +211,16 @@ def _pair_table(gammas):
 
 def write_tabulated_csv(path, omega_grid, gamma_samples, labels):
     """Write gamma samples to CSV: omega column plus one Re/Im column
-    pair per channel pair, header naming the pair as re[a,b]/im[a,b]."""
+    pair per channel pair, header naming the pair as re[a,b]/im[a,b];
+    the rows as :func:`qmekit.io.write_csv_rows` writes them."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     g = np.asarray(gamma_samples, dtype=complex)
     n = len(labels)
     if g.shape != (omega_grid.size, n, n):
         raise InputError("gamma_samples must have shape (n_omega, n, n)")
-    table = np.column_stack([omega_grid, _pair_table(g)])
-    if not np.isfinite(table).all():        # fmt raises, naming the value
-        fmt(table[~np.isfinite(table)][0])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_pair_columns(labels))
-        w.writerows([f"{x:.17g}" for x in row] for row in table.tolist())
+    # each pair name holds a comma, so it is quoted as csv.writer quotes it
+    header = ["omega"] + ['"%s"' % c.replace('"', '""') for c in _pair_columns(labels)[1:]]
+    write_csv_rows(path, header, np.column_stack([omega_grid, _pair_table(g)]))
 
 
 def read_tabulated_csv(path):

@@ -19,6 +19,7 @@ eps_deg has no unambiguous class structure and is rejected.
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 
 __all__ = [
@@ -110,6 +111,30 @@ class EnergySpectrum:
         """d x d matrix of snapped differences E[p] - E[q], antisymmetric."""
         e = self.snapped
         return e[:, None] - e[None, :]
+
+    @cached_property
+    def _bohr_bins(self):
+        """:func:`bohr_frequencies`, computed on first use and kept; an
+        ambiguous chain caches nothing, so it raises on every call."""
+        eps = self.eps_deg
+        diff = -self.bohr_matrix()          # diff[p, q] = E[q] - E[p]
+        up = diff > 0
+        pos = np.unique(diff[up])
+        group, omega, wide = _chain(pos, eps)
+        if wide is not None:
+            raise InputError(
+                f"Bohr frequencies {pos[wide].tolist()} chain within "
+                f"eps_deg={eps:g} but spread over more than eps_deg"
+            )
+        n = omega.size                          # bin n holds omega = 0
+        group = group[np.searchsorted(pos, diff[up])]
+        label = np.full(diff.shape, n)
+        label[up] = n + 1 + group
+        label.T[up] = n - 1 - group             # mirror: transposed pairs at -omega
+        omegas = np.concatenate([-omega[::-1], [0.0], omega])
+        for shared in (omegas, label):
+            shared.setflags(write=False)
+        return omegas, label
 
 
 def _chain(values, eps):
@@ -327,25 +352,12 @@ def bohr_frequencies(spectrum):
     set is exactly symmetric under omega -> -omega, with the transposed
     pairs.
 
+    Computed once per spectrum and shared: both arrays are read-only.
+
     :raises InputError: when distinct Bohr differences chain within
         eps_deg over a spread larger than eps_deg (ambiguous binning).
     """
-    eps = spectrum.eps_deg
-    diff = -spectrum.bohr_matrix()          # diff[p, q] = E[q] - E[p]
-    up = diff > 0
-    pos = np.unique(diff[up])
-    group, omega, wide = _chain(pos, eps)
-    if wide is not None:
-        raise InputError(
-            f"Bohr frequencies {pos[wide].tolist()} chain within "
-            f"eps_deg={eps:g} but spread over more than eps_deg"
-        )
-    n = omega.size                          # bin n holds omega = 0
-    group = group[np.searchsorted(pos, diff[up])]
-    label = np.full(diff.shape, n)
-    label[up] = n + 1 + group
-    label.T[up] = n - 1 - group             # mirror: transposed pairs at -omega
-    return np.concatenate([-omega[::-1], [0.0], omega]), label
+    return spectrum._bohr_bins
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ JSON documents go through :func:`canonical_dumps`, one recursive pass:
 keys as ``str(k)``, sorted, no whitespace; +-inf as the strings
 ``"inf"``/``"-inf"``; complex numbers as ``[re, im]``; NaN raises.  A
 finite float or complex array is one fill of a nested ``%.17g``
-template, other arrays go through ``tolist()``; CSV tables get the same
-fill in :func:`write_csv_rows`.  Both writers check all input before
-they open the file, so a failed write leaves nothing on disk.
+template, other arrays go through ``tolist()``.  :func:`write_csv_rows`
+builds each chunk's template as a numpy byte grid in which zeros, row
+numbers, commas and line ends are literal text, so ``%.17g`` fills only
+the nonzero values.  Both writers check all input before they open the
+file, so a failed write leaves nothing on disk.
 """
 
 import hashlib
@@ -56,21 +58,37 @@ def write_csv_rows(path, header, table, index=False):
     array, every value as :func:`fmt` writes it, optionally led by the
     row number.  Rows go out in chunks of at most ``CSV_CHUNK_VALUES``
     values, so the text in memory stays bounded whatever the table size.
+    A chunk's template is a numpy byte grid with the zeros and row numbers
+    as literal text, so ``%.17g`` formats only the nonzero values.
     """
     table = np.asarray(table, dtype=float)
+    if table.ndim != 2:
+        raise InputError(f"CSV table must be 2-d, got shape {table.shape}")
     finite = np.isfinite(table)
     if not finite.all():
         fmt(table[~finite][0])               # raises, naming the value
     n_rows, n_cols = table.shape
-    line = ("%d," if index else "") + ",".join(["%.17g"] * n_cols) + "\n"
-    step = max(1, CSV_CHUNK_VALUES // (n_cols + index))
+    step = max(1, CSV_CHUNK_VALUES // max(n_cols + index, 1))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, step):
-            chunk = table[start:start + step] + 0.0          # -0.0 -> 0.0
+            chunk = table[start:start + step]
+            nz = chunk != 0                  # -0.0 is a zero, written 0
+            # per row: the row number behind \x02 pads and a comma, then "0"
+            # or the value mark \x01 and a comma per cell; "\n" ends the row
+            row = np.arange(start, start + len(chunk))
+            pre = len(str(row[-1])) + 1 if index else 0
+            grid = np.full((len(chunk), pre + max(2 * n_cols, 1)), ord(","), np.uint8)
             if index:
-                chunk = np.column_stack([np.arange(start, start + len(chunk)), chunk])
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+                q = row
+                for k in range(pre - 2, -1, -1):
+                    q, digit = np.divmod(q, 10)
+                    grid[:, k] = ord("0") + digit
+                grid[:, :pre - 2][row[:, None] < 10 ** np.arange(pre - 2, 0, -1)] = 2
+            grid[:, pre:pre + 2 * n_cols:2] = np.where(nz, 1, ord("0"))
+            grid[:, -1] = ord("\n")
+            text = grid.tobytes().decode().replace("\x02", "").replace("\x01", "%.17g")
+            fh.write(text % tuple(chunk[nz].tolist()))
 
 
 def _emit(obj):

@@ -20,6 +20,7 @@ from qmekit.bath import (
     write_tabulated_csv,
 )
 from qmekit.core import InputError
+from qmekit.io import fmt
 
 
 def test_flat_spectrum_constant_and_balanced():
@@ -141,7 +142,9 @@ def test_tabulated_round_trip(tmp_path):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
     # the per-row writer and per-entry interpolation the column table
-    # replaced, as byte and bit references; -0.0 entries included
+    # replaced, as byte and bit references; -0.0 entries included.  Rows
+    # are written by fmt's rule with LF ends; the CRLF file csv.writer
+    # gives (-0.0 as -0) still reads back to the same values
     rng = np.random.default_rng(n)
     labels = [f"c{a}" for a in range(n)]
     grid = np.linspace(-4.0, 4.0, 9)
@@ -149,15 +152,22 @@ def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
     g[2, 0, 0], g[3, -1, -1] = complex(-0.0, 1.0), complex(0.5, -0.0)
     path = tmp_path / "spec.csv"
     write_tabulated_csv(path, grid, g, labels)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega"] + [f"{p}[{a},{b}]" for a in labels for b in labels
-                                for p in ("re", "im")])
-        for i, om in enumerate(grid):
-            w.writerow([f"{om:.17g}"] + [f"{x:.17g}" for a in range(n) for b in range(n)
+    for terminator, cell in (("\n", fmt), ("\r\n", lambda x: f"{x:.17g}")):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator=terminator)
+            w.writerow(["omega"] + [f"{p}[{a},{b}]" for a in labels for b in labels
+                                    for p in ("re", "im")])
+            for i, om in enumerate(grid):
+                w.writerow([cell(om)] + [cell(x) for a in range(n) for b in range(n)
                                          for x in (g[i, a, b].real, g[i, a, b].imag)])
-    assert path.read_bytes() == ref.read_bytes()
+        if terminator == "\n":
+            assert path.read_bytes() == ref.read_bytes()
+        else:
+            assert b"\r\n" in ref.read_bytes() and b"-0," in ref.read_bytes()
+            old_labels, old_omegas, old_gammas = read_tabulated_csv(ref)
+            assert old_labels == labels
+            assert np.array_equal(old_omegas, grid) and np.array_equal(old_gammas, g)
     _, omegas, gammas = read_tabulated_csv(path)
     w = np.array([[-5.0, -4.0, -0.3], [0.0, 1.7, 4.5]])
     want = np.zeros(w.shape + (n, n), dtype=complex)
@@ -169,6 +179,18 @@ def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
     got = tabulated_spectrum(path).gamma(w)
     assert got.tobytes() == want.tobytes()
     assert tabulated_spectrum(path).gamma(1.7).tobytes() == want[1, 1].tobytes()
+
+
+def test_tabulated_header_is_quoted_as_csv_writer_quotes_it(tmp_path):
+    labels = ['a"b', "c d"]
+    path = tmp_path / "spec.csv"
+    write_tabulated_csv(path, [-1.0, 1.0], np.ones((2, 2, 2)), labels)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["omega"] + [f"{p}[{a},{b}]" for a in labels for b in labels for p in ("re", "im")])
+    assert path.read_text().splitlines()[0] == ref.read_text().rstrip("\n")
+    assert read_tabulated_csv(path)[0] == labels
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmekit.core as core
 import qmekit.kernels as kernels
 from qmekit.cli import COMMANDS, main, parse_config
 from qmekit.diagnostics import flip_gain_sign
@@ -317,6 +318,22 @@ def test_only_build_kernel_computes_kernel_provenance(tmp_path, monkeypatch):
         assert rc == 0, command
     with pytest.raises(AssertionError, match="kernel provenance computed"):
         run(tmp_path, "build-kernel", qubit_doc())
+
+
+def test_compare_chains_the_bohr_differences_once(tmp_path, monkeypatch):
+    # the parser checks the Bohr bins and both kernel builders reuse them
+    callers, chain = [], core._chain
+
+    def counted(values, eps):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return chain(values, eps)
+
+    monkeypatch.setattr(core, "_chain", counted)
+    doc = qubit_doc(spectrum={"levels": [0.0, 1.0, 2.5]},
+                    couplings={"kind": "hermitian", "matrix": as_json_matrix(np.ones((3, 3)))})
+    rc, _ = run(tmp_path, "compare", doc)
+    assert rc == 0
+    assert sorted(callers) == ["_bohr_bins", "build_spectrum"]
 
 
 def test_steady_state_thermal_ratio(tmp_path, capsys):

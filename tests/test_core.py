@@ -90,8 +90,21 @@ def test_ambiguous_bohr_chaining_rejected():
     # within eps but spread over 1.6 eps
     eps = 1e-6
     spec = build_spectrum([0.0, 1.0, 2.0 + 0.8 * eps, 3.0 + 2.4 * eps], eps_deg=eps)
-    with pytest.raises(InputError, match="chain"):
+    with pytest.raises(InputError, match="chain") as first:
         bohr_frequencies(spec)
+    # nothing is cached for an ambiguous spectrum: every call raises alike
+    with pytest.raises(InputError) as again:
+        bohr_frequencies(spec)
+    assert str(again.value) == str(first.value)
+
+
+def test_bohr_bins_are_computed_once_and_read_only():
+    spec = build_spectrum([0.0, 1.0, 2.5, 2.5])
+    omegas, label = bohr_frequencies(spec)
+    assert bohr_frequencies(spec)[0] is omegas and bohr_frequencies(spec)[1] is label
+    for arr in (omegas, label):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def reference_classes(levels, eps):

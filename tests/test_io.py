@@ -2,6 +2,7 @@
 and the JSON emitter against the two-pass serializer it replaced."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,59 @@ def test_bulk_rows_reject_non_finite(tmp_path, bad):
     with pytest.raises(InputError) as bulk:
         written(path, table)
     assert str(bulk.value) == str(per.value)
+    assert not path.exists()
+
+
+CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 0.1,
+             1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def csv_tables(draw):
+    """Mostly zero, mostly nonzero or mixed tables of values from the
+    subnormals to +-max double, with row counts at the digit and chunk
+    boundaries of the writer."""
+    n_cols, index = draw(st.integers(1, 8)), draw(st.booleans())
+    step = CSV_CHUNK_VALUES // (n_cols + index)
+    n_rows = draw(st.sampled_from([0, 1, 9, 10, 11, 99, 100, 101, step - 1, step, step + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n_rows, n_cols)
+    table = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, 1025, shape))
+    table *= rng.choice([-1.0, 1.0], shape)
+    edge = rng.random(shape) < 0.1
+    table[edge] = rng.choice(CSV_EDGES, edge.sum())
+    zero = rng.random(shape) < draw(st.sampled_from([0.02, 0.5, 0.98]))
+    table[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return table, index
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_tables())
+def test_sparse_and_dense_rows_match_per_float_fmt(tmp_path_factory, case):
+    table, index = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert written(path, table, index) == per_float(table, index)
+
+
+def test_row_numbers_cross_a_power_of_ten_inside_a_chunk(tmp_path):
+    # 4096-row chunks at two columns: rows 9999 and 10000 share a chunk
+    table = np.zeros((12289, 2))
+    table[9995:10005, 1] = np.arange(10) - 4.5
+    text = written(tmp_path / "t.csv", table, index=True)
+    assert text == per_float(table, index=True)
+    assert "9999,0,-0.5\n10000,0,0.5\n" in text
+
+
+@pytest.mark.parametrize("index, rows", [(True, "0,\n1,\n2,\n"), (False, "\n\n\n")])
+def test_rows_without_columns(tmp_path, index, rows):
+    assert written(tmp_path / "t.csv", np.zeros((3, 0)), index) == rows
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (2, 2, 2)])
+def test_bulk_rows_reject_a_table_that_is_not_2d(tmp_path, shape):
+    path = tmp_path / "t.csv"
+    with pytest.raises(InputError, match=rf"^CSV table must be 2-d, got shape {re.escape(str(shape))}$"):
+        write_csv_rows(path, ["a"], np.ones(shape))
     assert not path.exists()
 
 
