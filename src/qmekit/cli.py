@@ -232,7 +232,7 @@ def _parse_bath(d, n_channels):
 
 
 def _parse_t_grid(d, path):
-    if isinstance(d, list):
+    if isinstance(d, (list, np.ndarray)):          # serialize_config gives arrays
         vals = np.array([_num(x, f"{path}[{i}]") for i, x in enumerate(d)])
         if vals.size < 2:
             _fail(path, "need at least 2 points")
@@ -345,31 +345,32 @@ def parse_config(doc):
 
 
 def serialize_config(cfg):
-    """Normalized dict form of a parsed config; parse(serialize(c)) == c."""
+    """Normalized dict form of a parsed config; parse(serialize(c)) == c.
+    Matrices go out as (d, d, 2) [re, im] float arrays and grids as
+    float arrays, which the JSON writer fills in one pass."""
     spec = {"levels": [float(x) for x in cfg.spectrum.levels],
             "eps_deg": float(cfg.spectrum.eps_deg)}
-    n = cfg.couplings.n_channels
+    mats = cfg.couplings.matrices
+    mats = np.stack([mats.real, mats.imag], axis=-1)
     coup = {
         "kind": "explicit",
-        "matrices": [
-            {"label": cfg.couplings.labels[i],
-             "matrix": _io.complex_matrix_to_json(cfg.couplings.matrices[i])}
-            for i in range(n)
-        ],
+        "matrices": [{"label": label, "matrix": m}
+                     for label, m in zip(cfg.couplings.labels, mats)],
         "adjoint_map": [int(x) for x in cfg.couplings.adjoint_map],
     }
     exp = cfg.experiment
+    rho = exp.initial_state
     exp_doc = {
         "variant": exp.variant,
         "omega": exp.omega,
-        "t_grid": [float(t) for t in exp.t_grid],
+        "t_grid": np.asarray(exp.t_grid, dtype=float),
         "initial_state": {"kind": "matrix",
-                          "matrix": _io.complex_matrix_to_json(exp.initial_state)},
+                          "matrix": np.stack([rho.real, rho.imag], axis=-1)},
         "seed": exp.seed,
     }
     if exp.nonlocal_params:
         exp_doc["nonlocal"] = {
-            "tau_grid": [float(t) for t in exp.nonlocal_params["tau_grid"]],
+            "tau_grid": np.asarray(exp.nonlocal_params["tau_grid"], dtype=float),
             "tau_memory": float(exp.nonlocal_params["tau_memory"]),
         }
     out = {"spectrum": spec, "couplings": coup, "bath": dict(cfg.bath_doc),

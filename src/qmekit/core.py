@@ -314,19 +314,53 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
-@dataclass(frozen=True)
 class Superoperator:
-    """Dense d^2 x d^2 matrix acting on row-major flattened operators."""
+    """d^2 x d^2 matrix acting on row-major flattened operators.
 
-    dim: int
-    data: np.ndarray
+    Held in one of two forms, each derived from the other on first
+    access and kept:
 
-    def __post_init__(self):
-        d2 = self.dim * self.dim
-        m = np.asarray(self.data, dtype=complex)
+    * ``data``, the dense matrix;
+    * ``blocks``, one ``(idx, vals)`` size group per block size m of the
+      connected blocks of the nonzero pattern, in ascending m: ``idx``
+      is the (n_blocks, m) flat pair indices of each block, each row
+      ascending, and ``vals`` the (n_blocks, m, m) entries
+      ``data[idx_b, idx_b]``.  Entries outside the blocks are zero.
+
+    Covariant builders hand over the blocks, so their d^4 matrix exists
+    only if something asks for ``data``.  Neither form is to be written.
+    """
+
+    def __init__(self, dim, data=None, blocks=None):
+        self.dim = dim
+        if blocks is not None:
+            self.blocks = blocks
+            return
+        d2 = dim * dim
+        m = np.asarray(data, dtype=complex)
         if m.shape != (d2, d2):
             raise InputError(f"superoperator data must be {d2} x {d2}")
-        object.__setattr__(self, "data", m)
+        self.data = m
+
+    @cached_property
+    def data(self):
+        n = self.dim * self.dim
+        if len(self.blocks) == 1 and self.blocks[0][0].shape == (1, n):
+            return self.blocks[0][1][0]         # one block over all pairs, in order
+        out = np.zeros((n, n), dtype=complex)
+        for idx, vals in self.blocks:
+            out[idx[:, :, None], idx[:, None, :]] = vals
+        return out
+
+    @cached_property
+    def blocks(self):
+        return [(idx, _sub(self.data, idx)) for idx in _blocks(self.data)]
+
+    def all_finite(self):
+        """Whether every entry is finite, read off the form at hand."""
+        if "data" in self.__dict__:
+            return bool(np.isfinite(self.data).all())
+        return all(np.isfinite(vals).all() for _, vals in self.blocks)
 
     def tensor(self):
         """(d, d, d, d) view indexed [p, p', q, q']."""
@@ -336,6 +370,82 @@ class Superoperator:
     @classmethod
     def zero(cls, dim):
         return cls(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
+
+    @classmethod
+    def from_terms(cls, dim, terms):
+        """Block form of a sum of coordinate terms ``(rows, cols, vals)``.
+
+        The entries are added onto zero one by one in the order given,
+        as ``np.add.at`` on a dense zero matrix would add them, so every
+        entry carries the same rounding as that dense sum; the blocks are
+        those of the entries that are nonzero after the sum.  Nothing of
+        size d^4 is allocated.
+        """
+        n = dim * dim
+        rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+        slots, where = np.unique(rows * n + cols, return_inverse=True)
+        acc = np.zeros(slots.size, dtype=complex)
+        np.add.at(acc, where, vals)
+        nz = acc != 0
+        rows, cols = np.divmod(slots[nz], n)
+        groups = _components(n, rows, cols)
+        # every group in one buffer; node k opens its block row at head[k],
+        # its block column is pos[k], so entry (r, c) sits at head[r] + pos[c]
+        head, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        sizes = [idx.size * idx.shape[1] for idx in groups]
+        offsets = np.cumsum([0] + sizes)
+        for idx, off in zip(groups, offsets):
+            nb, m = idx.shape
+            head[idx] = off + m * np.arange(nb * m).reshape(nb, m)
+            pos[idx] = np.arange(m)
+        buf = np.zeros(offsets[-1], dtype=complex)
+        buf[head[rows] + pos[cols]] = acc[nz]
+        return cls(dim, blocks=[
+            (idx, buf[off:off + size].reshape(*idx.shape, idx.shape[1]))
+            for idx, off, size in zip(groups, offsets, sizes)])
+
+
+def _blocks(data):
+    """Connected blocks of the nonzero pattern of a dense (n, n) array;
+    see :func:`_components`.  A one-block generator gives the single
+    group arange(n)[None]."""
+    nz = data != 0
+    nz |= nz.T
+    return _components(len(data), *np.nonzero(np.triu(nz, 1)))
+
+
+def _components(n, rows, cols):
+    """Connected components of the graph on n nodes with edges (rows,
+    cols): one (n_blocks, m) array of nodes per component size m, each
+    row ascending, in ascending m; within a size, components come in the
+    order of their smallest node.
+
+    Each round hooks the larger root of every edge onto the smaller one,
+    then points every node straight at its root, until the two ends of
+    every edge share a root: that of the smallest node of their component.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[rows], root[cols]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    labels = np.cumsum(root == np.arange(n))[root] - 1
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == m][:, None] + np.arange(m)]
+            for m in np.unique(sizes)]
+
+
+def _sub(data, idx):
+    """The stacked diagonal blocks data[idx_b, idx_b] of one size group;
+    a view of data for the one block over all pairs."""
+    if idx.shape == (1, len(data)):
+        return data[None]
+    return data[idx[:, :, None], idx[:, None, :]]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ with the kernels).  Markovian propagation uses matrix exponentials while
 the generator's largest block (below) has at most EXPM_DIM_LIMIT**2
 pairs, and an adaptive high-order Runge-Kutta beyond; both paths agree
 to 1e-8 where they overlap and that agreement is part of the test
-suite.  Steady states and exponentials work per block of the generator:
-the connected components of its nonzero pattern.  Covariant generators
-(energy-conserving, lindblad) map a level pair only to pairs of the same
-Bohr frequency, so they split into one block per Bohr bin (or finer);
-redfield and born generators are one block, a stack of one for the same
+suite.  Steady states and exponentials work per block of the generator
+(``Superoperator.blocks``): the connected components of its nonzero
+pattern.  Covariant generators (energy-conserving, lindblad) map a level
+pair only to pairs of the same Bohr frequency, so they split into one
+block per Bohr bin (or finer); their builders hand over the blocks, and
+no d^4 matrix is built.  Only a dense generator (redfield, born) is
+scanned for its pattern, and it is one block, a stack of one for the same
 code.  The split is exact, because off-block entries are structural
 zeros.  Non-Markovian propagation builds all memory-kernel nodes in one
 array pass and integrates with a Heun predictor-corrector and trapezoid
@@ -20,8 +22,6 @@ memory quadrature, one history product per step.
 import numpy as np
 from dataclasses import dataclass
 from scipy.linalg import expm
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .core import DensityMatrix, InputError, InvariantError, Superoperator
 from . import io as _io
@@ -56,37 +56,20 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-def _blocks(data):
-    """Connected blocks of a generator's nonzero pattern.
-
-    Returns one (n_blocks, m) array of flat pair indices per block size
-    m, each row ascending, in ascending m; a one-block generator gives
-    the single group arange(d^2)[None].  Entries outside the blocks are
-    exactly zero, so a block-diagonal computation on them is exact; a
-    stray nonzero only merges blocks.
-    """
-    nz = data != 0
-    _, labels = connected_components(csr_array(nz | nz.T), directed=False)
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    return [order[starts[sizes == m][:, None] + np.arange(m)]
-            for m in np.unique(sizes)]
-
-
-def _sub(data, idx):
-    """The stacked diagonal blocks data[idx_b, idx_b] of one size group."""
-    return data[idx[:, :, None], idx[:, None, :]]
-
-
 def build_liouvillian(spectrum, kernel):
     """Full generator L = L_H + K: the coherent part -i E_{pp'} attached
-    to a dissipative kernel, as a Superoperator on the flat pair index."""
+    to a dissipative kernel, as a Superoperator on the flat pair index.
+    The coherent part is diagonal, so L has the blocks of K: each block
+    is copied once with -i E_{pp'} added on its diagonal."""
     if kernel.dim != spectrum.dim:
         raise InputError("kernel dimension does not match spectrum")
-    data = kernel.data.copy()
-    data.flat[::data.shape[0] + 1] += -1j * spectrum.bohr_matrix().ravel()
-    return Superoperator(spectrum.dim, data)
+    coherent = -1j * spectrum.bohr_matrix().ravel()
+    blocks = []
+    for idx, vals in kernel.blocks:
+        vals = vals.copy()
+        np.einsum("bii->bi", vals)[...] += coherent[idx]
+        blocks.append((idx, vals))
+    return Superoperator(spectrum.dim, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -153,8 +136,8 @@ def evolve_markov(liouv, rho0, t_grid):
     d = liouv.dim
     if rho.shape != (d, d):
         raise InputError("initial state dimension does not match Liouvillian")
-    blocks = _blocks(liouv.data)
-    method = "expm" if blocks[-1].shape[1] <= EXPM_DIM_LIMIT ** 2 else "rk"
+    blocks = liouv.blocks
+    method = "expm" if blocks[-1][0].shape[1] <= EXPM_DIM_LIMIT ** 2 else "rk"
 
     vecs = np.empty((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
@@ -163,8 +146,7 @@ def evolve_markov(liouv, rho0, t_grid):
         _, first, step_id = np.unique(np.round(steps / (t[-1] - t[0]), 15),
                                       return_index=True, return_inverse=True)
         step_id = step_id.tolist()
-        for idx in blocks:
-            sub = _sub(liouv.data, idx)
+        for idx, sub in blocks:
             width = max(2, vecs.size // sub.size)
             xs = np.empty((t.size, *idx.shape, 1), dtype=complex)
             xs[0, ..., 0] = vecs[0, idx]
@@ -320,8 +302,8 @@ def steady_state(liouv):
     :raises InvariantError: no null vector, or no clean gap.
     """
     d = liouv.dim
-    blocks = _blocks(liouv.data)
-    svds = [np.linalg.svd(_sub(liouv.data, idx))[1:] for idx in blocks]
+    blocks = liouv.blocks
+    svds = [np.linalg.svd(vals)[1:] for _, vals in blocks]
     svals = np.concatenate([sv.ravel() for sv, _ in svds])
     order = np.argsort(-svals, kind="stable")
     svals = svals[order]
@@ -346,8 +328,9 @@ def steady_state(liouv):
     null = np.zeros((mult, d * d), dtype=complex)
     for row, pos in zip(null, order[null_idx]):
         g = np.searchsorted(offsets, pos, side="right") - 1
-        b, r = divmod(int(pos - offsets[g]), blocks[g].shape[1])
-        row[blocks[g][b]] = svds[g][1][b, r]
+        idx = blocks[g][0]
+        b, r = divmod(int(pos - offsets[g]), idx.shape[1])
+        row[idx[b]] = svds[g][1][b, r]
     states, flags, traces = [], [], []
     for v in null:
         rho = v.conj().reshape(d, d)

@@ -166,26 +166,23 @@ def energy_conserving_kernel(spectrum, couplings, bath_spec):
     between populations and coherences vanish identically for
     nondegenerate spectra: the bins come from exact class-snapped
     energies, so the zeros are structural, not rounded.
+
+    Returned in block form: the loss and gain entries go straight into
+    the blocks of the pairs they join, in the order loss, loss, gain.
     """
     bohr, s, dtilde = _prep(spectrum, couplings, bath_spec)
     d = spectrum.dim
     g = dtilde(bohr)                       # g[x, y, a, b] = D^{ab}(E_{xy})
     omegas, label = bohr_frequencies(spectrum)
     zero = omegas.size // 2                # the bin of omega = 0
-    k = np.zeros((d, d, d, d), dtype=complex)
-    rng = np.arange(d)
-
     t1 = np.einsum("apl,blq,qlab->pq", s, s, g) * (label == zero)
     t2 = np.einsum("aQl,blP,Qlab->QP", s, s, g) * (label == zero)
-    k[:, rng, :, rng] -= 0.5 * t1[None, :, :]
-    k[rng, :, rng, :] -= 0.5 * t2.T[None, :, :]
     # coupled (p, q) and (q', p') in mirrored bins: S_b[p, q] S_a[q', p']
     p, q, b, v = _coupled_pairs(s, label)
-    i, j = np.nonzero(b[:, None] + b[None, :] == 2 * zero)
-    k = k.reshape(d * d, d * d)
-    k[p[i] * d + q[j], q[i] * d + p[j]] += np.einsum(
-        "eb,ea,eab->e", v[i], v[j], g[p[j], q[j]])
-    return Superoperator(d, k)
+    i, j = _partners(b, 2 * zero - b)
+    gain = np.einsum("eb,ea,eab->e", v[i], v[j], g[p[j], q[j]])
+    return Superoperator.from_terms(d, [*_loss_terms(-0.5 * t1, -0.5 * t2.T),
+                                        (p[i] * d + q[j], q[i] * d + p[j], gain)])
 
 
 def _coupled_pairs(s, label):
@@ -195,6 +192,28 @@ def _coupled_pairs(s, label):
     order = np.argsort(label[p, q], kind="stable")
     p, q = p[order], q[order]
     return p, q, label[p, q], s.transpose(1, 2, 0)[p, q]
+
+
+def _partners(b, want):
+    """Every (i, j) with b[j] == want[i], in C order: np.nonzero of
+    want[:, None] == b[None, :] without the square mask (b sorted)."""
+    lo = np.searchsorted(b, want, "left")
+    n = np.searchsorted(b, want, "right") - lo
+    i = np.repeat(np.arange(b.size), n)
+    return i, np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
+def _loss_terms(a, c):
+    """Coordinate terms of k[p r, q r] += a[p, q] and k[r P, r Q] +=
+    c[P, Q] for every level r, at the nonzero entries of a and c."""
+    d = len(a)
+    r = np.arange(d)
+    p, q = np.nonzero(a)
+    P, Q = np.nonzero(c)
+    return [((p[:, None] * d + r).ravel(), (q[:, None] * d + r).ravel(),
+             np.repeat(a[p, q], d)),
+            ((r[:, None] * d + P).ravel(), (r[:, None] * d + Q).ravel(),
+             np.tile(c[P, Q], d))]
 
 
 def lindblad_kernel(spectrum, couplings, bath_spec):
@@ -210,14 +229,15 @@ def lindblad_kernel(spectrum, couplings, bath_spec):
     summation rounding.
 
     A bin's gain term touches only the level pairs of that bin, so the
-    work is O(sum_b |bin_b|^2 n^2) for n channels, on top of filling
-    the d^4 output, instead of O(bins d^4).
+    work is O(sum_b |bin_b|^2 n^2) for n channels, and the result comes
+    in block form, with no d^4 array, instead of O(bins d^4).
     """
     return _jump_kernel(spectrum, couplings, bath_spec, gain_sign=1.0)
 
 
 def _jump_kernel(spectrum, couplings, bath_spec, gain_sign):
-    """Jump-form kernel with its per-bin gain blocks scaled by gain_sign.
+    """Jump-form kernel with its per-bin gain blocks scaled by gain_sign,
+    in block form: the gain entries, then the two loss terms.
 
     Each coupled level pair lies in exactly one bin, so the gain entries
     of a bin's pairs (p, q), (p', q') land on distinct slots (pp', qq').
@@ -227,38 +247,35 @@ def _jump_kernel(spectrum, couplings, bath_spec, gain_sign):
     jumps = decompose_jump_operators(spectrum, couplings)
     p, q, b, v = _coupled_pairs(s, jumps.label)
     gv = np.einsum("iab,ib->ia", bath_spec.gamma(jumps.omegas[b]), v)
-    i, j = np.nonzero(b[:, None] == b[None, :])
+    i, j = _partners(b, b)
     # sum_ab gamma^{ab} J_b[p_i, q_i] conj(J_a[p_j, q_j])
     block = np.einsum("ea,ea->e", gv[i], v[j].conj())
-    k = np.zeros((d * d, d * d), dtype=complex)
-    k[p[i] * d + p[j], q[i] * d + q[j]] = gain_sign * block
     loss = np.zeros((d, d), dtype=complex)
     row = p[i] == p[j]                 # J_a^H J_b joins pairs sharing a row
     np.add.at(loss, (q[j][row], q[i][row]), block[row])
-    t = k.reshape(d, d, d, d)
-    rng = np.arange(d)
-    t[:, rng, :, rng] -= 0.5 * loss[None, :, :]
-    t[rng, :, rng, :] -= 0.5 * loss.T[None, :, :]
-    return Superoperator(d, k)
+    gain = (p[i] * d + p[j], q[i] * d + q[j], gain_sign * block)
+    return Superoperator.from_terms(d, [gain, *_loss_terms(-0.5 * loss, -0.5 * loss.T)])
 
 
 def build_kernel(spectrum, couplings, bath_spec, variant, omega=None):
     """Dispatch on a variant tag; see ``VARIANT_TAGS``.  Finite inputs
     that overflow to a non-finite kernel raise InvariantError."""
     system = (spectrum, couplings, bath_spec)
-    if variant == "born":
-        if omega is None:
-            raise InputError("born variant needs omega")
-        kernel = born_kernel_frequency(*system, omega)
-    elif variant in ("redfield-in", "redfield-out"):
-        kernel = redfield_kernel(*system, variant.split("-")[1])
-    elif variant == "energy-conserving":
-        kernel = energy_conserving_kernel(*system)
-    elif variant == "lindblad":
-        kernel = lindblad_kernel(*system)
-    else:
-        raise InputError(f"unknown kernel variant {variant!r}")
-    if not np.isfinite(kernel.data).all():
+    # an overflow shows as a non-finite entry, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "born":
+            if omega is None:
+                raise InputError("born variant needs omega")
+            kernel = born_kernel_frequency(*system, omega)
+        elif variant in ("redfield-in", "redfield-out"):
+            kernel = redfield_kernel(*system, variant.split("-")[1])
+        elif variant == "energy-conserving":
+            kernel = energy_conserving_kernel(*system)
+        elif variant == "lindblad":
+            kernel = lindblad_kernel(*system)
+        else:
+            raise InputError(f"unknown kernel variant {variant!r}")
+    if not kernel.all_finite():
         raise InvariantError(f"the {variant} kernel has a non-finite entry")
     return kernel
 

@@ -22,7 +22,7 @@ import qmekit.kernels as kernels
 from qmekit.cli import COMMANDS, main, parse_config
 from qmekit.diagnostics import flip_gain_sign
 from qmekit.dynamics import NONLOCAL_DIM_LIMIT
-from qmekit.io import canonical_dumps, complex_matrix_from_json
+from qmekit.io import canonical_dumps, complex_matrix_from_json, complex_matrix_to_json
 
 # no numpy warning may reach stderr, on any exit
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -788,6 +788,35 @@ def test_parse_serialize_round_trip():
     cfg = parse_config(json.dumps(doc))
     again = parse_config(cfg.normalized)
     assert canonical_dumps(again.normalized) == canonical_dumps(cfg.normalized)
+
+
+def test_config_hash_reads_the_same_bytes_as_the_nested_lists():
+    # the normalized config carries arrays; its canonical text must be the
+    # one the per-element nested lists gave: -0.0 as 0, 17 digits
+    rng = np.random.default_rng(3)
+    m = np.round(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 3)
+    m[0, 1] = -0.0 + 0.1j
+    m[1, 2] = 1 / 3 - 0.0j
+    doc = {
+        "spectrum": {"levels": [0.0, 0.7, 1.9]},
+        "couplings": {"kind": "ladder", "matrix": np.stack([m.real, m.imag], -1).tolist()},
+        "bath": {"kind": "gaussian", "rate": 0.3, "width": 2.0},
+        "experiment": {"t_grid": [0.0, 0.1, 0.35, 1e-3 + 1.0],
+                       "initial_state": {"kind": "maximally-mixed"},
+                       "nonlocal": {"tau_grid": {"start": 0.0, "stop": 2.0, "num": 41},
+                                    "tau_memory": 1.5}},
+    }
+    cfg = parse_config(json.dumps(doc))
+    ref = copy.deepcopy(cfg.normalized)
+    for entry, mat in zip(ref["couplings"]["matrices"], cfg.couplings.matrices):
+        entry["matrix"] = complex_matrix_to_json(mat)
+    exp = ref["experiment"]
+    exp["t_grid"] = [float(t) for t in cfg.experiment.t_grid]
+    exp["initial_state"]["matrix"] = complex_matrix_to_json(cfg.experiment.initial_state)
+    exp["nonlocal"]["tau_grid"] = [float(t) for t in exp["nonlocal"]["tau_grid"]]
+    assert canonical_dumps(cfg.normalized) == canonical_dumps(ref)
+    again = parse_config(cfg.normalized)
+    assert canonical_dumps(again.normalized) == canonical_dumps(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from qmekit.bath import thermal_ohmic_spectrum
 from qmekit.core import (
     DensityMatrix,
     InvariantError,
     Superoperator,
+    _blocks,
+    _sub,
     build_spectrum,
     hermitian_channel,
 )
@@ -219,3 +223,84 @@ def test_propagator_memory_does_not_grow_with_distinct_steps():
         vec = prop @ vec
         err = max(err, np.max(np.abs(state.ravel() - vec)))
     assert err < 1e-12
+
+
+def reference_blocks(data):
+    """Size groups of the nonzero pattern's components from scipy's graph
+    search: blocks by size, then by their smallest pair index."""
+    _, labels = connected_components(csr_array(data != 0), directed=False)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
+
+
+def assert_same_groups(got, want):
+    assert len(got) == len(want)
+    for (idx, vals), (ref_idx, ref_vals) in zip(got, want):
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(vals, ref_vals)
+
+
+def assert_blocks_of_own_data(liouv):
+    """The blocks a covariant builder hands over are those the dense scan
+    finds in the scattered matrix: same groups, same order, same bits."""
+    data = liouv.data
+    idx = _blocks(data)
+    assert_same_groups(liouv.blocks, [(i, _sub(data, i)) for i in idx])
+    assert all(np.array_equal(a, b) for a, b in zip(idx, reference_blocks(data)))
+
+
+def test_covariant_blocks_equal_the_dense_scan_on_the_box(system_box):
+    for spectrum, couplings, bath in system_box:
+        for variant in COVARIANT:
+            k = build_kernel(spectrum, couplings, bath, variant)
+            assert_blocks_of_own_data(build_liouvillian(spectrum, k))
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+@pytest.mark.parametrize("family", ["generic", "harmonic"])
+def test_covariant_blocks_equal_the_dense_scan_above_the_box(d, family):
+    for variant in COVARIANT:
+        assert_blocks_of_own_data(liouvillian(spectra(d)[family], variant))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_scan_matches_the_graph_search(seed):
+    # sparse random patterns: chains, stars and isolated pairs mixed, with
+    # a few explicit zeros that must not join blocks
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    data = np.zeros((n, n), dtype=complex)
+    hits = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+    data[hits[:, 0], hits[:, 1]] = rng.standard_normal(len(hits)) + 1j
+    data[rng.integers(0, n, 5), rng.integers(0, n, 5)] = 0.0
+    want = reference_blocks(data)
+    got = _blocks(data)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_dense_kernels_keep_their_one_block():
+    # redfield connects every pair; its one block is the dense matrix itself
+    liouv = liouvillian(spectra(5)["generic"], "redfield-in")
+    (idx, vals), = liouv.blocks
+    assert np.array_equal(idx, np.arange(25)[None])
+    assert np.shares_memory(liouv.data, vals)
+
+
+def test_covariant_runs_stay_below_one_dense_kernel():
+    # d=48 generic: one d^4 complex array is 85 MB; the block forms of
+    # both covariant generators never build it
+    d = 48
+    t = np.linspace(0.0, 5.0, 11)
+    tracemalloc.start()
+    try:
+        for variant in COVARIANT:
+            liouv = liouvillian(spectra(d)["generic"], variant)
+            steady_state(liouv)
+            evolve_markov(liouv, excited(d), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d ** 4, peak

@@ -36,6 +36,9 @@ from qmekit.diagnostics import flip_gain_sign
 from qmekit.io import fmt
 from conftest import make_system, reference_jump_stack
 
+# build_kernel reports an overflow itself, so no numpy warning may escape
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 QUBIT = build_spectrum([-0.5, 0.5])
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
