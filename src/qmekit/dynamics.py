@@ -16,7 +16,9 @@ scanned for its pattern, and it is one block, a stack of one for the same
 code.  The split is exact, because off-block entries are structural
 zeros.  Non-Markovian propagation builds all memory-kernel nodes in one
 array pass and integrates with a Heun predictor-corrector and trapezoid
-memory quadrature, one history product per step.
+memory quadrature.  That recurrence is linear and time-invariant, so the
+kernel window is folded in place into one step matrix: one matrix-vector
+product per step.
 """
 
 import numpy as np
@@ -226,9 +228,15 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     for early times (no history is invented before t0), so the first
     few steps carry the documented initial transient.
     The kernel is stored once, times h, as the window [K(m h) ... K(0)],
-    and m zero rows precede t0 in the history, so a node's history sum
-    is one product with a contiguous slice; the corrector's sum at node
-    i + 1 is also the next predictor's, one history product per step.
+    and m zero rows precede t0 in the history, so a node's memory sum
+    mu_i is one product with a contiguous slice.  The Heun step is linear
+    and the same at every node: with H the coherent part plus h K(0) / 2,
+    x_{i+1} = A x_i + B mu_i + (h/2) mu_{i+1}, A = I + h H + (h H)^2 / 2
+    and B = (h/2) (I + h H).  The window is folded in place into that
+    step matrix over the m + 1 latest nodes, less the identity, so each
+    step after the first is one matrix-vector product for the increment
+    x_{i+1} - x_i; adding x_i after it keeps the rounding, and the trace
+    drift, at the size of the increment.
     """
     t = _check_grid(t_grid)
     h = t[1] - t[0]
@@ -245,23 +253,38 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     win = _memory_kernels(spectrum, couplings, corr, h * np.arange(m, -1, -1))
     win = win.transpose(1, 0, 2).reshape(dd, (m + 1) * dd)
     win *= h
-    past = win[:, :m * dd]
-    kern = win.reshape(dd, m + 1, dd)[:, ::-1]           # kern[:, j] = h K(j h)
+    blk = win.reshape(dd, m + 1, dd)                      # blk[:, m - j] = h K(j h)
     # the node's own state enters with the coherent part and half of K(0)
-    head = build_liouvillian(spectrum, Superoperator(d, 0.5 * kern[:, 0])).data
+    head = build_liouvillian(spectrum, Superoperator(d, 0.5 * blk[:, m])).data
     hist = np.zeros((m + t.size, dd), dtype=complex)      # node i at row m + i
-    hist[m] = rho.ravel()
-    # mem: what the earlier nodes add to a node's derivative, the history
-    # sum minus half its far end (t0 while the window is still short);
-    # node 0 has no memory, so its far end is itself and cancels the head
-    mem = -0.5 * (kern[:, 0] @ hist[m])
+    x0 = hist[m] = rho.ravel()
     with np.errstate(over="ignore", invalid="ignore"):   # _trajectory reports it
-        for i in range(t.size - 1):
-            x = hist[m + i]
-            f0 = head @ x + mem
-            j = min(i + 1, m)
-            mem = past @ hist[i + 1:i + 1 + m].ravel() - 0.5 * (kern[:, j] @ hist[m + i + 1 - j])
-            hist[m + i + 1] = x + 0.5 * h * (f0 + head @ (x + h * f0) + mem)
+        # the first step unfused: node 0 has no memory, so its far end is
+        # itself and cancels the head's half of K(0) exactly, and A's H^2
+        # may overflow where this state is still finite
+        f0 = head @ x0 - 0.5 * (blk[:, m] @ x0)
+        hist[m + 1] = x0 + 0.5 * h * (f0 + head @ (x0 + h * f0) + 0.5 * (blk[:, m - 1] @ x0))
+        # mu_i is the window, far end halved, times rows i .. i + m - 1;
+        # while t0 is inside the window (0 < i < m) it takes c[i] =
+        # -h K(i h) x0 / 2 more, which enters x_{i+1} as the row
+        # early[i - 1] = B c[i] + (h/2) c[i + 1]
+        c = -0.5 * np.einsum("akb,b->ka", blk[:, ::-1], x0)
+        c[m] = 0.0
+        a = h * head @ (np.eye(dd) + 0.5 * h * head)          # A - I
+        b = 0.5 * h * (np.eye(dd) + h * head)
+        early = c[1:m] @ b.T + 0.5 * h * c[2:]
+        # fold right to left: block k = B mu-block k + (h/2) mu-block k - 1,
+        # and the node's own block m also takes A - I
+        blk[:, 0] *= 0.5
+        blk[:, m] = a + 0.5 * h * blk[:, m - 1]
+        for k in range(m - 1, 0, -1):
+            blk[:, k] = b @ blk[:, k] + 0.5 * h * blk[:, k - 1]
+        blk[:, 0] = b @ blk[:, 0]
+        for i in range(1, t.size - 1):
+            np.dot(win, hist[i:i + m + 1].ravel(), out=hist[m + i + 1])
+            hist[m + i + 1] += hist[m + i]
+            if i < m:
+                hist[m + i + 1] += early[i - 1]
     return _trajectory(t, hist[m:].reshape(t.size, d, d), "heun-nonlocal")
 
 

@@ -192,6 +192,7 @@ def test_nonlocal_matches_markov_for_short_memory():
     assert np.max(nl.trace_drift) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_propagation_names_the_first_time():
     # a rate so large that the propagated states overflow within a step
     # or two

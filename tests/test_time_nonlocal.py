@@ -1,7 +1,10 @@
 """The time-nonlocal layer against the per-tau, per-channel-pair and
 per-step code it replaced, kept here as references: the scalar,
 recursive correlation lookup, the looped memory kernels and
-double-commutator quadrature, and the window-rebuilding Heun stepper."""
+double-commutator quadrature, and the window-rebuilding Heun stepper.
+Also the stepper's order in h and its peak memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,19 +217,57 @@ def test_memory_kernels_match_the_per_tau_loop(d, family, coupling):
     assert np.shares_memory(got.transpose(1, 0, 2).reshape(d * d, -1), got)
 
 
-@pytest.mark.parametrize("m", [1, 5])
+# (memory nodes m, grid points): the first m nodes see a window shorter
+# than the memory; at m = 14 only the last node sees all of it, at m = 20
+# none does, and a 2-point grid is the first step alone
+WINDOWS = [(1, 15), (5, 15), (14, 15), (20, 15), (1, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("m, points", WINDOWS,
+                         ids=[f"{m}" if n == 15 else f"{m}-points{n}" for m, n in WINDOWS])
 @pytest.mark.parametrize("d, family, coupling", CASES, ids=IDS)
-def test_nonlocal_states_match_the_window_stepper(d, family, coupling, m):
+def test_nonlocal_states_match_the_window_stepper(d, family, coupling, m, points):
     spectrum, couplings, bath = system(d, family, coupling, 10 + d)
     h = 0.05
     corr = correlation(bath, couplings, h / 4, 4 * m + 3, m * h)
     rho0 = np.zeros((d, d), dtype=complex)
     rho0[-1, -1] = 1.0
-    # 14 steps: the first m nodes see a window shorter than the memory
-    t = np.arange(15) * h
+    t = np.arange(points) * h
     got = evolve_nonlocal(spectrum, couplings, corr, rho0, t).states
     want = reference_evolve_nonlocal(spectrum, couplings, corr, rho0, t)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_nonlocal_stepper_is_second_order_in_h():
+    # one tau grid for h, h/2 and h/4, so every memory node is a grid point
+    spectrum, couplings, bath = system(2, "generic", "hermitian", 2)
+    h = 0.1
+    corr = correlation(bath, couplings, h / 4, 41, 1.0)
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    finals = [evolve_nonlocal(spectrum, couplings, corr, rho0,
+                              np.linspace(0.0, 2.0, 20 * refine + 1)).states[-1]
+              for refine in (1, 2, 4)]
+    ratio = np.max(np.abs(finals[0] - finals[1])) / np.max(np.abs(finals[1] - finals[2]))
+    assert 3.0 <= ratio <= 5.0
+
+
+@pytest.mark.parametrize("d, m", [(12, 50), (8, 200)])
+def test_nonlocal_peak_memory_stays_near_one_window(d, m):
+    # the (d^2, (m + 1) d^2) kernel window is the one large array; a step
+    # matrix built beside it, not in it, would double the peak
+    spectrum, couplings, bath = system(d, "generic", "hermitian", d)
+    h = 0.05
+    corr = correlation(bath, couplings, h / 4, 4 * m + 3, m * h)
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[-1, -1] = 1.0
+    tracemalloc.start()
+    try:
+        evolve_nonlocal(spectrum, couplings, corr, rho0, np.arange(11) * h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window = d ** 4 * (m + 1) * np.dtype(complex).itemsize
+    assert peak < 1.5 * window
 
 
 @pytest.mark.parametrize("d, family, coupling", CASES, ids=IDS)
