@@ -112,7 +112,10 @@ def _matrix(x, path, dim):
 
 
 def _tabulated(path, n_channels, beta=None):
-    spec = _bath.tabulated_spectrum(path, beta=beta)
+    try:
+        spec = _bath.tabulated_spectrum(path, beta=beta)
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail("bath.path", str(exc))
     if spec.n_channels != n_channels:
         _fail("bath.path", f"tabulated file has {spec.n_channels} channels, "
                            f"couplings have {n_channels}")
@@ -323,12 +326,13 @@ def _parse_validate(d):
 
 
 def parse_config(doc):
-    """Parse and fully validate a config document (dict or JSON text)."""
+    """Parse and fully validate a config document (dict, or JSON text as
+    str or UTF-8 bytes)."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config is not valid JSON: {exc}")
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise InputError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("config: expected a JSON object at top level")
     unknown = set(doc) - {"spectrum", "couplings", "bath", "experiment", "validate"}
@@ -633,7 +637,7 @@ def main(argv=None):
     except SystemExit as exc:       # argparse: 2 for bad argv, 0 for --help
         return exc.code
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_bytes()
     except OSError as exc:
         print(f"error: --config: {exc}", file=sys.stderr)
         return 2
@@ -642,8 +646,11 @@ def main(argv=None):
         if args.seed is not None:
             cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command][0](cfg, args, out_dir)
+        try:                        # after parsing, only the writers touch files
+            out_dir.mkdir(parents=True, exist_ok=True)
+            return COMMANDS[args.command][0](cfg, args, out_dir)
+        except OSError as exc:
+            raise InputError(f"--out: {exc}") from None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

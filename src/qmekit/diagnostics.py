@@ -10,9 +10,9 @@ two situations instead of collapsing them.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import expm
 
 from .core import InputError
+from .dynamics import expm
 from .kernels import _jump_kernel, build_kernel, kernel_difference, trace_condition_residual
 from . import io as _io
 

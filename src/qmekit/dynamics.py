@@ -18,12 +18,12 @@ zeros.  Non-Markovian propagation builds all memory-kernel nodes in one
 array pass and integrates with a Heun predictor-corrector and trapezoid
 memory quadrature.  That recurrence is linear and time-invariant, so the
 kernel window is folded in place into one step matrix: one matrix-vector
-product per step.
+product per step.  scipy is imported on first use (``expm``, ``solve_ivp``
+below), so only the propagating commands load it.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import expm
 
 from .core import DensityMatrix, InputError, InvariantError, Superoperator
 from . import io as _io
@@ -49,6 +49,13 @@ GAP_FACTOR = 10.0              # ... and the margin the next one must clear
 # splits into blocks takes them while its largest block has at most
 # EXPM_DIM_LIMIT**2 pairs, whatever d
 EXPM_DIM_LIMIT = 16
+
+
+def expm(a):
+    """scipy.linalg.expm, imported on first use, so that the commands
+    that do not propagate load no scipy."""
+    from scipy.linalg import expm as _expm
+    return _expm(a)
 
 
 def solve_ivp(*args, **kwargs):

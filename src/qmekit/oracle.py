@@ -17,7 +17,6 @@ is one column, so its trajectory costs one matrix-vector product per time.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from dataclasses import dataclass, field
 
 from .core import InputError, InvariantError, Superoperator, lrmul
@@ -265,6 +264,7 @@ def _exact_sector(model, rho0, t_grid):
 def _hamiltonian(model):
     """The global H = H_S + H_B + H_SB as a dense matrix, assembled from
     sparse Kronecker products (identity x operator x identity per mode)."""
+    import scipy.sparse as sp
     d = model.spectrum.dim
     nm = model.n_modes
     m1 = model.n_max + 1

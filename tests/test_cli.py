@@ -105,14 +105,41 @@ def test_build_kernel_scans_the_kernel_once(tmp_path, monkeypatch, fmt):
     assert rc == 0 and len(calls) == 1
 
 
-def test_cli_import_leaves_the_integrator_out():
-    # only the adaptive propagator needs scipy.integrate, the largest import
+def run_python(code, *args):
+    """Run code in a fresh interpreter on this checkout; its stdout lines."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, qmekit.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.splitlines()
+
+
+SCIPY_LOADED = ("def scipy_loaded():\n"
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n")
+
+
+def test_cli_import_leaves_the_integrator_out():
+    # scipy is imported on first use, by the propagators only
+    code = ("import importlib, sys\n" + SCIPY_LOADED +
+            "for name in ('qmekit', 'qmekit.cli'):\n"
+            "    importlib.import_module(name)\n"
+            "    print(name, scipy_loaded())\n")
+    assert run_python(code) == ["qmekit []", "qmekit.cli []"]
+
+
+def test_only_the_propagating_commands_load_scipy(tmp_path):
+    code = ("import json, sys\n"
+            "from qmekit.cli import main\n" + SCIPY_LOADED +
+            "argv, rows = ['--config', sys.argv[1], '--out', sys.argv[2]], []\n"
+            "for command in ('build-kernel', 'steady-state', 'compare', 'block-report',\n"
+            "                'evolve'):\n"
+            "    rows.append([command, main([command, *argv]), bool(scipy_loaded())])\n"
+            "print(json.dumps(rows))\n")
+    rows = json.loads(run_python(code, write_doc(tmp_path, README_DOC),
+                                 str(tmp_path / "out"))[-1])
+    assert rows == [["build-kernel", 0, False], ["steady-state", 0, False],
+                    ["compare", 0, False], ["block-report", 0, False],
+                    ["evolve", 0, True]]
 
 
 def test_build_kernel_rejects_unknown_variant(tmp_path, capsys):
@@ -900,6 +927,17 @@ def mutated(doc, op, path, value):
 FIELD_ERROR = re.compile(r"error: \w+(\.\w+|\[\d+\])*: [^\n]*\n")
 
 
+def run_main(argv):
+    """main(argv) in process, asserting that it issues no warning; its
+    exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return rc, err.getvalue()
+
+
 def run_contract(doc, command):
     """Run one command in process; the exit code is 0, 1 or 2, nothing
     escapes main, no warning is issued, and an input error leaves --out
@@ -908,15 +946,11 @@ def run_contract(doc, command):
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(doc))
         out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main([command, "--config", str(cfg), "--out", str(out)])
+        rc, err = run_main([command, "--config", str(cfg), "--out", str(out)])
         assert rc in (0, 1, 2)
-        assert not caught, [str(w.message) for w in caught]
         if rc == 2:
             assert not out.exists() or not any(out.iterdir())
-            assert FIELD_ERROR.fullmatch(err.getvalue()), err.getvalue()
+            assert FIELD_ERROR.fullmatch(err), err
         return rc
 
 
@@ -929,3 +963,65 @@ def test_fuzz_base_documents_run(doc):
 @given(st.sampled_from(FUZZ_CASES), st.sampled_from(sorted(COMMANDS)))
 def test_fuzzed_config_keeps_the_exit_contract(case, command):
     run_contract(mutated(*case), command)
+
+
+def assert_input_error(argv, pattern, out):
+    """main exits 2 with one stderr line matching pattern, issues no
+    warning, and leaves no file in the --out directory out."""
+    rc, err = run_main(argv)
+    assert rc == 2
+    assert re.fullmatch(pattern, err), err
+    assert not out.is_dir() or not [p for p in out.rglob("*") if p.is_file()]
+
+
+OUT_ERROR = r"error: --out: [^\n]*\n"
+CONFIG_ERROR = r"error: config is not valid JSON: [^\n]*\n"
+BATH_PATH_ERROR = r"error: bath\.path: [^\n]*\n"
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_out_that_is_no_directory_is_an_input_error(tmp_path, below):
+    blocker = tmp_path / "f"
+    blocker.touch()
+    out = blocker / below
+    assert_input_error(["steady-state", "--config", write_doc(tmp_path, README_DOC),
+                        "--out", str(out)], OUT_ERROR, out)
+    assert blocker.read_bytes() == b""
+
+
+def test_writer_os_error_is_an_out_error(tmp_path):
+    out = tmp_path / "out"
+    (out / "steady-state.json").mkdir(parents=True)
+    assert_input_error(["steady-state", "--config", write_doc(tmp_path, README_DOC),
+                        "--out", str(out)], OUT_ERROR, out)
+
+
+NOT_UTF8 = b'{"spectrum": {"levels": [0.0, 1.0]}, "x": "\xff"}'
+TOO_DEEP = b"[" * 100000
+
+
+@pytest.mark.parametrize("text", [NOT_UTF8, TOO_DEEP], ids=["not-utf8", "too-deep"])
+def test_config_that_json_cannot_read_is_an_input_error(tmp_path, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    assert_input_error(["compare", "--config", str(cfg), "--out", str(out)],
+                       CONFIG_ERROR, out)
+    assert not out.exists()
+    with pytest.raises(core.InputError, match="config is not valid JSON"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("table", ["missing", "directory", "not-utf8"])
+def test_unreadable_tabulated_bath_names_bath_path(tmp_path, table):
+    path = tmp_path / "bath.csv"
+    if table == "directory":
+        path.mkdir()
+    elif table == "not-utf8":
+        path.write_bytes(b'omega,"re[S,S]","im[S,S]"\n-1.0,0.5,0\xff\n')
+    doc = qubit_doc(bath={"kind": "tabulated", "path": str(path)})
+    doc["couplings"] = {"kind": "hermitian", "matrix": SIGMA_X}
+    out = tmp_path / "out"
+    assert_input_error(["build-kernel", "--config", write_doc(tmp_path, doc),
+                        "--out", str(out)], BATH_PATH_ERROR, out)
+    assert not out.exists()
