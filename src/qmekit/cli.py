@@ -10,6 +10,8 @@ Exit codes: 0 ok, 1 invariant breach, 2 input error.
 """
 
 import argparse
+import errno
+import os
 import sys
 import json
 import numpy as np
@@ -437,8 +439,7 @@ def _write_trajectory(traj, out_dir, stem, fmt):
 
 def cmd_evolve(cfg, args, out_dir):
     # the nonlocal run goes first, so its input checks precede all
-    # propagation; both trajectories and the diagnostics are computed
-    # before the first file is written, so a failed run writes nothing
+    # propagation
     exp = cfg.experiment
     nl = None
     if exp.nonlocal_params:
@@ -628,6 +629,19 @@ def _parser():
 PARSER = _parser()
 
 
+class _Staged(list):
+    """--out as the commands see it: ``out / name`` is ``<name>.part``
+    there, which main renames to ``name`` once the command has returned."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __truediv__(self, name):
+        self.append(os.path.join(self.path, name))
+        return self[-1] + ".part"
+
+
 # explicit checks catch every non-finite value (the kernel and trajectory
 # builders, the writers), so no numpy warning is printed on any exit
 @np.errstate(all="ignore")
@@ -645,12 +659,22 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.seed is not None:
             cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
-        out_dir = Path(args.out)
+        out = _Staged(args.out)
         try:                        # after parsing, only the writers touch files
-            out_dir.mkdir(parents=True, exist_ok=True)
-            return COMMANDS[args.command][0](cfg, args, out_dir)
+            Path(out.path).mkdir(parents=True, exist_ok=True)
+            rc = COMMANDS[args.command][0](cfg, args, out)
+            for target in out:      # no file moves unless all can
+                if os.path.isdir(target):
+                    raise IsADirectoryError(errno.EISDIR, "Is a directory", target)
+            for target in out:
+                os.replace(target + ".part", target)
+            out.clear()
+            return rc
         except OSError as exc:
             raise InputError(f"--out: {exc}") from None
+        finally:                    # a run that fails leaves no file
+            for part in [t + ".part" for t in out if os.path.isfile(t + ".part")]:
+                os.unlink(part)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,6 +127,13 @@ def test_cli_import_leaves_the_integrator_out():
     assert run_python(code) == ["qmekit []", "qmekit.cli []"]
 
 
+def test_cli_import_leaves_the_csv_formatter_tables_unbuilt():
+    # the tables are built on the first dense CSV chunk, not at start-up
+    code = ("import qmekit.cli, qmekit.io\n"
+            "print(qmekit.io._g17_tables.cache_info().currsize)\n")
+    assert run_python(code) == ["0"]
+
+
 def test_only_the_propagating_commands_load_scipy(tmp_path):
     code = ("import json, sys\n"
             "from qmekit.cli import main\n" + SCIPY_LOADED +
@@ -994,6 +1001,22 @@ def test_writer_os_error_is_an_out_error(tmp_path):
     (out / "steady-state.json").mkdir(parents=True)
     assert_input_error(["steady-state", "--config", write_doc(tmp_path, README_DOC),
                         "--out", str(out)], OUT_ERROR, out)
+
+
+@pytest.mark.parametrize("command, doc, last", [
+    ("build-kernel", README_DOC, "kernel-lindblad-report.json"),
+    ("evolve", QUTRIT_DOC, "evolve-diagnostics.json"),
+])
+def test_a_failed_last_write_leaves_none_of_the_earlier_files(tmp_path, command, doc,
+                                                              last):
+    # the payload files are written first; all are staged as .part until
+    # the last write is done, so none of them reaches --out
+    out = tmp_path / "out"
+    (out / last).mkdir(parents=True)
+    assert_input_error([command, "--config", write_doc(tmp_path, doc), "--out", str(out)],
+                       rf"error: --out: \[Errno \d+\] Is a directory: "
+                       rf"{re.escape(repr(str(out / last)))}\n", out)
+    assert [p.name for p in out.iterdir()] == [last]
 
 
 NOT_UTF8 = b'{"spectrum": {"levels": [0.0, 1.0]}, "x": "\xff"}'

@@ -1,8 +1,10 @@
-"""Canonical text forms: the bulk CSV row writer against per-float fmt,
-and the JSON emitter against the two-pass serializer it replaced."""
+"""Canonical text forms: the numpy %.17g formatter against Python's,
+the bulk CSV row writer against per-float fmt, and the JSON emitter
+against the two-pass serializer it replaced."""
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 
 import qmekit.io
 from qmekit.core import InputError
-from qmekit.io import CSV_CHUNK_VALUES, canonical_dumps, fmt, write_csv_rows, write_json
+from qmekit.io import (CSV_CHUNK_VALUES, G17_BATCH, _g17, canonical_dumps, fmt,
+                       write_csv_rows, write_json)
 
 
 def per_float(table, index=False):
@@ -81,7 +84,11 @@ def csv_tables(draw):
     table *= rng.choice([-1.0, 1.0], shape)
     edge = rng.random(shape) < 0.1
     table[edge] = rng.choice(CSV_EDGES, edge.sum())
-    zero = rng.random(shape) < draw(st.sampled_from([0.02, 0.5, 0.98]))
+    share = draw(st.sampled_from([0.02, 0.5, 0.98, None]))
+    # None: every other value is zero, so a chunk of an even width is
+    # exactly half nonzero, the density where the writer changes path
+    zero = (np.arange(table.size).reshape(shape) % 2 == 1 if share is None
+            else rng.random(shape) < share)
     table[zero] = rng.choice([0.0, -0.0], zero.sum())
     return table, index
 
@@ -101,6 +108,112 @@ def test_row_numbers_cross_a_power_of_ten_inside_a_chunk(tmp_path):
     text = written(tmp_path / "t.csv", table, index=True)
     assert text == per_float(table, index=True)
     assert "9999,0,-0.5\n10000,0,0.5\n" in text
+
+
+def g17_texts(values):
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _g17(values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_g17_matches_percent_g(tmp_path_factory, values):
+    assert g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+    # as one row and as one column, through either path of the writer
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    for table in (values[None], values[:, None]):
+        assert written(path, table, index=True) == per_float(table, index=True)
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-308, 309)])
+# n + 2^-j, n of 18 - j digits: 18 significant digits, the last a 5, so
+# rounding to 17 is an exact tie (1000 + 2^-14 = 1000.00006103515625)
+TIES = np.array([n + 2.0 ** -j for j in range(4, 17)
+                 for n in (10 ** (17 - j), 2 * 10 ** (17 - j) - 1, 9 * 10 ** (17 - j) + 1)])
+
+
+@pytest.mark.parametrize("values", [
+    np.concatenate([np.nextafter(POWERS_OF_TEN, 0), POWERS_OF_TEN,
+                    np.nextafter(POWERS_OF_TEN, np.inf)]),
+    TIES,
+    np.concatenate([base + np.arange(-64.0, 65.0) * step
+                    for base, step in ((2.0 ** 53, 1), (1e16, 2), (1e17, 16))]),
+    np.array([0.5, 1e5, 123000.0, 2.5e-5, 0.0, -0.0, 1e-4, 1e-5, 1e16, 1e17]),
+    np.array([5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3e-320]),
+    np.array([1.7976931348623157e308, -1.7976931348623157e308, 1e280, 1e-280]),
+], ids=["powers-of-ten", "ties", "integers", "trailing-zeros", "subnormals", "extremes"])
+def test_g17_fixed_vectors(values):
+    texts = g17_texts(values)
+    assert texts == ["%.17g" % v for v in values.tolist()]
+    assert not _g17(values)[:, -1].any()          # the writer's separator byte
+
+
+def test_g17_spot_values():
+    values = np.array([1000.00006103515625, 123000.0, 2.5e-5, 1e16, 1e17, -0.0, 5e-324])
+    assert g17_texts(values) == [
+        "1000.0000610351562", "123000", "2.5000000000000001e-05", "10000000000000000",
+        "1e+17", "-0", "4.9406564584124654e-324"]
+
+
+def dense_table(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+
+
+def alternating_chunks(index):
+    """Chunks of four columns, dense and sparse in turn."""
+    step = CSV_CHUNK_VALUES // (4 + index)
+    table = dense_table((4 * step + 7, 4))
+    sparse = (np.arange(len(table)) // step % 2 == 1)[:, None] & (np.arange(4) > 0)
+    table[sparse] = 0.0
+    return table
+
+
+def single_column():
+    table = dense_table((5001, 1))
+    table[::3] = -0.0
+    return table
+
+
+@pytest.mark.parametrize("index", [False, True])
+@pytest.mark.parametrize("make, batches", [
+    # 4096-row chunks of two columns with index: rows 9999 and 10000 share one
+    (lambda index: dense_table((12289, 2)), 7),
+    # 1365 rows of three columns per batch, so batches split the chunks
+    (lambda index: dense_table((5000, 3)), 5),
+    (alternating_chunks, 4),
+    (lambda index: single_column(), 2),
+], ids=["rows-cross-10000", "batch-boundary", "alternating-chunks", "single-column"])
+def test_dense_chunks_match_per_float_fmt(tmp_path, monkeypatch, index, make, batches):
+    table = make(index)
+    calls = []
+
+    def counted(values):
+        calls.append(values.size)
+        return _g17(values)
+
+    monkeypatch.setattr(qmekit.io, "_g17", counted)
+    text = written(tmp_path / "t.csv", table, index)
+    assert text == per_float(table, index)
+    assert len(calls) >= batches and max(calls) <= G17_BATCH
+    assert (sum(calls) < table.size) == (make is alternating_chunks)
+    if index and len(table) > 10000:
+        assert "\n9999," in text and "\n10000," in text
+
+
+@pytest.mark.parametrize("rows", [1001, 10010])
+def test_dense_rows_hold_one_batch_in_memory(tmp_path, rows):
+    table = dense_table((rows, 75))
+    path = tmp_path / "t.csv"
+    header = [f"c{j}" for j in range(75)]
+    write_csv_rows(path, header, table)          # builds the formatter's tables
+    tracemalloc.start()
+    try:
+        write_csv_rows(path, header, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("index, rows", [(True, "0,\n1,\n2,\n"), (False, "\n\n\n")])
