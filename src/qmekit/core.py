@@ -232,6 +232,8 @@ class CouplingChannelSet:
         m = np.asarray(self.matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise InputError("coupling matrices must be a (n, d, d) array")
+        if not np.isfinite(m).all():
+            raise InputError("coupling matrices must be finite")
         object.__setattr__(self, "matrices", m)
         n = m.shape[0]
         adj = tuple(int(a) for a in self.adjoint_map)
@@ -288,6 +290,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("density matrix must be square")
+        if not np.isfinite(m).all():
+            raise InputError("density matrix must be finite")
         object.__setattr__(self, "matrix", m)
         if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
             raise InputError("density matrix is not hermitian within tol_herm")

@@ -5,7 +5,8 @@ examined at a few relaxation-scale times, and a family of states is
 pushed through the map looking for a negative eigenvalue.  A negative
 Choi eigenvalue alone proves the map is not CP but not that any state
 goes bad (positive non-CP maps exist), so the verdicts distinguish the
-two situations instead of collapsing them.
+two situations instead of collapsing them.  Each probe set is one
+stack of propagators, and both probes are array operations on it.
 """
 
 import numpy as np
@@ -34,15 +35,17 @@ EC_AGREEMENT_LIMIT = 1e-12
 
 
 def choi_matrix(superop_data, dim):
-    """Choi matrix of a superoperator given on the flat pair index.
+    """Choi matrix of a superoperator given on the flat pair index, or
+    the stack of Choi matrices of a (..., d^2, d^2) stack.
 
     Row index (p, q), column (p', q'): C[(p q), (p' q')] = T[p p', q q'].
     The map is CP iff C is positive semidefinite; hermiticity
     preservation of the map is hermiticity of C.
     """
     d = int(dim)
-    t = np.asarray(superop_data, dtype=complex).reshape(d, d, d, d)
-    return t.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    t = np.asarray(superop_data, dtype=complex)
+    c = t.reshape(-1, d, d, d, d).swapaxes(2, 3)
+    return c.reshape(t.shape[:-2] + (d * d, d * d))
 
 
 def default_probe_times(kernel):
@@ -61,6 +64,13 @@ def default_probe_times(kernel):
     return (0.1 / rate, 1.0 / rate, 10.0 / rate)
 
 
+def _propagators(liouv, t_probes):
+    t = np.asarray(t_probes, dtype=float)
+    if t.size == 0:
+        raise InputError("t_probes is empty: there is no probe time to check")
+    return t, expm(liouv.data * t[:, None, None])
+
+
 def choi_spectrum(liouv, t_probes):
     """Smallest Choi eigenvalue of exp(L t) at each probe time.
 
@@ -68,24 +78,21 @@ def choi_spectrum(liouv, t_probes):
     matrix sits from hermitian, reported rather than silently absorbed
     by the hermitization that precedes the eigensolve.
     """
-    d = liouv.dim
-    mins, defects = [], []
-    for t in t_probes:
-        prop = expm(liouv.data * float(t))
-        c = choi_matrix(prop, d)
-        defects.append(float(np.max(np.abs(c - c.conj().T))))
-        ch = (c + c.conj().T) / 2
-        mins.append(float(np.linalg.eigvalsh(ch)[0]))
-    return np.array(mins), np.array(defects)
+    return _choi_spectrum(_propagators(liouv, t_probes)[1], liouv.dim)
+
+
+def _choi_spectrum(props, d):
+    c = choi_matrix(props, d)
+    ch = c.conj().swapaxes(1, 2)
+    return np.linalg.eigvalsh((c + ch) / 2)[:, 0], np.max(np.abs(c - ch), axis=(1, 2))
 
 
 def _probe_states(dim, n_random, seed):
-    rng = np.random.default_rng(seed)
-    states = [np.eye(dim, dtype=complex)[k] for k in range(dim)]
-    for _ in range(n_random):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        states.append(v / np.linalg.norm(v))
-    return states
+    # the basis kets, then random kets: each draws its real part, then its imaginary part
+    raw = np.random.default_rng(seed).standard_normal((n_random, 2, dim))
+    v = raw[:, 0] + 1j * raw[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.concatenate([np.eye(dim, dtype=complex), v])
 
 
 def positivity_scan(liouv, t_probes, n_random=64, seed=0):
@@ -95,20 +102,18 @@ def positivity_scan(liouv, t_probes, n_random=64, seed=0):
     witness through the same propagator reproduces min_eig, which makes
     a reported violation checkable instead of anecdotal.
     """
-    d = liouv.dim
-    worst = np.inf
-    witness = None
-    for t in t_probes:
-        prop = expm(liouv.data * float(t))
-        for ket in _probe_states(d, n_random, seed):
-            rho = np.outer(ket, ket.conj())
-            out = (prop @ rho.ravel()).reshape(d, d)
-            out = (out + out.conj().T) / 2
-            low = float(np.linalg.eigvalsh(out)[0])
-            if low < worst:
-                worst = low
-                witness = (ket.copy(), float(t))
-    return worst, witness
+    t, props = _propagators(liouv, t_probes)
+    return _scan(t, props, _probe_states(liouv.dim, n_random, seed))
+
+
+def _scan(t, props, kets):
+    """Every ket through every propagator; the first minimum in (time, ket) order wins."""
+    n, d = kets.shape
+    rho = (kets[:, :, None] * kets.conj()[:, None, :]).reshape(n, d * d)
+    out = (props @ rho.T).swapaxes(1, 2).reshape(len(t), n, d, d)
+    low = np.linalg.eigvalsh((out + out.conj().swapaxes(2, 3)) / 2)[..., 0]
+    it, ik = np.unravel_index(np.argmin(low), low.shape)
+    return float(low[it, ik]), (kets[ik].copy(), float(t[it]))
 
 
 @dataclass(frozen=True)
@@ -152,22 +157,17 @@ def map_check(liouv, kernel, t_probes=None, n_random=64, seed=0):
     """
     if t_probes is None:
         t_probes = default_probe_times(kernel)
-    choi_min, defects = choi_spectrum(liouv, t_probes)
-    scan_min, witness = positivity_scan(liouv, t_probes, n_random, seed)
+    t, props = _propagators(liouv, t_probes)
+    choi_min, defects = _choi_spectrum(props, liouv.dim)
+    scan_min, (wk, wt) = _scan(t, props, _probe_states(liouv.dim, n_random, seed))
     if np.all(choi_min >= -CHOI_TOL):
-        verdict = "cp-consistent"
-        wk, wt = None, None
-    elif scan_min < -CHOI_TOL:
-        verdict = "positivity-violating"
-        wk, wt = witness
+        verdict, wk, wt = "cp-consistent", None, float("nan")
     else:
-        verdict = "inconclusive"
-        wk, wt = witness
+        verdict = "positivity-violating" if scan_min < -CHOI_TOL else "inconclusive"
     return MapCheck(
-        verdict=verdict, probe_times=tuple(float(t) for t in t_probes),
+        verdict=verdict, probe_times=tuple(t.tolist()),
         choi_min=choi_min, choi_herm_defect=defects,
-        scan_min=float(scan_min), witness_ket=wk,
-        witness_time=wt if wt is not None else float("nan"),
+        scan_min=scan_min, witness_ket=wk, witness_time=wt,
     )
 
 

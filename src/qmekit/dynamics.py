@@ -262,7 +262,8 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     win *= h
     blk = win.reshape(dd, m + 1, dd)                      # blk[:, m - j] = h K(j h)
     # the node's own state enters with the coherent part and half of K(0)
-    head = build_liouvillian(spectrum, Superoperator(d, 0.5 * blk[:, m])).data
+    head = 0.5 * blk[:, m]
+    head.flat[::dd + 1] += -1j * spectrum.bohr_matrix().ravel()
     hist = np.zeros((m + t.size, dd), dtype=complex)      # node i at row m + i
     x0 = hist[m] = rho.ravel()
     with np.errstate(over="ignore", invalid="ignore"):   # _trajectory reports it

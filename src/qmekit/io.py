@@ -136,11 +136,12 @@ def write_csv_rows(path, header, table, index=False):
     table = np.asarray(table, dtype=float)
     if table.ndim != 2:
         raise InputError(f"CSV table must be 2-d, got shape {table.shape}")
-    finite = np.isfinite(table)
-    if not finite.all():
-        fmt(table[~finite][0])               # raises, naming the value
     n_rows, n_cols = table.shape
     step = max(1, CSV_CHUNK_VALUES // max(n_cols + index, 1))
+    for start in range(0, n_rows, step):     # every chunk is checked before the open
+        bad = ~np.isfinite(table[start:start + step])
+        if bad.any():
+            fmt(table[start:start + step][bad][0])   # raises, naming the value
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, step):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmekit.bath import flat_spectrum
 from qmekit.core import (
     DensityMatrix,
     CouplingChannelSet,
@@ -17,7 +18,11 @@ from qmekit.core import (
     ladder_channels,
     lrmul,
 )
+from qmekit.dynamics import build_liouvillian, evolve_markov
+from qmekit.kernels import build_kernel
 from conftest import make_system, reference_bohr_bins, reference_jump_stack
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_mul_superoperators_match_direct_products():
@@ -249,6 +254,27 @@ def test_density_matrix_validation():
     assert abs(rho.matrix[0, 0] - 0.36) < 1e-15
     mixed = DensityMatrix.maximally_mixed(3)
     assert abs(mixed.min_eigenvalue() - 1 / 3) < 1e-15
+
+
+NON_FINITE = (np.nan, np.inf, complex(0.0, np.inf))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_validated_types_reject_non_finite_entries(bad):
+    rho = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(InputError, match="density matrix must be finite"):
+        DensityMatrix(rho)
+    s = np.array([[0.0, bad], [bad, 0.0]], dtype=complex)
+    with pytest.raises(InputError, match="coupling matrices must be finite"):
+        hermitian_channel(s)
+    with pytest.raises(InputError, match="coupling matrices must be finite"):
+        CouplingChannelSet(np.stack([s, s.conj().T]), ("a", "b"), adjoint_map=(1, 0))
+    qubit = build_spectrum([0.0, 1.0])
+    sx = hermitian_channel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    liouv = build_liouvillian(qubit, build_kernel(qubit, sx, flat_spectrum(1, 0.3),
+                                                  "lindblad"))
+    with pytest.raises(InputError, match="density matrix must be finite"):
+        evolve_markov(liouv, rho, np.linspace(0.0, 1.0, 3))
 
 
 def test_superoperator_reshape_consistency():

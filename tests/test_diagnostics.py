@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qmekit import diagnostics
 from qmekit.bath import flat_spectrum, thermal_ohmic_spectrum
 from qmekit.core import InputError, Superoperator, build_spectrum, hermitian_channel, ladder_channels
-from qmekit.kernels import build_kernel, trace_condition_residual
+from qmekit.kernels import VARIANT_TAGS, build_kernel, trace_condition_residual
 from qmekit.dynamics import build_liouvillian
 from qmekit.io import canonical_dumps
 from qmekit.diagnostics import (
@@ -19,7 +20,9 @@ from qmekit.diagnostics import (
     map_check,
     positivity_scan,
 )
+from conftest import make_system, BOX_SIZE
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 QUBIT = build_spectrum([-0.5, 0.5])
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,3 +172,115 @@ def test_in_out_entries_keep_index_order_among_ties():
     assert [e["population_block"] for e in rep["entries"]] == [
         True, False, True, False, False, True]
     assert rep["n_entries"] == 6 and rep["population_block_touched"] is True
+
+
+def _reference_probes(liouv, t_probes, n_random=64, seed=0):
+    """The per-time, per-ket loops the batched probes replace: Choi
+    minima and defects, every scan eigenvalue in (time, ket) order, the
+    first minimum's witness and the verdict."""
+    d = liouv.dim
+    rng = np.random.default_rng(seed)
+    kets = [np.eye(d, dtype=complex)[k] for k in range(d)]
+    for _ in range(n_random):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        kets.append(v / np.linalg.norm(v))
+    mins, defects, lows, witness = [], [], [], None
+    for t in t_probes:
+        prop = expm(liouv.data * float(t))
+        c = prop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        defects.append(float(np.max(np.abs(c - c.conj().T))))
+        mins.append(float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0]))
+        for ket in kets:
+            out = (prop @ np.outer(ket, ket.conj()).ravel()).reshape(d, d)
+            low = float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
+            if not lows or low < min(lows):
+                witness = (ket.copy(), float(t))
+            lows.append(low)
+    if np.all(np.array(mins) >= -CHOI_TOL):
+        verdict = "cp-consistent"
+    else:
+        verdict = "positivity-violating" if min(lows) < -CHOI_TOL else "inconclusive"
+    return np.array(mins), np.array(defects), np.sort(lows), witness, verdict
+
+
+def _probe_cases():
+    """(name, generator, kernel, n_random): the seeded box in all five
+    variants with 16 random kets, so that the reference loops stay quick,
+    then the redfield-in three-level system and the flipped-gain qubit."""
+    for seed in range(BOX_SIZE):
+        spectrum, couplings, bath = make_system(seed)
+        for variant in VARIANT_TAGS:
+            omega = 0.7 if variant == "born" else None
+            k = build_kernel(spectrum, couplings, bath, variant, omega=omega)
+            yield f"box {seed} {variant}", build_liouvillian(spectrum, k), k, 16
+    k = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in")
+    yield "fix3 redfield-in", build_liouvillian(FIX3, k), k, 64
+    bad = flip_gain_sign(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, 0.3))
+    yield "flipped gain", build_liouvillian(QUBIT, bad), Superoperator(2, bad.data), 64
+
+
+def test_batched_probes_match_the_per_time_per_ket_loops():
+    verdicts = set()
+    for name, liouv, kernel, n_random in _probe_cases():
+        check = map_check(liouv, kernel, n_random=n_random)
+        mins, defects, lows, (ket, t_w), verdict = _reference_probes(
+            liouv, check.probe_times, n_random)
+        # 1e-12, relative where a runaway (born) map reaches large values
+        tol = 1e-12 * max(1.0, np.max(np.abs(mins)), abs(lows[0]))
+        assert np.max(np.abs(check.choi_min - mins)) <= tol, name
+        assert np.max(np.abs(check.choi_herm_defect - defects)) <= tol, name
+        assert check.verdict == verdict, name
+        assert abs(check.scan_min - lows[0]) <= tol, name
+        scan_min, (scan_ket, scan_t) = positivity_scan(liouv, check.probe_times, n_random)
+        assert abs(scan_min - lows[0]) <= tol, name
+        if lows[1] - lows[0] > tol:
+            assert scan_t == t_w and np.max(np.abs(scan_ket - ket)) <= 1e-15, name
+            if verdict != "cp-consistent":
+                assert check.witness_time == t_w, name
+                assert np.max(np.abs(check.witness_ket - ket)) <= 1e-15, name
+        verdicts.add(verdict)
+    assert verdicts == {"cp-consistent", "positivity-violating", "inconclusive"}
+
+
+def test_map_check_exponentiates_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagnostics, "expm", lambda a: calls.append(a.shape) or expm(a))
+    k = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in")
+    check = map_check(build_liouvillian(FIX3, k), k)
+    assert calls == [(3, 9, 9)]
+    assert check.verdict == "inconclusive"
+
+
+def test_probe_kets_draw_as_the_sequential_pairs():
+    for seed in (0, 4, 123):
+        for d in range(2, 13):
+            rng = np.random.default_rng(seed)
+            pairs = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(8)]
+            raw = np.random.default_rng(seed).standard_normal((8, 2, d))
+            assert np.array_equal(raw, np.array(pairs))
+            kets = diagnostics._probe_states(d, 8, seed)
+            assert np.array_equal(kets[:d], np.eye(d))
+            ref = [(re + 1j * im) / np.linalg.norm(re + 1j * im) for re, im in pairs]
+            assert np.max(np.abs(kets[d:] - np.array(ref))) <= 1e-15
+
+
+def test_choi_matrix_of_a_stack_is_the_stack_of_choi_matrices():
+    rng = np.random.default_rng(1)
+    d = 3
+    stack = rng.standard_normal((2, 4, d * d, d * d))
+    choi = choi_matrix(stack, d)
+    assert choi.shape == stack.shape
+    for idx in np.ndindex(2, 4):
+        assert np.array_equal(choi[idx], choi_matrix(stack[idx], d))
+
+
+def test_empty_probe_set_certifies_nothing(monkeypatch):
+    monkeypatch.setattr(diagnostics, "expm", None)      # no exponential is computed
+    k = build_kernel(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, 0.3),
+                     "lindblad")
+    liouv = build_liouvillian(QUBIT, k)
+    for probe in (lambda: map_check(liouv, k, t_probes=()),
+                  lambda: positivity_scan(liouv, ()),
+                  lambda: choi_spectrum(liouv, [])):
+        with pytest.raises(InputError, match="t_probes"):
+            probe()

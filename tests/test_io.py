@@ -216,6 +216,30 @@ def test_dense_rows_hold_one_batch_in_memory(tmp_path, rows):
     assert peak < table.nbytes + 2 ** 20
 
 
+def test_finiteness_check_holds_one_chunk(tmp_path):
+    header = [f"c{j}" for j in range(75)]
+    peaks = []
+    for rows in (1001, 10010):
+        table = dense_table((rows, 75))
+        write_csv_rows(tmp_path / "t.csv", header, table)
+        tracemalloc.start()
+        try:
+            write_csv_rows(tmp_path / "t.csv", header, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def test_non_finite_value_in_the_last_chunk_writes_nothing(tmp_path):
+    table = np.ones((3 * CSV_CHUNK_VALUES // 4 + 5, 4))
+    table[-1, 2] = np.inf
+    path = tmp_path / "t.csv"
+    with pytest.raises(InputError, match="inf"):
+        write_csv_rows(path, ["a", "b", "c", "d"], table)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("index, rows", [(True, "0,\n1,\n2,\n"), (False, "\n\n\n")])
 def test_rows_without_columns(tmp_path, index, rows):
     assert written(tmp_path / "t.csv", np.zeros((3, 0)), index) == rows
