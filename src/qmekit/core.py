@@ -325,14 +325,19 @@ class Superoperator:
     access and kept:
 
     * ``data``, the dense matrix;
-    * ``blocks``, one ``(idx, vals)`` size group per block size m of the
-      connected blocks of the nonzero pattern, in ascending m: ``idx``
-      is the (n_blocks, m) flat pair indices of each block, each row
-      ascending, and ``vals`` the (n_blocks, m, m) entries
+    * ``blocks``, one ``(idx, vals)`` size group per block size m, in
+      ascending m: ``idx`` is the (n_blocks, m) flat pair indices of each
+      block, each row ascending, and ``vals`` the (n_blocks, m, m) entries
       ``data[idx_b, idx_b]``.  Entries outside the blocks are zero.
 
-    Covariant builders hand over the blocks, so their d^4 matrix exists
-    only if something asks for ``data``.  Neither form is to be written.
+    The blocks are declared, never searched for.  The covariant builders
+    (:meth:`from_terms`) make each Bohr bin one block, so they build no
+    d^4 matrix unless something asks for ``data``; ``zero`` makes every
+    pair its own block; dense data is one block over all pairs, even
+    where its nonzero pattern splits, and such a redfield or born
+    generator pays for one d^2 x d^2 SVD and, above the exponential
+    limit of :mod:`qmekit.dynamics`, the adaptive path.  Neither form is
+    to be written.
     """
 
     def __init__(self, dim, data=None, blocks=None):
@@ -358,7 +363,7 @@ class Superoperator:
 
     @cached_property
     def blocks(self):
-        return [(idx, _sub(self.data, idx)) for idx in _blocks(self.data)]
+        return [(np.arange(len(self.data))[None], self.data[None])]
 
     def all_finite(self):
         """Whether every entry is finite, read off the form at hand."""
@@ -373,83 +378,42 @@ class Superoperator:
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
+        """The zero map, as dim^2 one-pair blocks."""
+        n = dim * dim
+        return cls(dim, blocks=[(np.arange(n)[:, None],
+                                 np.zeros((n, 1, 1), dtype=complex))])
 
     @classmethod
-    def from_terms(cls, dim, terms):
-        """Block form of a sum of coordinate terms ``(rows, cols, vals)``.
+    def from_terms(cls, dim, label, terms):
+        """Block form of a sum of coordinate terms ``(rows, cols, vals)``
+        whose every entry joins two pairs of one bin of ``label``.
 
-        The entries are added onto zero one by one in the order given,
-        as ``np.add.at`` on a dense zero matrix would add them, so every
-        entry carries the same rounding as that dense sum; the blocks are
-        those of the entries that are nonzero after the sum.  Nothing of
-        size d^4 is allocated.
+        Each bin of ``label.ravel()`` is one block, its pairs in flat
+        order; the size groups come in ascending m, and within a size the
+        bins in the order of their smallest pair.  Each term is added with
+        ``np.add.at`` in the order given, straight into the blocks, so
+        every entry carries the rounding of the same sum on a dense zero
+        matrix.  Nothing of size d^4 is allocated.
         """
-        n = dim * dim
-        rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
-        slots, where = np.unique(rows * n + cols, return_inverse=True)
-        acc = np.zeros(slots.size, dtype=complex)
-        np.add.at(acc, where, vals)
-        nz = acc != 0
-        rows, cols = np.divmod(slots[nz], n)
-        groups = _components(n, rows, cols)
-        # every group in one buffer; node k opens its block row at head[k],
-        # its block column is pos[k], so entry (r, c) sits at head[r] + pos[c]
-        head, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)
-        sizes = [idx.size * idx.shape[1] for idx in groups]
-        offsets = np.cumsum([0] + sizes)
-        for idx, off in zip(groups, offsets):
-            nb, m = idx.shape
-            head[idx] = off + m * np.arange(nb * m).reshape(nb, m)
-            pos[idx] = np.arange(m)
-        buf = np.zeros(offsets[-1], dtype=complex)
-        buf[head[rows] + pos[cols]] = acc[nz]
+        _, first, bin_of, count = np.unique(
+            np.ravel(label), return_index=True, return_inverse=True, return_counts=True)
+        order = np.lexsort((first[bin_of], count[bin_of]))    # pairs in block order
+        m = count[bin_of][order]
+        start = np.cumsum(m) - m                # buffer offset of each pair's block row
+        sizes = count[np.lexsort((first, count))]
+        # entry (r, c) of a bin sits at head[r] + pos[c] of one buffer: r
+        # opens its block row at head[r], and c is column pos[c] of its block
+        head, pos = np.empty_like(order), np.empty_like(order)
+        head[order] = start
+        pos[order] = np.arange(m.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        buf = np.zeros(m.sum(), dtype=complex)
+        for rows, cols, vals in terms:
+            np.add.at(buf, head[rows] + pos[cols], vals)
+        ms, lo = np.unique(m, return_index=True)    # size group k holds order[lo:hi]
+        hi = np.append(lo[1:], m.size)
         return cls(dim, blocks=[
-            (idx, buf[off:off + size].reshape(*idx.shape, idx.shape[1]))
-            for idx, off, size in zip(groups, offsets, sizes)])
-
-
-def _blocks(data):
-    """Connected blocks of the nonzero pattern of a dense (n, n) array;
-    see :func:`_components`.  A one-block generator gives the single
-    group arange(n)[None]."""
-    nz = data != 0
-    nz |= nz.T
-    return _components(len(data), *np.nonzero(np.triu(nz, 1)))
-
-
-def _components(n, rows, cols):
-    """Connected components of the graph on n nodes with edges (rows,
-    cols): one (n_blocks, m) array of nodes per component size m, each
-    row ascending, in ascending m; within a size, components come in the
-    order of their smallest node.
-
-    Each round hooks the larger root of every edge onto the smaller one,
-    then points every node straight at its root, until the two ends of
-    every edge share a root: that of the smallest node of their component.
-    """
-    root = np.arange(n)
-    while True:
-        a, b = root[rows], root[cols]
-        if np.array_equal(a, b):
-            break
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(up := root[root], root):
-            root = up
-    labels = np.cumsum(root == np.arange(n))[root] - 1
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    return [order[starts[sizes == m][:, None] + np.arange(m)]
-            for m in np.unique(sizes)]
-
-
-def _sub(data, idx):
-    """The stacked diagonal blocks data[idx_b, idx_b] of one size group;
-    a view of data for the one block over all pairs."""
-    if idx.shape == (1, len(data)):
-        return data[None]
-    return data[idx[:, :, None], idx[:, None, :]]
+            (order[a:b].reshape(-1, k), buf[start[a]:start[a] + (b - a) * k].reshape(-1, k, k))
+            for k, a, b in zip(ms.tolist(), lo, hi)])
 
 
 # ---------------------------------------------------------------------------

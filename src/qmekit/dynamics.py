@@ -7,16 +7,16 @@ the generator's largest block (below) has at most EXPM_DIM_LIMIT**2
 pairs, and an adaptive high-order Runge-Kutta beyond; both paths agree
 to 1e-8 where they overlap and that agreement is part of the test
 suite.  Steady states and exponentials work per block of the generator
-(``Superoperator.blocks``): the connected components of its nonzero
-pattern.  Covariant generators (energy-conserving, lindblad) map a level
-pair only to pairs of the same Bohr frequency, so they split into one
-block per Bohr bin (or finer); their builders hand over the blocks, and
-no d^4 matrix is built.  Only a dense generator (redfield, born) is
-scanned for its pattern, and it is one block, a stack of one for the same
-code.  The split is exact, because off-block entries are structural
-zeros.  Non-Markovian propagation builds all memory-kernel nodes in one
-array pass and integrates with a Heun predictor-corrector and trapezoid
-memory quadrature.  That recurrence is linear and time-invariant, so the
+(``Superoperator.blocks``), which its builder declares.  Covariant
+generators (energy-conserving, lindblad) map a level pair only to pairs
+of the same Bohr frequency, so each Bohr bin is one block; their builders
+hand over the blocks, and no d^4 matrix is built.  A dense generator
+(redfield, born) is one block, a stack of one for the same code, even
+where its coupling splits the nonzero pattern; the zero kernel is d^2
+one-pair blocks.  The split is exact, because off-block entries are
+structural zeros.  Non-Markovian propagation builds all memory-kernel
+nodes in one array pass and integrates with a Heun predictor-corrector
+and trapezoid memory quadrature.  That recurrence is linear and time-invariant, so the
 kernel window is folded in place into one step matrix: one matrix-vector
 product per step.  scipy is imported on first use (``expm``, ``solve_ivp``
 below), so only the propagating commands load it.

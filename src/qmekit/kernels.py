@@ -167,8 +167,8 @@ def energy_conserving_kernel(spectrum, couplings, bath_spec):
     nondegenerate spectra: the bins come from exact class-snapped
     energies, so the zeros are structural, not rounded.
 
-    Returned in block form: the loss and gain entries go straight into
-    the blocks of the pairs they join, in the order loss, loss, gain.
+    Returned in block form, one block per Bohr bin: the loss and gain
+    entries go straight into the blocks, in the order loss, loss, gain.
     """
     bohr, s, dtilde = _prep(spectrum, couplings, bath_spec)
     d = spectrum.dim
@@ -181,8 +181,8 @@ def energy_conserving_kernel(spectrum, couplings, bath_spec):
     p, q, b, v = _coupled_pairs(s, label)
     i, j = _partners(b, 2 * zero - b)
     gain = np.einsum("eb,ea,eab->e", v[i], v[j], g[p[j], q[j]])
-    return Superoperator.from_terms(d, [*_loss_terms(-0.5 * t1, -0.5 * t2.T),
-                                        (p[i] * d + q[j], q[i] * d + p[j], gain)])
+    return Superoperator.from_terms(d, label, [*_loss_terms(-0.5 * t1, -0.5 * t2.T),
+                                               (p[i] * d + q[j], q[i] * d + p[j], gain)])
 
 
 def _coupled_pairs(s, label):
@@ -237,7 +237,8 @@ def lindblad_kernel(spectrum, couplings, bath_spec):
 
 def _jump_kernel(spectrum, couplings, bath_spec, gain_sign):
     """Jump-form kernel with its per-bin gain blocks scaled by gain_sign,
-    in block form: the gain entries, then the two loss terms.
+    in block form, one block per Bohr bin: the gain entries, then the two
+    loss terms.
 
     Each coupled level pair lies in exactly one bin, so the gain entries
     of a bin's pairs (p, q), (p', q') land on distinct slots (pp', qq').
@@ -254,7 +255,8 @@ def _jump_kernel(spectrum, couplings, bath_spec, gain_sign):
     row = p[i] == p[j]                 # J_a^H J_b joins pairs sharing a row
     np.add.at(loss, (q[j][row], q[i][row]), block[row])
     gain = (p[i] * d + p[j], q[i] * d + q[j], gain_sign * block)
-    return Superoperator.from_terms(d, [gain, *_loss_terms(-0.5 * loss, -0.5 * loss.T)])
+    return Superoperator.from_terms(d, jumps.label,
+                                    [gain, *_loss_terms(-0.5 * loss, -0.5 * loss.T)])
 
 
 def build_kernel(spectrum, couplings, bath_spec, variant, omega=None):
