@@ -262,17 +262,12 @@ def _parse_initial_state(d, dim):
                 {"ground", "excited", "maximally-mixed", "matrix"})
     _keys(d, "experiment.initial_state",
           {"kind", "matrix"} if kind == "matrix" else {"kind"})
-    if kind == "ground":
-        m = np.zeros((dim, dim), dtype=complex)
-        m[0, 0] = 1.0
-    elif kind == "excited":
-        m = np.zeros((dim, dim), dtype=complex)
-        m[-1, -1] = 1.0
-    elif kind == "maximally-mixed":
-        m = np.eye(dim, dtype=complex) / dim
-    else:
-        m = _matrix(_req(d, "matrix", "experiment.initial_state"),
-                    "experiment.initial_state.matrix", dim)
+    if kind == "maximally-mixed":
+        return DensityMatrix.maximally_mixed(dim).matrix
+    if kind != "matrix":
+        return DensityMatrix.from_ket(np.eye(dim)[0 if kind == "ground" else -1]).matrix
+    m = _matrix(_req(d, "matrix", "experiment.initial_state"),
+                "experiment.initial_state.matrix", dim)
     try:
         return DensityMatrix(m).matrix
     except InputError as exc:

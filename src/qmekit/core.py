@@ -319,16 +319,14 @@ class DensityMatrix:
 
 
 class Superoperator:
-    """d^2 x d^2 matrix acting on row-major flattened operators.
+    """d^2 x d^2 matrix on row-major flattened operators, held as blocks.
 
-    Held in one of two forms, each derived from the other on first
-    access and kept:
-
-    * ``data``, the dense matrix;
-    * ``blocks``, one ``(idx, vals)`` size group per block size m, in
-      ascending m: ``idx`` is the (n_blocks, m) flat pair indices of each
-      block, each row ascending, and ``vals`` the (n_blocks, m, m) entries
-      ``data[idx_b, idx_b]``.  Entries outside the blocks are zero.
+    ``blocks`` holds one ``(idx, vals)`` size group per block size m, in
+    ascending m: ``idx`` is the (n_blocks, m) flat pair indices of each
+    block, each row ascending, and ``vals`` the (n_blocks, m, m) entries
+    ``data[idx_b, idx_b]``.  Entries outside the blocks are zero.
+    ``data``, the dense matrix, is built from the blocks on first access
+    and kept; a block over all pairs in order is handed back as it is.
 
     The blocks are declared, never searched for.  The covariant builders
     (:meth:`from_terms`) make each Bohr bin one block, so they build no
@@ -336,20 +334,19 @@ class Superoperator:
     pair its own block; dense data is one block over all pairs, even
     where its nonzero pattern splits, and such a redfield or born
     generator pays for one d^2 x d^2 SVD and, above the exponential
-    limit of :mod:`qmekit.dynamics`, the adaptive path.  Neither form is
+    limit of :mod:`qmekit.dynamics`, the adaptive path.  Neither view is
     to be written.
     """
 
     def __init__(self, dim, data=None, blocks=None):
         self.dim = dim
-        if blocks is not None:
-            self.blocks = blocks
-            return
-        d2 = dim * dim
-        m = np.asarray(data, dtype=complex)
-        if m.shape != (d2, d2):
-            raise InputError(f"superoperator data must be {d2} x {d2}")
-        self.data = m
+        if blocks is None:
+            d2 = dim * dim
+            m = np.asarray(data, dtype=complex)
+            if m.shape != (d2, d2):
+                raise InputError(f"superoperator data must be {d2} x {d2}")
+            blocks = [(np.arange(d2)[None], m[None])]
+        self.blocks = blocks
 
     @cached_property
     def data(self):
@@ -361,14 +358,8 @@ class Superoperator:
             out[idx[:, :, None], idx[:, None, :]] = vals
         return out
 
-    @cached_property
-    def blocks(self):
-        return [(np.arange(len(self.data))[None], self.data[None])]
-
     def all_finite(self):
-        """Whether every entry is finite, read off the form at hand."""
-        if "data" in self.__dict__:
-            return bool(np.isfinite(self.data).all())
+        """Whether every entry is finite."""
         return all(np.isfinite(vals).all() for _, vals in self.blocks)
 
     def tensor(self):
@@ -379,9 +370,7 @@ class Superoperator:
     @classmethod
     def zero(cls, dim):
         """The zero map, as dim^2 one-pair blocks."""
-        n = dim * dim
-        return cls(dim, blocks=[(np.arange(n)[:, None],
-                                 np.zeros((n, 1, 1), dtype=complex))])
+        return cls.from_terms(dim, np.arange(dim * dim).reshape(dim, dim), [])
 
     @classmethod
     def from_terms(cls, dim, label, terms):

@@ -398,25 +398,36 @@ class BlockReport:
 
 
 def block_structure_report(spectrum, kernel, threshold=1e-12):
-    """Scan the population rows/columns of a kernel for cross coupling."""
+    """Scan the population rows/columns of each block for cross coupling."""
     if kernel.dim != spectrum.dim:
         raise InputError("kernel dimension does not match spectrum")
+    if not threshold >= 0:
+        raise InputError("threshold must be non-negative")
     d = kernel.dim
-    t = kernel.tensor()
-    rng = np.arange(d)
-    off = rng[:, None] != rng[None, :]
-    rows, cols = t[rng, rng], t[:, :, rng, rng]   # K[pp, qq'], K[pp', qq]
-    # hypot rounds like the scalar abs() of the reports; np.abs may not
-    into_pop = np.hypot(rows.real, rows.imag)     # [p, q, q']
-    from_pop = np.hypot(cols.real, cols.imag)     # [p, p', q]
-    into = [((p, p), (q, q2), float(into_pop[p, q, q2])) for p, q, q2 in
-            np.argwhere((into_pop > threshold) & off[None]).tolist()]
-    out = [((p, p2), (q, q), float(from_pop[p, p2, q])) for p, p2, q in
-           np.argwhere((from_pop > threshold) & off[:, :, None]).tolist()]
+    n = d * d
+    keys, mags = [np.zeros(0, int)], [np.zeros(0)]   # empty when no block crosses
+    for idx, vals in kernel.blocks:
+        pop = idx % (d + 1) == 0                  # (p, p) has flat index p * (d + 1)
+        b, i = np.nonzero(pop)                    # population pair i of block b
+        pair, other, cross = idx[b, i, None], idx[b], ~pop[b]
+        if not cross.any():
+            continue
+        # keys order K[pp, qq'] before K[pp', qq], each like a tensor scan
+        for line, key in ((vals[b, i], pair * n + other),
+                          (vals[b, :, i], (n + other) * n + pair)):
+            # hypot rounds like the scalar abs() of the reports; np.abs may not
+            mag = np.hypot(line.real, line.imag)
+            hit = (mag > threshold) & cross
+            keys.append(key[hit])
+            mags.append(mag[hit])
+    key = np.concatenate(keys)
+    order = np.argsort(key)
+    out, *pairs = np.unravel_index(key[order], (2,) + (d,) * 4)   # out: K[pp', qq]
+    cols = [a.tolist() for a in (*pairs, np.concatenate(mags)[order])]
     return BlockReport(
-        coherences_feed_populations=bool(into),
-        populations_feed_coherences=bool(out),
-        cross_entries=into + out,
+        coherences_feed_populations=bool((out == 0).any()),
+        populations_feed_coherences=bool(out.any()),
+        cross_entries=[((p, p2), (q, q2), v) for p, p2, q, q2, v in zip(*cols)],
         degeneracy_classes=[list(map(int, c)) for c in spectrum.classes()],
         threshold=float(threshold),
     )

@@ -292,6 +292,40 @@ def test_superoperator_reshape_consistency():
         Superoperator(2, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_dense_data_is_stored_as_one_block(d):
+    n = d * d
+    data = np.random.default_rng(d).standard_normal((n, n)) + 0j
+    sup = Superoperator(d, data)
+    (idx, vals), = sup.blocks
+    assert np.array_equal(idx, np.arange(n)[None]) and vals.shape == (1, n, n)
+    assert np.shares_memory(vals, data) and np.array_equal(vals[0], data)
+    assert np.shares_memory(sup.data, data) and np.array_equal(sup.data, data)
+    assert sup.all_finite()
+    with pytest.raises(InputError, match=f"superoperator data must be {n} x {n}"):
+        Superoperator(d, np.zeros((n, n + 1)))
+
+
+def test_all_finite_reads_the_blocks_whatever_the_constructor():
+    data = np.zeros((4, 4), dtype=complex)
+    data[1, 2] = np.nan
+    assert not Superoperator(2, data).all_finite()
+    blocks = Superoperator.zero(2).blocks
+    vals = blocks[0][1].copy()
+    vals[3, 0, 0] = np.nan
+    assert not Superoperator(2, blocks=[(blocks[0][0], vals)]).all_finite()
+    assert Superoperator.zero(2).all_finite()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17])
+def test_zero_is_one_group_of_one_pair_blocks(d):
+    n = d * d
+    (idx, vals), = Superoperator.zero(d).blocks
+    assert np.array_equal(idx, np.arange(n)[:, None])
+    assert vals.dtype == complex and vals.shape == (n, 1, 1)
+    assert not vals.any()
+
+
 def test_default_degeneracy_tol_scales_with_levels():
     assert default_degeneracy_tol([0.0, 2.0]) == 2e-9
     assert default_degeneracy_tol([-4.0, 1.0]) == 4e-9

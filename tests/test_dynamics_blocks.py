@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from qmekit.bath import thermal_ohmic_spectrum
 from qmekit.core import (
     DensityMatrix,
+    InputError,
     InvariantError,
     Superoperator,
     bohr_frequencies,
@@ -25,8 +26,13 @@ from qmekit.core import (
     hermitian_channel,
 )
 import qmekit.dynamics as dynamics
-from qmekit.dynamics import build_liouvillian, evolve_markov, steady_state
-from qmekit.kernels import build_kernel
+from qmekit.dynamics import (
+    block_structure_report,
+    build_liouvillian,
+    evolve_markov,
+    steady_state,
+)
+from qmekit.kernels import VARIANT_TAGS, build_kernel
 
 COVARIANT = ("energy-conserving", "lindblad")
 
@@ -84,9 +90,9 @@ def assert_matches_dense(liouv):
         assert np.max(np.abs(result.state() - rho / np.trace(rho))) < tol
 
 
-def liouvillian(levels, variant, seed=0, coupling=None):
-    """Generator of one hermitian channel: the given coupling, or a dense
-    random one drawn from seed."""
+def kernel(levels, variant, seed=0, coupling=None):
+    """Spectrum and kernel of one hermitian channel: the given coupling,
+    or a dense random one drawn from seed."""
     spectrum = build_spectrum(levels)
     d = spectrum.dim
     if coupling is None:
@@ -94,8 +100,12 @@ def liouvillian(levels, variant, seed=0, coupling=None):
         m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
         coupling = m + m.conj().T
     bath = thermal_ohmic_spectrum(0.28, 5.0, 2.0)
-    k = build_kernel(spectrum, hermitian_channel(coupling), bath, variant)
-    return build_liouvillian(spectrum, k)
+    return spectrum, build_kernel(spectrum, hermitian_channel(coupling), bath, variant)
+
+
+def liouvillian(levels, variant, seed=0, coupling=None):
+    """Generator of :func:`kernel`'s kernel."""
+    return build_liouvillian(*kernel(levels, variant, seed, coupling))
 
 
 def spectra(d):
@@ -394,3 +404,75 @@ def test_covariant_runs_stay_below_one_dense_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 16 * d ** 4, peak
+
+
+def dense_cross_entries(k, threshold=1e-12):
+    """Cross entries of block_structure_report as a scan of the dense
+    (d, d, d, d) tensor: C order, couplings into populations first."""
+    d = k.dim
+    t = k.data.reshape(d, d, d, d)
+    rng = np.arange(d)
+    off = rng[:, None] != rng[None, :]
+    rows, cols = t[rng, rng], t[:, :, rng, rng]   # K[pp, qq'], K[pp', qq]
+    into_pop = np.hypot(rows.real, rows.imag)     # [p, q, q']
+    from_pop = np.hypot(cols.real, cols.imag)     # [p, p', q]
+    into = [((p, p), (q, q2), float(into_pop[p, q, q2])) for p, q, q2 in
+            np.argwhere((into_pop > threshold) & off[None]).tolist()]
+    out = [((p, p2), (q, q), float(from_pop[p, p2, q])) for p, p2, q in
+           np.argwhere((from_pop > threshold) & off[:, :, None]).tolist()]
+    return into + out
+
+
+def assert_report_matches_dense(spectrum, k):
+    """The block read lists the dense scan's cross entries: same pairs,
+    same order, same bits."""
+    want = dense_cross_entries(k)
+    rep = block_structure_report(spectrum, k)
+    assert rep.cross_entries == want
+    assert rep.coherences_feed_populations == any(r[0] == r[1] for r, _, _ in want)
+    assert rep.populations_feed_coherences == any(r[0] != r[1] for r, _, _ in want)
+    return want
+
+
+def test_block_report_matches_the_dense_scan_on_the_box(system_box):
+    crossed = 0
+    for spectrum, couplings, bath in system_box:
+        for variant in VARIANT_TAGS:
+            k = build_kernel(spectrum, couplings, bath, variant, omega=0.0)
+            crossed += bool(assert_report_matches_dense(spectrum, k))
+    assert crossed > 0
+
+
+@pytest.mark.parametrize("variant", COVARIANT)
+def test_block_report_matches_the_dense_scan_on_a_degenerate_ladder(variant):
+    # harmonic d=24 with levels 11 and 12 degenerate: the zero bin joins
+    # their coherences to the populations
+    levels = 0.25 * np.arange(24)
+    levels[12] = levels[11]
+    assert assert_report_matches_dense(*kernel(levels, variant))
+
+
+def test_block_report_matches_the_dense_scan_on_one_block():
+    # redfield-in at d=12 couples every pair: one block over all of them
+    assert assert_report_matches_dense(*kernel(spectra(12)["generic"], "redfield-in"))
+
+
+def test_block_report_reads_no_dense_kernel():
+    # generic lindblad at d=64: a d^4 complex array is 268 MB, and the
+    # population pairs sit in one 64 x 64 block
+    spectrum, k = kernel(spectra(64)["generic"], "lindblad")
+    tracemalloc.start()
+    try:
+        rep = block_structure_report(spectrum, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert rep.cross_entries == []
+
+
+def test_block_report_rejects_a_negative_threshold():
+    spectrum, k = kernel(spectra(3)["generic"], "lindblad")
+    for threshold in (-1e-12, float("nan")):
+        with pytest.raises(InputError, match="threshold must be non-negative"):
+            block_structure_report(spectrum, k, threshold)
