@@ -13,7 +13,7 @@ import numpy as np
 
 from qmekit.core import build_spectrum, hermitian_channel, ladder_channels
 from qmekit.bath import flat_spectrum, thermal_ohmic_spectrum
-from qmekit.kernels import VARIANT_TAGS, build_kernel
+from qmekit.kernels import VARIANT_TAGS, build_kernel, kernel_difference
 
 
 def lineup(title, spectrum, couplings, bath, omega):
@@ -29,7 +29,7 @@ def lineup(title, spectrum, couplings, bath, omega):
     for a in VARIANT_TAGS:
         row = [a.ljust(width + 2)]
         for b in VARIANT_TAGS:
-            diff = np.max(np.abs(kernels[a].data - kernels[b].data))
+            diff = kernel_difference(kernels[a], kernels[b])[0]
             row.append(f"{diff:{width}.2e}")
         print("  ".join(row))
     print()

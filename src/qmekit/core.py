@@ -105,7 +105,7 @@ class EnergySpectrum:
 
     def classes(self):
         """Level indices grouped by degeneracy class, in energy order."""
-        return [np.flatnonzero(self.class_of == c) for c in range(self.n_classes)]
+        return np.split(np.arange(self.dim), np.flatnonzero(np.diff(self.class_of)) + 1)
 
     def bohr_matrix(self):
         """d x d matrix of snapped differences E[p] - E[q], antisymmetric."""

@@ -2,24 +2,25 @@
 
 The full generator is L = L_H + K with (L_H rho)_{pp'} = -i E_{pp'}
 rho_{pp'} diagonal in the flat pair index (snapped energies, consistent
-with the kernels).  Markovian propagation uses matrix exponentials while
-the generator's largest block (below) has at most EXPM_DIM_LIMIT**2
-pairs, and an adaptive high-order Runge-Kutta beyond; both paths agree
-to 1e-8 where they overlap and that agreement is part of the test
-suite.  Steady states and exponentials work per block of the generator
-(``Superoperator.blocks``), which its builder declares.  Covariant
-generators (energy-conserving, lindblad) map a level pair only to pairs
-of the same Bohr frequency, so each Bohr bin is one block; their builders
-hand over the blocks, and no d^4 matrix is built.  A dense generator
-(redfield, born) is one block, a stack of one for the same code, even
-where its coupling splits the nonzero pattern; the zero kernel is d^2
-one-pair blocks.  The split is exact, because off-block entries are
-structural zeros.  Non-Markovian propagation builds all memory-kernel
-nodes in one array pass and integrates with a Heun predictor-corrector
-and trapezoid memory quadrature.  That recurrence is linear and time-invariant, so the
-kernel window is folded in place into one step matrix: one matrix-vector
-product per step.  scipy is imported on first use (``expm``, ``solve_ivp``
-below), so only the propagating commands load it.
+with the kernels).  Markovian propagation takes each size group of the
+generator's blocks (below) by matrix exponentials while its blocks have
+at most EXPM_DIM_LIMIT**2 pairs, and by an adaptive high-order
+Runge-Kutta beyond; both paths agree to 1e-8 where they overlap, as the
+tests check.  Steady states and propagators work per block of the
+generator (``Superoperator.blocks``), which its builder declares.
+Covariant generators (energy-conserving, lindblad) map a level pair only
+to pairs of the same Bohr frequency, so each Bohr bin is one block;
+their builders hand over the blocks, and no d^4 matrix is built.  A dense
+generator (redfield, born) is one block, a stack of one for the same
+code, even where its coupling splits the nonzero pattern; the zero
+kernel is d^2 one-pair blocks.  The split is exact, because off-block
+entries are structural zeros.  Non-Markovian propagation builds all
+memory-kernel nodes in one array pass and integrates with a Heun
+predictor-corrector and trapezoid memory quadrature.  That recurrence is
+linear and time-invariant, so the kernel window is folded in place into
+one step matrix: one matrix-vector product per step.  scipy is imported
+on first use (``expm``, ``solve_ivp`` below), so only the propagating
+commands load it.
 """
 
 import numpy as np
@@ -46,8 +47,8 @@ NULL_REL_THRESHOLD = 1e-10     # steady_state: zero singular values, relative
 GAP_FACTOR = 10.0              # ... and the margin the next one must clear
 
 # largest d propagated by dense matrix exponentials; a generator that
-# splits into blocks takes them while its largest block has at most
-# EXPM_DIM_LIMIT**2 pairs, whatever d
+# splits into blocks takes them for each size group whose blocks have at
+# most EXPM_DIM_LIMIT**2 pairs, whatever d, and DOP853 for the others
 EXPM_DIM_LIMIT = 16
 
 
@@ -130,9 +131,10 @@ def _check_grid(t_grid):
 def evolve_markov(liouv, rho0, t_grid):
     """Propagate rho0 along t_grid under a time-independent generator.
 
-    Matrix exponentials of each block (method "expm") while the largest
-    block has at most EXPM_DIM_LIMIT**2 pairs (d <= 16 for one block),
-    adaptive DOP853 (method "rk") beyond; the paths agree to 1e-8.  Steps
+    Each size group takes matrix exponentials of its blocks while they
+    have at most EXPM_DIM_LIMIT**2 pairs (d <= 16 for one block), else
+    adaptive DOP853 as one ODE over its stacked blocks; the method is "rk"
+    when the largest group took DOP853.  The paths agree to 1e-8.  Steps
     of one relative size (to 15 decimals) share an exponential, taken
     with one expm call per block size and run of consecutive steps; a run
     holds as many distinct sizes as have propagators no larger than the
@@ -145,44 +147,40 @@ def evolve_markov(liouv, rho0, t_grid):
     d = liouv.dim
     if rho.shape != (d, d):
         raise InputError("initial state dimension does not match Liouvillian")
-    blocks = liouv.blocks
-    method = "expm" if blocks[-1][0].shape[1] <= EXPM_DIM_LIMIT ** 2 else "rk"
-
+    steps = np.diff(t)
+    _, first, step_id = np.unique(np.round(steps / (t[-1] - t[0]), 15),
+                                  return_index=True, return_inverse=True)
+    step_id = step_id.tolist()
     vecs = np.empty((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
-    if method == "expm":
-        steps = np.diff(t)
-        _, first, step_id = np.unique(np.round(steps / (t[-1] - t[0]), 15),
-                                      return_index=True, return_inverse=True)
-        step_id = step_id.tolist()
-        for idx, sub in blocks:
-            width = max(2, vecs.size // sub.size)
-            xs = np.empty((t.size, *idx.shape, 1), dtype=complex)
-            xs[0, ..., 0] = vecs[0, idx]
-            i = 0
-            while i < steps.size:
-                run, j = {}, i                  # step id -> its propagator's slot
-                while j < steps.size and (step_id[j] in run or len(run) < width):
-                    run.setdefault(step_id[j], len(run))
-                    j += 1
-                props = expm(sub * steps[first[list(run)]][:, None, None, None])
-                for k in range(i, j):
-                    np.matmul(props[run[step_id[k]]], xs[k], out=xs[k + 1])
-                i = j
-            vecs[:, idx] = xs[..., 0]
-    else:
-        sol = solve_ivp(
-            lambda _, y: liouv.data @ y,
-            (t[0], t[-1]), vecs[0],
-            t_eval=t, method="DOP853", rtol=1e-12, atol=1e-14,
-        )
-        if not sol.success:
-            reached = sol.t[-1] if sol.t.size else t[0]
-            raise InvariantError(
-                f"adaptive integration failed after t={reached:g}: {sol.message}"
-            )
-        vecs = sol.y.T.astype(complex)
-
+    for idx, sub in liouv.blocks:
+        n_blocks, m = idx.shape
+        if m > EXPM_DIM_LIMIT ** 2:             # one ODE over the stacked blocks
+            sol = solve_ivp(lambda _, y: np.matmul(sub, y.reshape(n_blocks, m, 1)).ravel(),
+                            (t[0], t[-1]), vecs[0, idx].ravel(), t_eval=t,
+                            method="DOP853", rtol=1e-12, atol=1e-14)
+            if not sol.success:
+                reached = sol.t[-1] if sol.t.size else t[0]
+                raise InvariantError(
+                    f"adaptive integration failed after t={reached:g}: {sol.message}"
+                )
+            vecs[:, idx] = sol.y.T.reshape(t.size, n_blocks, m)
+            continue
+        width = max(2, vecs.size // sub.size)
+        xs = np.empty((t.size, n_blocks, m, 1), dtype=complex)
+        xs[0, ..., 0] = vecs[0, idx]
+        i = 0
+        while i < steps.size:
+            run, j = {}, i                      # step id -> its propagator's slot
+            while j < steps.size and (step_id[j] in run or len(run) < width):
+                run.setdefault(step_id[j], len(run))
+                j += 1
+            props = expm(sub * steps[first[list(run)]][:, None, None, None])
+            for k in range(i, j):
+                np.matmul(props[run[step_id[k]]], xs[k], out=xs[k + 1])
+            i = j
+        vecs[:, idx] = xs[..., 0]
+    method = "expm" if m <= EXPM_DIM_LIMIT ** 2 else "rk"   # m of the largest group
     return _trajectory(t, vecs.reshape(t.size, d, d), method)
 
 
@@ -428,7 +426,7 @@ def block_structure_report(spectrum, kernel, threshold=1e-12):
         coherences_feed_populations=bool((out == 0).any()),
         populations_feed_coherences=bool(out.any()),
         cross_entries=[((p, p2), (q, q2), v) for p, p2, q, q2, v in zip(*cols)],
-        degeneracy_classes=[list(map(int, c)) for c in spectrum.classes()],
+        degeneracy_classes=[c.tolist() for c in spectrum.classes()],
         threshold=float(threshold),
     )
 

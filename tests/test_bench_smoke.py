@@ -1,5 +1,5 @@
 """The benchmark's d <= 4 smoke runs of every workload, untraced, and of
-the jump-operator and memory-kernel workloads traced."""
+the jump-operator, relaxation and memory-kernel workloads traced."""
 
 import json
 import subprocess
@@ -32,9 +32,11 @@ def test_smoke_run_is_correct(workload):
 @pytest.mark.parametrize("workload, counter", [
     ("jump-large", "kernels.bohr_bins"),
     ("memory-kernel", "dynamics.memory_nodes"),
-], ids=["jump-large", "memory-kernel"])
+    ("relax-large", "dynamics.expm_calls"),
+], ids=["jump-large", "memory-kernel", "relax-large"])
 def test_traced_smoke_run_counts_work(workload, counter):
     # the tracer wraps library functions by name and reads their results
-    # (result.n_bins) or arguments (the tau nodes of _memory_kernels)
+    # (result.n_bins), arguments (the tau nodes of _memory_kernels) or
+    # calls (expm, called once per size group and run of steps)
     result = run_smoke(workload, "--trace", "1")
     assert result["metrics"][counter]["value"] > 0

@@ -152,6 +152,29 @@ def test_classes_match_the_chaining_loop_bit_for_bit(base, clusters, eps):
         assert spec.class_energy.tobytes() == want[1].tobytes()
 
 
+def test_class_lists_split_like_the_per_class_scan(system_box):
+    # classes() splits arange(d) where class_of steps; the reference
+    # scans class_of once per class
+    spectra = [spec for spec, _, _ in system_box]
+    rng = np.random.default_rng(0)
+    for d in (1, 2, 5, 17, 18, 33, 64):
+        for _ in range(3):
+            sizes = [17] if d >= 17 else []
+            while sum(sizes) < d:
+                sizes.append(int(rng.integers(1, 18)))
+            sizes[-1] -= sum(sizes) - d
+            rng.shuffle(sizes)
+            gaps = np.cumsum(rng.uniform(0.1, 1.0, len(sizes)))
+            spectra.append(build_spectrum(np.repeat(gaps, sizes)))
+    assert max(max(map(len, spec.classes())) for spec in spectra) == 17
+    for spec in spectra:
+        got = spec.classes()
+        want = [np.flatnonzero(spec.class_of == c) for c in range(spec.n_classes)]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 dyadic_levels = st.lists(
     st.integers(min_value=-128, max_value=128), min_size=2, max_size=6
 ).map(lambda ticks: np.sort(np.array(ticks)) / 64.0)

@@ -406,6 +406,83 @@ def test_covariant_runs_stay_below_one_dense_kernel():
     assert peak < 16 * d ** 4, peak
 
 
+def degenerate_kernel(d, variant):
+    """A 17-fold degenerate level at 0 under d - 17 levels drawn from
+    0.5 + 3.5 U(0, 1), a random hermitian coupling of rms entry 1/2 and
+    a thermal-ohmic bath (0.2, 5, beta 1): the zero bin holds
+    17^2 + (d - 17) pairs, more than EXPM_DIM_LIMIT**2 from d = 17 on."""
+    rng = np.random.default_rng(0)
+    levels = np.concatenate([np.zeros(17), np.sort(0.5 + 3.5 * rng.uniform(size=d - 17))])
+    spectrum = build_spectrum(levels)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    bath = thermal_ohmic_spectrum(0.2, 5.0, 1.0)
+    k = build_kernel(spectrum, hermitian_channel((a + a.conj().T) / 4), bath, variant)
+    return spectrum, k
+
+
+def counting(monkeypatch, name):
+    """Wrap dynamics.<name> and return the list of its call arguments."""
+    calls, fn = [], getattr(dynamics, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("variant", COVARIANT)
+def test_only_the_oversized_bin_is_integrated(monkeypatch, variant):
+    # d=24: the zero bin's 296 pairs take DOP853, every other bin expm;
+    # integrating the whole generator passed all 576 pairs
+    d = 24
+    liouv = build_liouvillian(*degenerate_kernel(d, variant))
+    assert liouv.blocks[-1][0].shape == (1, 17 ** 2 + d - 17)
+    calls = counting(monkeypatch, "solve_ivp")
+    t = np.linspace(0.0, 10.0, 51)
+    rho0 = excited(d)
+    traj = evolve_markov(liouv, rho0, t)
+    assert [args[2].shape for args in calls] == [(296,)]
+    assert traj.method == "rk"
+    assert np.max(np.abs(traj.states - dense_trajectory(liouv.data, rho0, t))) < 1e-8
+
+
+def test_size_groups_pick_their_own_propagator(monkeypatch):
+    # harmonic d=8 has bins of 1 .. 8 pairs; with EXPM_DIM_LIMIT = 2 the
+    # groups of up to 4 pairs take expm and the larger ones DOP853
+    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 2)
+    d = 8
+    liouv = liouvillian(0.25 * np.arange(d), "energy-conserving")
+    assert [idx.shape[1] for idx, _ in liouv.blocks] == list(range(1, d + 1))
+    expms, odes = counting(monkeypatch, "expm"), counting(monkeypatch, "solve_ivp")
+    t = np.linspace(0.0, 10.0, 41)
+    rho0 = np.full((d, d), 1.0 / d, dtype=complex)
+    traj = evolve_markov(liouv, rho0, t)
+    assert {args[0].shape[-1] for args in expms} == {1, 2, 3, 4}
+    # one ODE per larger group: two bins (+-omega) of 5, 6 and 7 pairs,
+    # and the 8-pair zero bin
+    assert [args[2].size for args in odes] == [2 * 5, 2 * 6, 2 * 7, 8]
+    assert traj.method == "rk"
+    assert np.max(np.abs(traj.states - dense_trajectory(liouv.data, rho0, t))) < 1e-8
+
+
+def test_oversized_bin_propagates_without_the_dense_generator():
+    # d=48: the 320-pair zero bin alone goes through DOP853 (17 MB at
+    # peak); integrating all 2304 pairs with the dense generator took 93 MB
+    d = 48
+    liouv = build_liouvillian(*degenerate_kernel(d, "energy-conserving"))
+    t = np.linspace(0.0, 10.0, 51)
+    tracemalloc.start()
+    try:
+        traj = evolve_markov(liouv, excited(d), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.method == "rk"
+    assert peak < 60e6, peak
+
+
 def dense_cross_entries(k, threshold=1e-12):
     """Cross entries of block_structure_report as a scan of the dense
     (d, d, d, d) tensor: C order, couplings into populations first."""
