@@ -6,21 +6,25 @@ every float in a report is written by :func:`fmt`'s rule (17
 significant digits, enough to round-trip a double, -0.0 written as 0).
 JSON documents go through :func:`canonical_dumps`, one recursive pass:
 keys as ``str(k)``, sorted, no whitespace; +-inf as the strings
-``"inf"``/``"-inf"``; complex numbers as ``[re, im]``; NaN raises.  A
-finite float or complex array is one fill of a nested ``%.17g``
-template, other arrays go through ``tolist()``.  :func:`write_csv_rows`
-writes a chunk at least half nonzero as NUL-padded byte grids from
-:func:`_g17`, an exact ``%.17g`` in numpy; a sparser chunk's template is
-a numpy byte grid in which zeros, row numbers, commas and line ends are
-literal text, so ``%.17g`` fills only the nonzero values.  Both writers
-check all input before they open the file, so a failed write leaves
-nothing on disk.
+``"inf"``/``"-inf"``; complex numbers as ``[re, im]``; NaN raises; ints,
+strs and keys as ``json.dumps`` writes them, without calling it.  Both
+writers share one dense/sparse rule, :func:`_dense`: values at least
+half nonzero are written by :func:`_g17`, an exact ``%.17g`` in numpy.
+A dense CSV chunk is a byte grid of its rows that also carries the
+commas and line ends; a sparser one's template is a numpy byte grid in
+which zeros, row numbers, commas and line ends are literal text, so
+``%.17g`` fills only the nonzero values.  A finite JSON array is one
+fill of a nested template: of ``%s`` cells from :func:`_g17`'s strings
+if it has at least ``JSON_G17_MIN`` values and is dense, else of
+``%.17g`` cells.  Other arrays go through ``tolist()``.
+Both writers check all input before they open the file, so a failed
+write leaves nothing on disk.
 """
 
 import functools
 import hashlib
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote   # json.dumps' own
 
 import numpy as np
 
@@ -55,6 +59,7 @@ def fmt(x):
 
 CSV_CHUNK_VALUES = 12288      # values formatted per write
 G17_BATCH = 4096              # values per byte grid of a dense chunk
+JSON_G17_MIN = 384            # below, a JSON array is cheaper as one %.17g fill
 
 
 @functools.cache
@@ -124,6 +129,11 @@ def _g17(a):
     return out
 
 
+def _dense(a):
+    """The writers' rule for :func:`_g17`: at least half the values nonzero."""
+    return 2 * np.count_nonzero(a) >= a.size > 0
+
+
 def write_csv_rows(path, header, table, index=False):
     """Write a CSV file: the header names, then the rows of a 2-d float
     array, every value as :func:`fmt` writes it, optionally led by the
@@ -155,7 +165,7 @@ def write_csv_rows(path, header, table, index=False):
                 q, digit = np.divmod(q, 10)
                 lead[:, k] = ord("0") + digit
             lead[:, :pre - 2][row[:, None] < 10 ** np.arange(pre - 2, 0, -1)] = 2
-            if 2 * np.count_nonzero(nz) >= nz.size > 0:
+            if _dense(nz):
                 per = max(1, G17_BATCH // n_cols)
                 for i in range(0, len(chunk), per):  # + 0.0: -0.0 is written 0
                     grid = _g17(chunk[i:i + per] + 0.0).reshape(-1, 48 * n_cols)
@@ -179,8 +189,9 @@ def _emit(obj):
     """Canonical JSON text of one value.
 
     Exact types come first, because nearly every value of a report is a
-    float, a list or a dict; subclasses and numpy scalars are taken to
-    those types by the isinstance chain behind them.
+    float, list, dict, int or str; ints and strs are written as
+    ``json.dumps`` writes them, subclasses too, and other subclasses and
+    numpy scalars are taken to those types by the isinstance chain.
     """
     tp = type(obj)
     if tp is float:
@@ -197,30 +208,41 @@ def _emit(obj):
         # every value is emitted, in insertion order, before the keys are
         # sorted; of duplicate str(k) keys the last wins
         items = {str(k): _emit(v) for k, v in obj.items()}
-        return "{" + ",".join([json.dumps(k) + ":" + items[k]
+        return "{" + ",".join([_quote(k) + ":" + items[k]
                                for k in sorted(items)]) + "}"
+    if obj is None or tp is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):                    # and subclasses, such as IntEnum
+        return int.__repr__(obj)                # as json.dumps writes an int
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, (float, np.floating)):
         return _emit(float(obj))
     if isinstance(obj, (list, tuple)):
         return _emit(list(obj))
     if isinstance(obj, dict):
         return _emit(dict(obj.items()))
-    if isinstance(obj, (bool, type(None), str, int)):
-        return json.dumps(obj)
-    if isinstance(obj, np.bool_):
-        return json.dumps(bool(obj))
-    if isinstance(obj, np.integer):
-        return json.dumps(int(obj))
+    if isinstance(obj, (np.bool_, np.integer)):
+        return _emit(obj.item())
     if isinstance(obj, (complex, np.complexfloating)):
         return "[" + fmt(obj.real) + "," + fmt(obj.imag) + "]"
     if tp is np.ndarray and obj.dtype.kind in "fc":
         a = np.stack([obj.real, obj.imag], -1) if obj.dtype.kind == "c" else obj
         a = a.astype(float) + 0.0               # -0.0 -> 0.0, as in fmt
         if np.isfinite(a).all():
-            text = "%.17g"
+            dense = a.size >= JSON_G17_MIN and _dense(a)
+            text = "%s" if dense else "%.17g"
             for n in reversed(a.shape):
                 text = "[" + ",".join([text] * n) + "]"
-            return text % tuple(a.ravel().tolist())
+            a = a.ravel()
+            if not dense:
+                return text % tuple(a.tolist())
+            cells = []
+            for i in range(0, a.size, G17_BATCH):   # byte 47 of a row is NUL
+                rows = _g17(a[i:i + G17_BATCH])
+                rows[:, 47] = ord(",")
+                cells += rows.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+            return text % tuple(cells)
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")

@@ -2,6 +2,7 @@
 the bulk CSV row writer against per-float fmt, and the JSON emitter
 against the two-pass serializer it replaced."""
 
+import enum
 import json
 import re
 import tracemalloc
@@ -13,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 import qmekit.io
 from qmekit.core import InputError
-from qmekit.io import (CSV_CHUNK_VALUES, G17_BATCH, _g17, canonical_dumps, fmt,
-                       write_csv_rows, write_json)
+from qmekit.io import (CSV_CHUNK_VALUES, G17_BATCH, JSON_G17_MIN, _g17, canonical_dumps,
+                       fmt, write_csv_rows, write_json)
 
 
 def per_float(table, index=False):
@@ -336,6 +337,7 @@ leaves = st.one_of(
     st.floats(allow_nan=False, width=32).map(np.float32),
     st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.booleans(), st.booleans().map(np.bool_), st.none(), st.text(max_size=4),
+    st.lists(st.integers(0, 0x10FFFF)).map(lambda c: "".join(map(chr, c))),  # any code point
     st.complex_numbers(allow_nan=False, allow_infinity=False),
     # real arrays may hold +-inf, which take the per-float route
     hnp.arrays(float, shapes, elements=floats),
@@ -402,3 +404,124 @@ def test_finite_arrays_are_filled_without_per_float_calls(monkeypatch):
     text = canonical_dumps(stack)
     assert calls == []
     assert text == reference_dumps(stack)
+
+
+# -- the dense array path: large finite arrays at least half nonzero are
+# written from _g17's rows, smaller or sparser ones by the %.17g template
+
+SPECIAL_64 = [5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+              -1.7976931348623157e308, 1e22, 0.1, 1 / 3]
+SPECIAL_32 = [1e-45, 3.4028234663852886e38, -3.4028234663852886e38, 0.1, 1 / 3]
+SHAPES = {383: (383,), 384: (4, 6, 16), 385: (5, 7, 11), 4096: (8, 8, 8, 8),
+          4097: (17, 241), 9000: (10, 30, 30)}
+
+
+# nonzero counts of n stacked values: the most that is still sparse, the
+# fewest that is dense (half of an even n), and all of them
+NONZERO = {"under-half": lambda n: (n - 1) // 2, "half": lambda n: (n + 1) // 2,
+           "all": lambda n: n}
+
+
+def seeded_array(size, dtype, nonzero, seed=0):
+    """An array of ``size`` entries whose n stacked real values (re, im
+    pairs for a complex dtype) hold ``NONZERO[nonzero](n)`` nonzeros, the
+    special values among them, and a -0.0 among the zeros."""
+    rng = np.random.default_rng(seed)
+    n = size * (2 if np.dtype(dtype).kind == "c" else 1)
+    real = np.dtype(dtype).type(0).real.dtype
+    values = np.zeros(n)
+    on = rng.permutation(n)[:NONZERO[nonzero](n)]
+    values[on] = rng.normal(size=len(on)) * 10.0 ** rng.integers(-12, 12, size=len(on))
+    special = SPECIAL_64 if real == np.float64 else SPECIAL_32
+    values[on[:len(special)]] = special
+    values[rng.permutation(np.setdiff1d(np.arange(n), on))[:1]] = -0.0
+    values = values.astype(real)
+    if np.dtype(dtype).kind == "c":
+        values = values.reshape(-1, 2).view(dtype)[:, 0]
+    return values.reshape(SHAPES[size])
+
+
+def counting_g17(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return _g17(a)
+
+    monkeypatch.setattr(qmekit.io, "_g17", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", sorted(SHAPES))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+@pytest.mark.parametrize("nonzero", list(NONZERO))
+def test_bulk_array_path_matches_the_two_pass_serializer(size, dtype, nonzero):
+    arr = seeded_array(size, dtype, nonzero)
+    for doc in (arr, arr.T, {"a": [arr.T, 1.5]}):          # .T is not contiguous
+        assert canonical_dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("dtype, size, nonzero, g17_values", [
+    (np.float64, 4097, "all", [G17_BATCH, 1]),               # two batches
+    (np.float64, 9000, "half", [G17_BATCH, G17_BATCH, 808]),  # half nonzero is dense
+    (np.complex128, 384, "half", [768]),                      # an entry is two values
+    (np.float64, JSON_G17_MIN, "all", [JSON_G17_MIN]),
+    (np.float64, JSON_G17_MIN - 1, "all", []),
+    (np.float64, 4096, "under-half", []),
+    (np.complex64, 4097, "under-half", []),
+])
+def test_only_large_dense_arrays_run_g17(monkeypatch, dtype, size, nonzero, g17_values):
+    calls = counting_g17(monkeypatch)
+    arr = seeded_array(size, dtype, nonzero, seed=1)
+    assert canonical_dumps(arr) == reference_dumps(arr)
+    assert calls == g17_values
+
+
+def test_dense_array_with_inf_takes_the_per_value_route(monkeypatch):
+    calls = counting_g17(monkeypatch)
+    arr = seeded_array(4096, np.float64, "all")
+    arr[1, 2, 3, 4] = -np.inf
+    text = canonical_dumps(arr)
+    assert text == reference_dumps(arr)
+    assert '"-inf"' in text
+    assert calls == []
+
+
+# -- scalars: exact int, str and key types skip json.dumps, and write what
+# it writes
+
+class Level(enum.IntEnum):
+    GROUND = 0
+    EXCITED = 7
+
+
+class Label(str):
+    pass
+
+
+class Count(int):          # json.dumps writes the int, whatever its repr
+    __repr__ = __str__ = lambda self: "Count"
+
+
+ODD_STRINGS = ['"', "\\", "\n", "\x00", "\x7f", "é", "😀", "\ud800", 'a"b\\c\nd\x00é😀\ud800', ""]
+ODD_INTS = [0, -1, 2 ** 63, 10 ** 100, -(10 ** 100)]
+
+
+@pytest.mark.parametrize("value", ODD_STRINGS + ODD_INTS + [True, False, None, Level.EXCITED,
+                                                            Count(3), Label("x\n")])
+def test_scalars_are_written_as_json_dumps_writes_them(value):
+    assert canonical_dumps(value) == json.dumps(value) == reference_dumps(value)
+
+
+def test_keys_are_quoted_as_json_dumps_quotes_them():
+    doc = {k: i for i, k in enumerate(ODD_STRINGS)}
+    text = canonical_dumps(doc)
+    assert text == reference_dumps(doc)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_scalars_and_colliding_keys_match_the_two_pass_serializer():
+    doc = {0: "int key", "0": ODD_STRINGS, -1: ODD_INTS, "-1": np.bool_(True),
+           Level.EXCITED: np.int64(-2 ** 63), "7": Level.GROUND, "é": np.bool_(False),
+           Label("k"): Label("v"), "x": [True, None, np.uint64(2 ** 64 - 1)]}
+    assert canonical_dumps(doc) == reference_dumps(doc)
