@@ -253,7 +253,15 @@ def _parse_t_grid(d, path):
         _fail(f"{path}.num", "need at least 2 points")
     if stop <= start:
         _fail(f"{path}.stop", "must exceed start")
-    return np.linspace(start, stop, num)
+    return _linspace(start, stop, num, f"{path}.num")
+
+
+def _linspace(start, stop, num, path):
+    """``np.linspace(start, stop, num)``; a grid too large to hold fails at path."""
+    try:
+        return np.linspace(start, stop, num)
+    except (ValueError, MemoryError) as exc:    # ValueError: past numpy's size limit
+        _fail(path, f"{num} points do not fit in memory ({exc})")
 
 
 def _parse_initial_state(d, dim):
@@ -522,7 +530,7 @@ def cmd_validate(cfg, args, out_dir):
         raise InputError("validate: needs a ladder coupling pair")
     p = cfg.validate_params
     eta0, band = p["eta"], p["omega_band"]
-    t = np.linspace(0.0, p["t_star"], p["num"])
+    t = _linspace(0.0, p["t_star"], p["num"], "validate.num")
     rho0 = cfg.experiment.initial_state
     omegas, gs, record = gauss_legendre_modes(
         lambda w: eta0 * w, band, p["n_modes"])
@@ -677,7 +685,7 @@ def main(argv=None):
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:      # an input too large for this host
-        print(f"error: {args.config}: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"error: {args.config}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,9 @@ so this module owns the conventions:
 * the Bohr frequency between levels p and q is E[p] - E[q],
 * a superoperator row/column is the flattened ordered pair (p, p') with
   flat index p*d + p', row-major, so that mapping rho -> A rho B becomes
-  the matrix kron(A, B.T) acting on rho.ravel().
+  the matrix kron(A, B.T) acting on rho.ravel(); the population (p, p)
+  is flat index p*(d + 1), so ``idx % (d + 1) == 0`` and ``[::d + 1]``
+  pick the populations.
 
 Degeneracy is decided by a tolerance ``eps_deg``.  Levels closer than
 eps_deg (chained through neighbours) form one class and are snapped to
@@ -361,11 +363,6 @@ class Superoperator:
     def all_finite(self):
         """Whether every entry is finite."""
         return all(np.isfinite(vals).all() for _, vals in self.blocks)
-
-    def tensor(self):
-        """(d, d, d, d) view indexed [p, p', q, q']."""
-        d = self.dim
-        return self.data.reshape(d, d, d, d)
 
     @classmethod
     def zero(cls, dim):

@@ -220,12 +220,14 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
 
 
 def _in_out_entries(kernel_in, kernel_out, threshold):
-    diff = np.abs(kernel_in.tensor() - kernel_out.tensor())
+    d = kernel_in.dim
+    diff = np.abs(kernel_in.data - kernel_out.data)
     hits = np.argwhere(diff > threshold)               # C order
     values = diff[tuple(hits.T)]
-    on_pop = (hits[:, 0] == hits[:, 1]) & (hits[:, 2] == hits[:, 3])
+    on_pop = (hits % (d + 1) == 0).all(axis=1)         # (p, p) is flat p * (d + 1)
+    pairs = np.stack(np.divmod(hits, d), axis=-1)      # [hit, row | col, (p, p')]
     entries = [
-        {"row": hits[n, :2].tolist(), "col": hits[n, 2:].tolist(),
+        {"row": pairs[n, 0].tolist(), "col": pairs[n, 1].tolist(),
          "abs_diff": float(values[n]), "population_block": bool(on_pop[n])}
         for n in np.argsort(-values, kind="stable")[:32]
     ]

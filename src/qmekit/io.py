@@ -52,9 +52,7 @@ def fmt(x):
     x = float(x)
     if not math.isfinite(x):
         raise InputError(f"non-finite value {x!r} cannot be serialized")
-    if x == 0.0:
-        x = 0.0          # normalize -0.0
-    return f"{x:.17g}"
+    return "%.17g" % (x + 0.0)          # + 0.0: -0.0 is written 0
 
 
 CSV_CHUNK_VALUES = 12288      # values formatted per write

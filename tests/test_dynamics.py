@@ -255,7 +255,7 @@ def test_block_structure_nondegenerate_vs_degenerate():
     # cross entries in the order and rounding of a plain index scan
     k_rf = build_kernel(spec_deg, coupling3, bath, "redfield-in")
     for k in (k_deg, k_rf):
-        t = k.tensor()
+        t = k.data.reshape((k.dim,) * 4)
         scan = [((p, p), (q, q2), float(abs(t[p, p, q, q2])))
                 for p in range(3) for q in range(3) for q2 in range(3)
                 if q != q2 and abs(t[p, p, q, q2]) > 1e-12]

@@ -390,6 +390,22 @@ def test_emitter_edge_values():
         canonical_dumps({"a": [1.0, np.nan]})
 
 
+FINITE_EDGES = [x for x in EDGE_FLOATS if np.isfinite(x)]
+
+
+@pytest.mark.parametrize("x", FINITE_EDGES)
+def test_fmt_keeps_the_reference_rule_on_edge_floats(x):
+    # one -0.0 rule for every float: -0.0 is written 0, like the arrays' + 0.0
+    assert fmt(x) == reference_fmt(x)
+    assert fmt(np.float64(x)) == reference_fmt(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt_keeps_the_reference_rule(x):
+    assert fmt(x) == reference_fmt(x)
+
+
 def test_finite_arrays_are_filled_without_per_float_calls(monkeypatch):
     calls = []
 

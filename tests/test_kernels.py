@@ -114,13 +114,30 @@ def test_trace_condition_all_variants():
         assert trace_condition_residual(k) < 1e-13
 
 
+def test_trace_residual_is_the_tensor_contraction_bit_for_bit(system_box):
+    # population (p, p) is flat row p * (d + 1): summing those rows is the
+    # tensor contraction sum_p K[p, p, q, q'], in the same order
+    rng = np.random.default_rng(16)
+    m = (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))) / 2
+    large = [(build_spectrum(levels), hermitian_channel(m + m.conj().T),
+              thermal_ohmic_spectrum(0.2, 5.0, 1.0))
+             for levels in (np.sort(rng.uniform(0.0, 4.0, 16)), 0.25 * np.arange(16))]
+    for spectrum, couplings, bath in system_box + large:
+        d = spectrum.dim
+        for tag in VARIANT_TAGS:
+            omega = 1.3 if tag == "born" else None
+            k = build_kernel(spectrum, couplings, bath, tag, omega=omega)
+            col_sums = np.einsum("ppqr->qr", k.data.reshape((d,) * 4))
+            assert trace_condition_residual(k) == float(np.max(np.abs(col_sums))), (d, tag)
+
+
 def test_born_frequency_symmetry():
     # conj(K~(w)[pp',qq']) == K~(-w)[p'p,q'q]
     spectrum, couplings, bath = make_system(11)
     d = spectrum.dim
     for omega in (0.0, 0.8, 2.5):
-        kp = build_kernel(spectrum, couplings, bath, "born", omega=omega).tensor()
-        km = build_kernel(spectrum, couplings, bath, "born", omega=-omega).tensor()
+        kp = build_kernel(spectrum, couplings, bath, "born", omega=omega).data.reshape((d,) * 4)
+        km = build_kernel(spectrum, couplings, bath, "born", omega=-omega).data.reshape((d,) * 4)
         flipped = km.transpose(1, 0, 3, 2)
         assert np.max(np.abs(np.conj(kp) - flipped)) < 1e-13
 
@@ -129,10 +146,10 @@ def test_markov_kernels_preserve_hermiticity():
     spectrum, couplings, bath = make_system(21)
     tags = ["redfield-in", "redfield-out", "energy-conserving", "lindblad"]
     for tag in tags:
-        t = build_kernel(spectrum, couplings, bath, tag).tensor()
+        t = build_kernel(spectrum, couplings, bath, tag).data.reshape((spectrum.dim,) * 4)
         defect = np.max(np.abs(np.conj(t) - t.transpose(1, 0, 3, 2)))
         assert defect < 1e-13, tag
-    t0 = build_kernel(spectrum, couplings, bath, "born", omega=0.0).tensor()
+    t0 = build_kernel(spectrum, couplings, bath, "born", omega=0.0).data.reshape((spectrum.dim,) * 4)
     assert np.max(np.abs(np.conj(t0) - t0.transpose(1, 0, 3, 2))) < 1e-13
 
 
@@ -329,8 +346,8 @@ def test_jump_kernels_equal_the_dense_stack_reference(levels, channels):
 
 
 def test_in_out_discrepancy_off_population_block():
-    kin = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in").tensor()
-    kout = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-out").tensor()
+    kin = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in").data.reshape((FIX3.dim,) * 4)
+    kout = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-out").data.reshape((FIX3.dim,) * 4)
     diff = np.abs(kin - kout)
     assert diff.max() > 1e-3 * np.abs(kin).max()
     d = FIX3.dim
@@ -345,8 +362,8 @@ def test_gain_terms_ansatz_independent():
     # in and out kernels share their gain entries; the loss terms sit on
     # delta-constrained rows/columns, so purely off-diagonal blocks of
     # the difference vanish
-    kin = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in").tensor()
-    kout = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-out").tensor()
+    kin = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in").data.reshape((FIX3.dim,) * 4)
+    kout = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-out").data.reshape((FIX3.dim,) * 4)
     d = FIX3.dim
     for p in range(d):
         for p2 in range(d):
