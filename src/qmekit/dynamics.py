@@ -6,8 +6,9 @@ with the kernels).  Markovian propagation takes each size group of the
 generator's blocks (below) by matrix exponentials while its blocks have
 at most EXPM_DIM_LIMIT**2 pairs, and by an adaptive high-order
 Runge-Kutta beyond; both paths agree to 1e-8 where they overlap, as the
-tests check.  Steady states and propagators work per block of the
-generator (``Superoperator.blocks``), which its builder declares.
+tests check.  Stretches of equal steps are filled by doubling where
+that saves matmul calls.  Steady states and propagators work per block
+of the generator (``Superoperator.blocks``), which its builder declares.
 Covariant generators (energy-conserving, lindblad) map a level pair only
 to pairs of the same Bohr frequency, so each Bohr bin is one block;
 their builders hand over the blocks, and no d^4 matrix is built.  A dense
@@ -25,6 +26,7 @@ commands load it.
 
 import numpy as np
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import DensityMatrix, InputError, InvariantError, Superoperator
 from . import io as _io
@@ -50,6 +52,10 @@ GAP_FACTOR = 10.0              # ... and the margin the next one must clear
 # splits into blocks takes them for each size group whose blocks have at
 # most EXPM_DIM_LIMIT**2 pairs, whatever d, and DOP853 for the others
 EXPM_DIM_LIMIT = 16
+# one matmul call's cost in complex multiply-adds (one BLAS thread): n
+# equal steps on blocks of m pairs are filled by doubling when its 2 b
+# calls and b m^3 squarings, b = n.bit_length(), cost less than n calls
+MATMUL_CALL_COST = 6000
 
 
 def expm(a):
@@ -135,12 +141,13 @@ def evolve_markov(liouv, rho0, t_grid):
     have at most EXPM_DIM_LIMIT**2 pairs (d <= 16 for one block), else
     adaptive DOP853 as one ODE over its stacked blocks; the method is "rk"
     when the largest group took DOP853.  The paths agree to 1e-8.  Steps
-    of one relative size (to 15 decimals) share an exponential, taken
-    with one expm call per block size and run of consecutive steps; a run
-    holds as many distinct sizes as have propagators no larger than the
-    trajectory (two at least).  So a uniform grid, or a linspace grid
-    that rounds to two sizes, pays once, and memory does not grow with
-    the number of distinct steps.
+    of one relative size (to 15 decimals) share an exponential: one expm
+    call per block size and run of stretches of equal steps, a run holding
+    as many sizes as have propagators no larger than the trajectory (two
+    at least), so a uniform grid pays once and memory does not grow with
+    the number of distinct steps.  Where MATMUL_CALL_COST says so, a
+    stretch is filled by doubling (P^s times the s states filled gives
+    the next s, then P^s is squared), else by one product per step.
     """
     t = _check_grid(t_grid)
     rho = _as_state(rho0)
@@ -150,7 +157,8 @@ def evolve_markov(liouv, rho0, t_grid):
     steps = np.diff(t)
     _, first, step_id = np.unique(np.round(steps / (t[-1] - t[0]), 15),
                                   return_index=True, return_inverse=True)
-    step_id = step_id.tolist()
+    bounds = np.flatnonzero(np.diff(step_id, prepend=-1, append=-1)).tolist()
+    ids = step_id[bounds[:-1]].tolist()     # stretch k: steps bounds[k] .. bounds[k+1]-1
     vecs = np.empty((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
     for idx, sub in liouv.blocks:
@@ -167,19 +175,28 @@ def evolve_markov(liouv, rho0, t_grid):
             vecs[:, idx] = sol.y.T.reshape(t.size, n_blocks, m)
             continue
         width = max(2, vecs.size // sub.size)
-        xs = np.empty((t.size, n_blocks, m, 1), dtype=complex)
-        xs[0, ..., 0] = vecs[0, idx]
+        cols = np.empty((t.size, n_blocks, m), dtype=complex).transpose(1, 2, 0)
+        cols[..., 0] = vecs[0, idx]             # states as columns, each contiguous
         i = 0
-        while i < steps.size:
+        while i < len(ids):
             run, j = {}, i                      # step id -> its propagator's slot
-            while j < steps.size and (step_id[j] in run or len(run) < width):
-                run.setdefault(step_id[j], len(run))
+            while j < len(ids) and (ids[j] in run or len(run) < width):
+                run.setdefault(ids[j], len(run))
                 j += 1
             props = expm(sub * steps[first[list(run)]][:, None, None, None])
-            for k in range(i, j):
-                np.matmul(props[run[step_id[k]]], xs[k], out=xs[k + 1])
+            for a, b, key in zip(bounds[i:j], bounds[i + 1:j + 1], ids[i:j]):
+                q, n, s = props[run[key]], b - a, 1     # states a .. a + s - 1 filled
+                if (m ** 3 + 2 * MATMUL_CALL_COST) * n.bit_length() > MATMUL_CALL_COST * n:
+                    for k in range(a, b):
+                        np.matmul(q, cols[..., k:k + 1], out=cols[..., k + 1:k + 2])
+                    continue
+                while s <= n:
+                    q = q if s == 1 else q @ q      # P^s
+                    c = min(s, n + 1 - s)
+                    np.matmul(q, cols[..., a:a + c], out=cols[..., a + s:a + s + c])
+                    s += c
             i = j
-        vecs[:, idx] = xs[..., 0]
+        vecs[:, idx] = cols.transpose(2, 0, 1)
     method = "expm" if m <= EXPM_DIM_LIMIT ** 2 else "rk"   # m of the largest group
     return _trajectory(t, vecs.reshape(t.size, d, d), method)
 
@@ -446,16 +463,19 @@ def trace_distance(a, b):
     return float(dist) if dist.ndim == 0 else dist
 
 
+@lru_cache(maxsize=64)
+def _csv_columns(d):                   # built once per dimension
+    return ("t", *(f"{part}_rho_{p}_{q}" for p in range(d) for q in range(d)
+                   for part in ("re", "im")), "trace", "min_eig")
+
+
 def trajectory_to_csv(traj, path):
     """Columns: t, Re/Im of each rho_{pq} row-major, trace, min eigenvalue."""
-    d = traj.dim
-    cols = ["t"] + [f"{part}_rho_{p}_{q}" for p in range(d) for q in range(d)
-                    for part in ("re", "im")] + ["trace", "min_eig"]
     states = np.ascontiguousarray(traj.states).reshape(len(traj.times), -1)
     trace = np.trace(traj.states, axis1=1, axis2=2).real
     table = np.column_stack([traj.times, states.view(float), trace,
                              traj.min_eigenvalue])
-    _io.write_csv_rows(path, cols, table)
+    _io.write_csv_rows(path, _csv_columns(traj.dim), table)
 
 
 def steady_result_json(result):

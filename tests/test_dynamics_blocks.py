@@ -44,13 +44,27 @@ def dense_null(data, rel_threshold=1e-10):
     return svals, cut, vh[svals <= cut].conj()
 
 
-def dense_trajectory(data, rho0, t):
-    """One exponential of the whole generator per step, as a matvec chain."""
+def dense_trajectory(data, rho0, t, double=False):
+    """One exponential P of the whole generator for the uniform grid t,
+    and the states filled as evolve_markov fills one block's stretch of
+    equal steps: one product per step, or by doubling, P^s applied to the
+    s states already filled with P^s squared after each product."""
+    n = len(t) - 1
     prop = expm(data * (t[1] - t[0]))
-    vecs = [np.asarray(rho0, dtype=complex).ravel()]
-    for _ in t[1:]:
-        vecs.append(prop @ vecs[-1])
-    return np.array(vecs).reshape(len(t), *np.shape(rho0))
+    vecs = np.empty((len(t), data.shape[0]), dtype=complex)
+    vecs[0] = np.ravel(rho0)
+    cols = vecs.T                      # states as columns
+    if double:
+        s = 1
+        while s <= n:
+            c = min(s, n + 1 - s)
+            np.matmul(prop, cols[:, :c], out=cols[:, s:s + c])
+            s += c
+            prop = prop @ prop
+    else:
+        for k in range(n):
+            np.matmul(prop, cols[:, k:k + 1], out=cols[:, k + 1:k + 2])
+    return vecs.reshape(len(t), *np.shape(rho0))
 
 
 def excited(d):
@@ -194,10 +208,12 @@ def test_one_block_generators_run_the_dense_path(d):
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.linalg.norm(rho)
     assert np.array_equal(result.state(), rho / complex(np.trace(rho)))
-    t = np.linspace(0.0, 4.0, 9)
-    traj = evolve_markov(liouv, excited(d), t)
-    assert np.array_equal(traj.states, dense_trajectory(liouv.data, excited(d), t))
-
+    # 8 steps take one product each and 64 steps are filled by doubling
+    for n in (8, 64):
+        t = np.linspace(0.0, 4.0, n + 1)
+        traj = evolve_markov(liouv, excited(d), t)
+        want = dense_trajectory(liouv.data, excited(d), t, double=n == 64)
+        assert np.array_equal(traj.states, want)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -214,6 +230,52 @@ def test_steps_of_one_relative_size_share_an_exponential(d):
     assert len(props) == 3
     traj = evolve_markov(liouv, excited(d), t)
     assert np.array_equal(traj.states, np.array(vecs).reshape(len(t), d, d))
+
+
+def pure_state(d, seed=0):
+    """A random pure state: coherences on every pair."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("variant, d", [
+    ("energy-conserving", 6),      # 30 one-pair blocks and the 6-pair zero bin
+    ("redfield-in", 4),            # one block of m = 16, 36, 144, 256 pairs
+    ("redfield-in", 6),
+    ("redfield-in", 12),
+    ("redfield-in", 16),
+])
+def test_stretches_match_the_exponential_at_every_time(variant, d, n):
+    # blocks of up to 36 pairs are filled by doubling, those of 144 and
+    # 256 by one product per step; checked against expm(L t_k) rho0 at the
+    # first steps, every 25th and the last
+    liouv = liouvillian(spectra(d)["generic"], variant)
+    t = np.linspace(0.0, 10.0, n + 1)
+    rho0 = pure_state(d)
+    traj = evolve_markov(liouv, rho0, t)
+    assert traj.method == "expm"
+    for k in sorted({*range(18), *range(0, n + 1, 25), n}):
+        want = expm(liouv.data * t[k]) @ rho0.ravel()
+        assert np.max(np.abs(traj.states[k].ravel() - want)) < 1e-13, k
+
+
+def test_stretches_and_a_random_tail_match_the_exponential():
+    # harmonic d=12 has twelve size groups (1 .. 12 pairs); the grid has
+    # stretches of 40, 30 and 20 equal steps, the last of the first
+    # stretch's size, then 15 random steps
+    d = 12
+    liouv = liouvillian(0.25 * np.arange(d), "energy-conserving")
+    assert [idx.shape[1] for idx, _ in liouv.blocks] == list(range(1, d + 1))
+    tail = np.random.default_rng(2).uniform(0.01, 0.2, 15)
+    t = np.cumsum(np.concatenate([[0.0], np.full(40, 0.1), np.full(30, 0.05),
+                                  np.full(20, 0.1), tail]))
+    rho0 = pure_state(d)
+    traj = evolve_markov(liouv, rho0, t)
+    want = expm(liouv.data * t[:, None, None]) @ rho0.ravel()
+    assert np.max(np.abs(traj.states.reshape(len(t), -1) - want)) < 1e-13
 
 
 def test_propagator_memory_does_not_grow_with_distinct_steps():
