@@ -222,19 +222,25 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
 def _in_out_entries(kernel_in, kernel_out, threshold):
     d = kernel_in.dim
     diff = np.abs(kernel_in.data - kernel_out.data)
-    hits = np.argwhere(diff > threshold)               # C order
-    values = diff[tuple(hits.T)]
-    on_pop = (hits % (d + 1) == 0).all(axis=1)         # (p, p) is flat p * (d + 1)
-    pairs = np.stack(np.divmod(hits, d), axis=-1)      # [hit, row | col, (p, p')]
+    hits = np.flatnonzero(diff > threshold)            # C order
+    values = diff.ravel()[hits]
+    # only the 32 largest are listed: a stable sort of the hits at or
+    # above the 32nd largest value keeps C order among ties
+    cut = np.partition(values, -32)[-32] if len(hits) > 32 else 0.0
+    top = np.flatnonzero(values >= cut)
+    top = top[np.argsort(-values[top], kind="stable")[:32]]
+    rc = np.divmod(hits[top], d * d)                   # (p, p) is flat p * (d + 1)
+    on_pop = (rc[0] % (d + 1) == 0) & (rc[1] % (d + 1) == 0)
+    pairs = np.stack(np.divmod(rc, d), axis=-1)        # [row | col, hit, (p, p')]
     entries = [
-        {"row": pairs[n, 0].tolist(), "col": pairs[n, 1].tolist(),
-         "abs_diff": float(values[n]), "population_block": bool(on_pop[n])}
-        for n in np.argsort(-values, kind="stable")[:32]
+        {"row": pairs[0, n].tolist(), "col": pairs[1, n].tolist(),
+         "abs_diff": float(values[i]), "population_block": bool(on_pop[n])}
+        for n, i in enumerate(top)
     ]
     return {
         "max_abs_diff": float(diff.max()),
         "n_entries": len(hits),
         "entries": entries,
-        "population_block_touched": bool(on_pop.any()),
+        "population_block_touched": bool((diff[::d + 1, ::d + 1] > threshold).any()),
         "threshold": float(threshold),
     }

@@ -61,6 +61,12 @@ JSON_G17_MIN = 384            # below, a JSON array is cheaper as one %.17g fill
 
 
 @functools.cache
+def _digits():
+    """The ASCII digits of 0000 to 9999, one row of four bytes each."""
+    return (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+
+
+@functools.cache
 def _g17_tables():
     """The tables of :func:`_g17`, built on its first call."""
     tens = [(10 ** k, 1) if k >= 0 else (1, 10 ** -k) for k in range(-300, 301)]
@@ -69,7 +75,7 @@ def _g17_tables():
           for (num, den), (a, b) in zip(tens, map(float.as_integer_ratio, hi))]
     q = np.arange(10000)
     quads = np.zeros((10000, 8), np.uint8)             # "d\0d\0d\0d\0"
-    quads[:, ::2] = q[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    quads[:, ::2] = _digits()
     zeros = sum(q % p == 0 for p in (10, 100, 1000, 10000)).astype(np.uint8)  # trailing
     keep = (np.arange(1, 17) < np.arange(18)[:, None]) * np.uint8(255)  # per digit count
     masks = np.stack([keep, 0 * keep], -1).reshape(18, 32).view(np.uint64).T.copy()
@@ -158,11 +164,12 @@ def write_csv_rows(path, header, table, index=False):
             row = np.arange(start, start + len(chunk))
             pre = len(str(row[-1])) + 1 if index else 0
             lead = np.full((len(chunk), pre), ord(","), np.uint8)  # row number, \x02 pads
-            q = row
-            for k in range(pre - 2, -1, -1):
-                q, digit = np.divmod(q, 10)
-                lead[:, k] = ord("0") + digit
-            lead[:, :pre - 2][row[:, None] < 10 ** np.arange(pre - 2, 0, -1)] = 2
+            for j in range(0, pre - 1, 4):        # four digits at a time, from the right
+                w = min(4, pre - 1 - j)
+                quad = _digits().take(row // 10 ** j % 10000, axis=0)
+                lead[:, pre - 1 - j - w:pre - 1 - j] = quad[:, 4 - w:]
+            for j in range(1, pre - 1):           # the rows below 10^j are a prefix
+                lead[:max(0, 10 ** j - start), :pre - 1 - j] = 2
             if _dense(nz):
                 per = max(1, G17_BATCH // n_cols)
                 for i in range(0, len(chunk), per):  # + 0.0: -0.0 is written 0
@@ -177,9 +184,9 @@ def write_csv_rows(path, header, table, index=False):
             # comma per cell; "\n" ends the row
             grid = np.full((len(chunk), pre + max(2 * n_cols, 1)), ord(","), np.uint8)
             grid[:, :pre] = lead
-            grid[:, pre:pre + 2 * n_cols:2] = np.where(nz, 1, ord("0"))
+            grid[:, pre:pre + 2 * n_cols:2] = ord("0") - 47 * nz.view(np.uint8)
             grid[:, -1] = ord("\n")
-            text = grid.tobytes().decode().replace("\x02", "").replace("\x01", "%.17g")
+            text = grid.tobytes().translate(None, b"\2").decode().replace("\x01", "%.17g")
             fh.write(text % tuple(chunk[nz].tolist()))
 
 

@@ -21,6 +21,10 @@ same object; ``tests`` and the comparison helpers check the agreement to
 float rounding with no rotating-wave step involved; both take energy
 conservation from the Bohr bins, each with its own formula.
 
+The two dense builders fold each term's bath weight into one coupling
+factor (an n^2 d^3 einsum for n channels), S_b (S_a g) and not
+(S_b S_a) g, and build the d^4 terms as batched matmuls.
+
 Index conventions live in :mod:`qmekit.core`: rows are the out pair
 (p, p'), columns the in pair (q, q'), flat index p*d + p'.  The bath
 enters through D^{ab}(w) = gamma^{a-bar, b}(w) with the channel adjoint
@@ -88,31 +92,38 @@ def born_kernel_frequency(spectrum, couplings, bath_spec, omega):
     frequencies; columns (q, q') always trace-cancel against the two
     gain terms, so sum_p K[p, p, q, q'] vanishes to rounding at any
     omega.  K~(omega) is a hermiticity-preserving map only at omega = 0;
-    at finite omega the exact symmetry pairs it with K~(-omega).
+    at finite omega the exact symmetry pairs it with K~(-omega).  The
+    loss tables are (d, d, n d) @ (n d, d) products; each gain is a
+    matmul over the n channels, batched over q or p.
     """
     bohr, s, dtilde = _prep(spectrum, couplings, bath_spec)
     omega = float(omega)
-    d = spectrum.dim
-    k = np.zeros((d, d, d, d), dtype=complex)
-    rng = np.arange(d)
-
+    d, n = spectrum.dim, couplings.n_channels
     wp = dtilde(omega + bohr)              # [x, y] = omega + E_{xy}
     wm = dtilde(-omega + bohr)
 
-    t1 = np.einsum("apl,blq,Qlab->pqQ", s, s, wp)      # D(omega + E_{q'l})
-    k[:, rng, :, rng] -= 0.5 * t1.transpose(2, 0, 1)
-
-    t2 = np.einsum("aQl,blP,qlab->QPq", s, s, wm)      # D(-omega + E_{ql})
-    k[rng, :, rng, :] -= 0.5 * t2.transpose(2, 1, 0)
-
-    k += 0.5 * np.einsum("bpq,aQP,qPab->pPqQ", s, s, wm)   # D(-omega + E_{qp'})
-    k += 0.5 * np.einsum("bpq,aQP,Qpab->pPqQ", s, s, wp)   # D(omega + E_{q'p})
-
+    # each term's bath weight is folded into one factor by an n^2 d^3 einsum
+    t1 = np.einsum("apl,Qlab->Qpbl", 0.5 * s, wp).reshape(d, d, n * d) @ s.reshape(n * d, d)
+    t2 = np.einsum("blP,qlab->qPal", 0.5 * s, wm).reshape(d, d, n * d) \
+        @ s.transpose(0, 2, 1).reshape(n * d, d)
+    # gains: g1[q, p, P Q] at D(-omega + E_{qp'}), g2[p, q, Q P] at D(omega + E_{q'p})
+    g1 = s.transpose(2, 1, 0) @ np.einsum("aQP,qPab->qbPQ", 0.5 * s, wm).reshape(d, n, d * d)
+    k = g1.reshape((d,) * 4).transpose(1, 2, 0, 3).copy()
+    g2 = s.transpose(1, 2, 0) @ np.einsum("aQP,Qpab->pbQP", 0.5 * s, wp).reshape(d, n, d * d)
+    k += g2.reshape((d,) * 4).transpose(0, 3, 1, 2)
+    rng = np.arange(d)
+    k[:, rng, :, rng] -= t1                # D(omega + E_{q'l}), t1[Q, p, q]
+    k[rng, :, rng, :] -= t2                # D(-omega + E_{ql}), t2[q, P, Q]
     return Superoperator(d, k.reshape(d * d, d * d))
 
 
 def redfield_kernel(spectrum, couplings, bath_spec, ansatz="in"):
     """Markov kernel with the bath sampled at literal Bohr differences.
+
+    The gain is taken in factored form, sum_b S_b rho Lambda_b + sum_a
+    M_a rho S_a (Breuer & Petruccione 2002, section 3.3), as one batched
+    matmul; it does not depend on the ansatz, so "in" and "out" share
+    every gain entry bit for bit.
 
     Parameters
     ----------
@@ -134,23 +145,23 @@ def redfield_kernel(spectrum, couplings, bath_spec, ansatz="in"):
     bohr, s, dtilde = _prep(spectrum, couplings, bath_spec)
     d = spectrum.dim
     g = dtilde(bohr)                       # g[x, y, a, b] = D^{ab}(E_{xy})
-    k = np.zeros((d, d, d, d), dtype=complex)
-    rng = np.arange(d)
-
     if ansatz == "in":
         t1 = np.einsum("apl,blq,qlab->pq", s, s, g)
         t2 = np.einsum("aQl,blP,Qlab->QP", s, s, g)
     else:
         t1 = np.einsum("apl,blq,plab->pq", s, s, g)
         t2 = np.einsum("aQl,blP,Plab->QP", s, s, g)
+
+    # gain terms, half weight each at E_{q'p'} and E_{qp}: sum_c L_c[p, q]
+    # R_c[Q, P] with L = [S_b; M_a / 2], R = [Lambda_b / 2; S_a] stacked,
+    # Lambda_b = sum_a S_a g[Q, P, a, b], M_a = sum_b S_b g[q, p, a, b]
+    lam = np.einsum("aQP,QPab->bQP", s, g)
+    m = np.einsum("bpq,qpab->apq", s, g)
+    left, right = np.concatenate([s, 0.5 * m]), np.concatenate([0.5 * lam, s])
+    k = np.matmul(left.transpose(1, 2, 0)[:, None], right.transpose(2, 0, 1)[None])
+    rng = np.arange(d)
     k[:, rng, :, rng] -= 0.5 * t1[None, :, :]
     k[rng, :, rng, :] -= 0.5 * t2.T[None, :, :]
-
-    # gain terms: half weight each, arguments E_{q'p'} and E_{qp}; their
-    # sum is ansatz-independent
-    k += 0.5 * np.einsum("bpq,aQP,QPab->pPqQ", s, s, g)
-    k += 0.5 * np.einsum("bpq,aQP,qpab->pPqQ", s, s, g)
-
     return Superoperator(d, k.reshape(d * d, d * d))
 
 

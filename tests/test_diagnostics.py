@@ -174,6 +174,30 @@ def test_in_out_entries_keep_index_order_among_ties():
     assert rep["n_entries"] == 6 and rep["population_block_touched"] is True
 
 
+def test_in_out_entries_are_the_head_of_the_full_stable_sort():
+    # 120 hits with 40 tied at the 32nd largest value: the listed entries
+    # are the first 32 of a stable argsort over every hit, and the one
+    # population-block hit (flat 0, value 1.0) is counted though unlisted
+    from qmekit.diagnostics import _in_out_entries
+    d = 4
+    rng = np.random.default_rng(3)
+    diff = np.zeros(d ** 4)
+    pop = np.zeros((d * d, d * d), dtype=bool)
+    pop[::d + 1, ::d + 1] = True                 # (p, p) is flat p * (d + 1)
+    off_pop = np.flatnonzero(~pop)
+    hits = np.concatenate([[0], rng.choice(off_pop, 119, replace=False)])
+    diff[hits] = np.repeat([1.0, 3.0, 2.0, 1.0], [1, 10, 40, 69])
+    rep = _in_out_entries(Superoperator(d, diff.reshape(d * d, d * d)),
+                          Superoperator.zero(d), threshold=0.5)
+    flat = np.flatnonzero(diff)
+    order = flat[np.argsort(-diff[flat], kind="stable")[:32]]
+    assert [e["row"] + e["col"] for e in rep["entries"]] == [
+        list(np.unravel_index(k, (d,) * 4)) for k in order]
+    assert [e["abs_diff"] for e in rep["entries"]] == diff[order].tolist()
+    assert [e["population_block"] for e in rep["entries"]] == pop.ravel()[order].tolist()
+    assert rep["n_entries"] == 120 and rep["population_block_touched"] is True
+
+
 def _reference_probes(liouv, t_probes, n_random=64, seed=0):
     """The per-time, per-ket loops the batched probes replace: Choi
     minima and defects, every scan eigenvalue in (time, ket) order, the

@@ -22,6 +22,7 @@ from qmekit.core import (
 )
 from qmekit.kernels import (
     VARIANT_TAGS,
+    born_kernel_frequency,
     build_kernel,
     energy_conserving_kernel,
     kernel_difference,
@@ -30,6 +31,7 @@ from qmekit.kernels import (
     kernel_to_csv,
     kossakowski_matrix,
     lindblad_kernel,
+    redfield_kernel,
     trace_condition_residual,
 )
 from qmekit.diagnostics import flip_gain_sign
@@ -190,11 +192,9 @@ def test_energy_conserving_kernel_equals_the_dense_mass_shell_formula(system_box
                               dense_energy_conserving(spectrum, couplings, bath)), seed
 
 
-@pytest.mark.parametrize("d", [16, 24, 32])
-@pytest.mark.parametrize("family", ["generic", "harmonic"])
-@pytest.mark.parametrize("channels", ["hermitian", "ladder"])
-def test_energy_conserving_kernel_equals_the_dense_formula_at_large_d(d, family,
-                                                                      channels):
+def large_system(d, family, channels):
+    """Random (generic) or equally spaced (harmonic) levels at dimension d,
+    one dense hermitian coupling or its ladder pair, a thermal bath."""
     rng = np.random.default_rng(d)
     spectrum = build_spectrum(np.sort(rng.uniform(0.0, 4.0, d)) if family == "generic"
                               else 0.25 * np.arange(d))
@@ -203,12 +203,13 @@ def test_energy_conserving_kernel_equals_the_dense_formula_at_large_d(d, family,
         couplings = hermitian_channel(m + m.conj().T)
     else:
         couplings = ladder_channels(m)
-    bath = thermal_ohmic_spectrum(0.2, 5.0, 1.0, n_channels=couplings.n_channels)
-    assert np.array_equal(energy_conserving_kernel(spectrum, couplings, bath).data,
-                          dense_energy_conserving(spectrum, couplings, bath))
+    return spectrum, couplings, thermal_ohmic_spectrum(0.2, 5.0, 1.0,
+                                                       n_channels=couplings.n_channels)
 
 
-def test_energy_conserving_kernel_matches_the_dense_formula_for_three_channels():
+def three_channel_system():
+    """d=12, one hermitian channel plus a ladder pair, a bath that mixes
+    all three channels."""
     d = 12
     rng = np.random.default_rng(5)
     spectrum = build_spectrum(np.sort(rng.uniform(0.0, 4.0, d)))
@@ -219,6 +220,21 @@ def test_energy_conserving_kernel_matches_the_dense_formula_for_three_channels()
     mix = np.array([[1.0, 0.3 + 0.1j, 0.2], [0.3 - 0.1j, 0.8, 0.1j], [0.2, -0.1j, 0.6]])
     bath = custom_spectrum(
         3, lambda w: np.multiply.outer(0.3 / (1.0 + np.exp(-1.5 * w)), mix))
+    return spectrum, couplings, bath
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+@pytest.mark.parametrize("family", ["generic", "harmonic"])
+@pytest.mark.parametrize("channels", ["hermitian", "ladder"])
+def test_energy_conserving_kernel_equals_the_dense_formula_at_large_d(d, family,
+                                                                      channels):
+    spectrum, couplings, bath = large_system(d, family, channels)
+    assert np.array_equal(energy_conserving_kernel(spectrum, couplings, bath).data,
+                          dense_energy_conserving(spectrum, couplings, bath))
+
+
+def test_energy_conserving_kernel_matches_the_dense_formula_for_three_channels():
+    spectrum, couplings, bath = three_channel_system()
     k = energy_conserving_kernel(spectrum, couplings, bath).data
     ref = dense_energy_conserving(spectrum, couplings, bath)
     assert np.max(np.abs(k - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -358,19 +374,85 @@ def test_in_out_discrepancy_off_population_block():
     assert np.max(diff[pop]) == 0.0
 
 
-def test_gain_terms_ansatz_independent():
+def test_gain_terms_ansatz_independent(system_box):
     # in and out kernels share their gain entries; the loss terms sit on
-    # delta-constrained rows/columns, so purely off-diagonal blocks of
-    # the difference vanish
-    kin = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in").data.reshape((FIX3.dim,) * 4)
-    kout = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-out").data.reshape((FIX3.dim,) * 4)
-    d = FIX3.dim
-    for p in range(d):
-        for p2 in range(d):
-            for q in range(d):
-                for q2 in range(d):
-                    if p != q and p2 != q2 and p != p2:
-                        assert kin[p, p2, q, q2] == kout[p, p2, q, q2]
+    # the delta-constrained entries p = q or p' = q', so every other
+    # entry is the same gain number in both, bit for bit
+    systems = [(FIX3, FIX3_COUPLING, FIX3_BATH), *system_box,
+               large_system(16, "generic", "ladder")]
+    for n, system in enumerate(systems):
+        d = system[0].dim
+        kin = build_kernel(*system, "redfield-in").data.reshape((d,) * 4)
+        kout = build_kernel(*system, "redfield-out").data.reshape((d,) * 4)
+        off = ~np.eye(d, dtype=bool)
+        gain = off[:, None, :, None] & off[None, :, None, :]
+        assert np.array_equal(kin[gain], kout[gain]), n
+
+
+def einsum_redfield(spectrum, couplings, bath, ansatz):
+    """The Redfield kernel as three-operand einsums, each gain weighted
+    as (S_b S_a) g: the form the factored matmul replaced."""
+    d = spectrum.dim
+    s = couplings.matrices
+    g = bath.correlation_ft(spectrum.bohr_matrix(), adjoint_map=couplings.adjoint_map)
+    k = np.zeros((d, d, d, d), dtype=complex)
+    rng = np.arange(d)
+    if ansatz == "in":
+        t1 = np.einsum("apl,blq,qlab->pq", s, s, g)
+        t2 = np.einsum("aQl,blP,Qlab->QP", s, s, g)
+    else:
+        t1 = np.einsum("apl,blq,plab->pq", s, s, g)
+        t2 = np.einsum("aQl,blP,Plab->QP", s, s, g)
+    k[:, rng, :, rng] -= 0.5 * t1[None, :, :]
+    k[rng, :, rng, :] -= 0.5 * t2.T[None, :, :]
+    k += 0.5 * np.einsum("bpq,aQP,QPab->pPqQ", s, s, g)
+    k += 0.5 * np.einsum("bpq,aQP,qpab->pPqQ", s, s, g)
+    return k.reshape(d * d, d * d)
+
+
+def einsum_born(spectrum, couplings, bath, omega):
+    """The Born kernel K~(omega) as three-operand einsums."""
+    d = spectrum.dim
+    s = couplings.matrices
+    bohr = spectrum.bohr_matrix()
+    wp = bath.correlation_ft(omega + bohr, adjoint_map=couplings.adjoint_map)
+    wm = bath.correlation_ft(-omega + bohr, adjoint_map=couplings.adjoint_map)
+    k = np.zeros((d, d, d, d), dtype=complex)
+    rng = np.arange(d)
+    t1 = np.einsum("apl,blq,Qlab->pqQ", s, s, wp)
+    k[:, rng, :, rng] -= 0.5 * t1.transpose(2, 0, 1)
+    t2 = np.einsum("aQl,blP,qlab->QPq", s, s, wm)
+    k[rng, :, rng, :] -= 0.5 * t2.transpose(2, 1, 0)
+    k += 0.5 * np.einsum("bpq,aQP,qPab->pPqQ", s, s, wm)
+    k += 0.5 * np.einsum("bpq,aQP,Qpab->pPqQ", s, s, wp)
+    return k.reshape(d * d, d * d)
+
+
+def assert_dense_builders_equal_the_einsum_forms(system):
+    for ansatz in ("in", "out"):
+        ref = einsum_redfield(*system, ansatz)
+        k = redfield_kernel(*system, ansatz).data
+        assert np.max(np.abs(k - ref)) <= 1e-14 * np.max(np.abs(ref)), ansatz
+    for omega in (0.0, 0.7, -0.7):
+        ref = einsum_born(*system, omega)
+        k = born_kernel_frequency(*system, omega).data
+        assert np.max(np.abs(k - ref)) <= 1e-14 * np.max(np.abs(ref)), omega
+
+
+def test_dense_builders_equal_the_einsum_forms_on_the_box(system_box):
+    for system in system_box:
+        assert_dense_builders_equal_the_einsum_forms(system)
+
+
+@pytest.mark.parametrize("d", [16, 24])
+@pytest.mark.parametrize("family", ["generic", "harmonic"])
+@pytest.mark.parametrize("channels", ["hermitian", "ladder"])
+def test_dense_builders_equal_the_einsum_forms_at_large_d(d, family, channels):
+    assert_dense_builders_equal_the_einsum_forms(large_system(d, family, channels))
+
+
+def test_dense_builders_equal_the_einsum_forms_for_three_channels():
+    assert_dense_builders_equal_the_einsum_forms(three_channel_system())
 
 
 def test_energy_conserving_mass_shell_arguments_coincide():
