@@ -15,7 +15,13 @@ their builders hand over the blocks, and no d^4 matrix is built.  A dense
 generator (redfield, born) is one block, a stack of one for the same
 code, even where its coupling splits the nonzero pattern; the zero
 kernel is d^2 one-pair blocks.  The split is exact, because off-block
-entries are structural zeros.  Non-Markovian propagation builds all
+entries are structural zeros.  So a block that rho(0) leaves empty stays
+empty: a covariant generator commutes with the free evolution, every
+Bohr sector is invariant, and a start with populations only stays in
+the zero bin with no coherence between distinct energies (the Pauli
+sector).  Markovian propagation takes only the occupied blocks, and the
+diagnostics of a trajectory whose states are all diagonal are read off
+the diagonal.  Non-Markovian propagation builds all
 memory-kernel nodes in one array pass and integrates with a Heun
 predictor-corrector and trapezoid memory quadrature.  That recurrence is
 linear and time-invariant, so the kernel window is folded in place into
@@ -109,15 +115,27 @@ class Trajectory:
 
 def _trajectory(t, states, method):
     """Trajectory with its diagnostics; raises InvariantError naming the
-    first time whose state is not finite (a propagator that overflowed)."""
+    first time whose state is not finite (a propagator that overflowed).
+
+    If every state is diagonal, the Hermiticity defect is max |2 Im
+    rho_pp| and the smallest eigenvalue min Re rho_pp: the bits of the
+    dense formulas below, as rho - rho^dagger is then 2i Im rho_pp and
+    zheevd returns a diagonal's entries exactly (up to 1 ulp only where
+    it rescales, entries below 1.5e-146 or above 6.7e145).
+    """
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         raise InvariantError(
             f"propagated state is not finite from t={t[np.argmin(finite)]:g} on")
     drift = np.abs(np.einsum("tii->t", states) - 1.0)
-    herm = np.max(np.abs(states - np.conj(np.swapaxes(states, 1, 2))), axis=(1, 2))
-    hermitized = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
-    mineig = np.linalg.eigvalsh(hermitized)[:, 0]
+    diag = np.einsum("tii->ti", states)
+    if np.count_nonzero(states) == np.count_nonzero(diag):     # diagonal states
+        herm = np.max(np.abs(2 * diag.imag), axis=1)
+        mineig = np.min(diag.real, axis=1) + 0.0       # -0.0 reads +0.0, as in eigvalsh
+    else:
+        herm = np.max(np.abs(states - np.conj(np.swapaxes(states, 1, 2))), axis=(1, 2))
+        hermitized = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
+        mineig = np.linalg.eigvalsh(hermitized)[:, 0]
     return Trajectory(t, states, drift, herm, mineig, method)
 
 
@@ -148,6 +166,12 @@ def evolve_markov(liouv, rho0, t_grid):
     the number of distinct steps.  Where MATMUL_CALL_COST says so, a
     stretch is filled by doubling (P^s times the s states filled gives
     the next s, then P^s is squared), else by one product per step.
+
+    Only the blocks that rho0 occupies (any nonzero pair) are propagated,
+    on either path; the generator maps no other block into them, so every
+    other entry stays exactly 0, and a group with no occupied block takes
+    no exponential.  The method label is read from the generator's
+    largest group, which holds the zero bin that every state occupies.
     """
     t = _check_grid(t_grid)
     rho = _as_state(rho0)
@@ -159,10 +183,15 @@ def evolve_markov(liouv, rho0, t_grid):
                                   return_index=True, return_inverse=True)
     bounds = np.flatnonzero(np.diff(step_id, prepend=-1, append=-1)).tolist()
     ids = step_id[bounds[:-1]].tolist()     # stretch k: steps bounds[k] .. bounds[k+1]-1
-    vecs = np.empty((t.size, d * d), dtype=complex)
+    vecs = np.zeros((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
     for idx, sub in liouv.blocks:
+        occupied = vecs[0, idx].any(axis=1)     # a block rho0 leaves empty stays 0
+        if not occupied.all():
+            idx, sub = idx[occupied], sub[occupied]
         n_blocks, m = idx.shape
+        if n_blocks == 0:
+            continue
         if m > EXPM_DIM_LIMIT ** 2:             # one ODE over the stacked blocks
             sol = solve_ivp(lambda _, y: np.matmul(sub, y.reshape(n_blocks, m, 1)).ravel(),
                             (t[0], t[-1]), vecs[0, idx].ravel(), t_eval=t,
@@ -197,7 +226,8 @@ def evolve_markov(liouv, rho0, t_grid):
                     s += c
             i = j
         vecs[:, idx] = cols.transpose(2, 0, 1)
-    method = "expm" if m <= EXPM_DIM_LIMIT ** 2 else "rk"   # m of the largest group
+    # the largest group holds the zero bin, which every state occupies
+    method = "expm" if liouv.blocks[-1][0].shape[1] <= EXPM_DIM_LIMIT ** 2 else "rk"
     return _trajectory(t, vecs.reshape(t.size, d, d), method)
 
 

@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 import qmekit.core as core
 import qmekit.kernels as kernels
 from qmekit.cli import COMMANDS, main, parse_config
 from qmekit.diagnostics import flip_gain_sign
-from qmekit.dynamics import NONLOCAL_DIM_LIMIT
+from qmekit.dynamics import NONLOCAL_DIM_LIMIT, build_liouvillian
 from qmekit.io import canonical_dumps, complex_matrix_from_json, complex_matrix_to_json
 
 # no numpy warning may reach stderr, on any exit
@@ -259,6 +260,69 @@ def test_evolve_json_payload(tmp_path):
     states = complex_matrix_from_json(traj["states"])
     assert states.shape == (5, 2, 2)
     assert abs(states[0, 1, 1] - 1.0) < 1e-15
+
+
+
+D_COHERENT = 4
+ONE_COHERENCE = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+ONE_COHERENCE[0, 3], ONE_COHERENCE[3, 0] = 0.3j, -0.3j
+
+
+def generic_doc(variant, initial_state, d=D_COHERENT):
+    """Generic levels, a dense hermitian coupling, 21 points on [0, 5]."""
+    rng = np.random.default_rng(d)
+    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    return {"spectrum": {"levels": np.sort(rng.uniform(0.0, 4.0, d)).tolist()},
+            "couplings": {"kind": "hermitian", "matrix": as_json_matrix(m + m.conj().T)},
+            "bath": {"kind": "thermal-ohmic", "coupling": 0.2, "cutoff": 5.0, "beta": 1.0},
+            "experiment": {"variant": variant, "initial_state": initial_state,
+                           "t_grid": {"start": 0.0, "stop": 5.0, "num": 21}}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("variant", ["lindblad", "redfield-in"])
+@pytest.mark.parametrize("initial_state", [
+    {"kind": "ground"}, {"kind": "excited"}, {"kind": "maximally-mixed"},
+    {"kind": "matrix", "matrix": as_json_matrix(ONE_COHERENCE)},
+], ids=["ground", "excited", "maximally-mixed", "one-coherence"])
+def test_evolve_reports_the_exponential_and_the_dense_diagnostics(tmp_path, fmt, variant,
+                                                                  initial_state):
+    # the covariant (lindblad) run propagates only the Bohr bins the start
+    # occupies, and a diagonal trajectory takes its diagnostics off the
+    # diagonal; redfield-in is one block and fills every coherence
+    d = D_COHERENT
+    doc = generic_doc(variant, initial_state)
+    rc, out = run(tmp_path, "evolve", doc, "--format", fmt)
+    assert rc == 0
+    health = json.loads((out / "evolve-diagnostics.json").read_text())["markov"]
+    if fmt == "csv":
+        body = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        t, min_eig = body[:, 0], body[:, -1]
+        states = body[:, 1:-2].view(complex).reshape(len(t), d, d)
+    else:
+        report = json.loads((out / "trajectory.json").read_text())
+        assert {k: report[k] for k in health} == health
+        t, states = np.array(report["times"]), complex_matrix_from_json(report["states"])
+        min_eig = None
+    cfg = parse_config(json.dumps(doc))
+    liouv = build_liouvillian(cfg.spectrum, kernels.build_kernel(
+        cfg.spectrum, cfg.couplings, cfg.bath, variant))
+    rho0 = cfg.experiment.initial_state
+    want = (expm(liouv.data * t[:, None, None]) @ rho0.ravel()).reshape(len(t), d, d)
+    assert np.max(np.abs(states - want)) < 1e-12
+    if variant == "lindblad":
+        # every Bohr bin but the zero bin is one pair: the state keeps
+        # exactly the coherences it starts with
+        off = ~np.eye(d, dtype=bool)
+        assert np.array_equal(states[:, off] != 0,
+                              np.broadcast_to(rho0[off] != 0, (len(t), d * d - d)))
+    adjoint = np.conj(np.swapaxes(states, 1, 2))
+    herm = np.max(np.abs(states - adjoint), axis=(1, 2))
+    dense_min = np.linalg.eigvalsh((states + adjoint) / 2)[:, 0]
+    assert health["herm_defect_max"] == np.max(herm)
+    assert health["min_eigenvalue"] == np.min(dense_min)
+    if min_eig is not None:
+        assert np.array_equal(min_eig, dense_min)
 
 
 def test_evolve_nonlocal_pairing(tmp_path):

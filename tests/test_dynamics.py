@@ -124,6 +124,65 @@ def test_trajectory_diagnostics_stay_clean():
     assert np.min(traj.min_eigenvalue) > -1e-12
 
 
+
+def dense_diagnostics(states):
+    """herm_defect and min_eigenvalue by the dense formulas."""
+    adjoint = np.conj(np.swapaxes(states, 1, 2))
+    herm = np.max(np.abs(states - adjoint), axis=(1, 2))
+    return herm, np.linalg.eigvalsh((states + adjoint) / 2)[:, 0]
+
+
+def diagonal_stack(d, scale=1.0, seed=0):
+    """Five diagonal (d, d) matrices: a state, random complex entries,
+    one with -0.0 real and imaginary parts among them, all -0.0, and
+    negative reals with imaginary parts."""
+    rng = np.random.default_rng(seed)
+    diag = scale * (rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d)))
+    diag[0] = np.abs(diag[0].real) / np.sum(np.abs(diag[0].real))
+    diag[2, 0], diag[2, -1] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    diag[3] = complex(-0.0, -0.0)
+    diag[4] = -np.abs(diag[4].real) + 1j * diag[4].imag
+    states = np.zeros((5, d, d), dtype=complex)
+    states[:, np.arange(d), np.arange(d)] = diag
+    return states
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 16, 24, 64, 128, 256])
+def test_diagonal_states_take_the_dense_diagnostics_bits(d):
+    # rho - rho^dagger is 2i Im rho_pp exactly and eigvalsh returns a
+    # diagonal matrix's entries exactly, -0.0 as +0.0
+    states = diagonal_stack(d)
+    traj = dynamics._trajectory(np.arange(5.0), states, "expm")
+    herm, mineig = dense_diagnostics(states)
+    assert traj.herm_defect.tobytes() == herm.tobytes()
+    assert traj.min_eigenvalue.tobytes() == mineig.tobytes()
+    if d > 1:
+        # one off-diagonal entry of 5e-324 sends the stack to the dense formulas
+        states[:, 0, -1] = [5e-324, 0, 0, 0, 0]
+        traj = dynamics._trajectory(np.arange(5.0), states, "expm")
+        herm, mineig = dense_diagnostics(states)
+        assert traj.herm_defect[0] == 5e-324
+        assert traj.herm_defect.tobytes() == herm.tobytes()
+        assert traj.min_eigenvalue.tobytes() == mineig.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("d", [2, 6, 16, 256])
+def test_diagonal_states_past_the_eigensolver_scaling_read_the_exact_minimum(d, scale):
+    # a largest entry below about 1.5e-146 or above about 6.7e145 makes
+    # LAPACK scale the matrix, and the dense minimum may then be 1 ulp off
+    # the entry; the diagonal rule returns the entry itself.  No trace-one
+    # state reaches these magnitudes
+    states = diagonal_stack(d, scale)
+    diag = np.einsum("tii->ti", states)
+    traj = dynamics._trajectory(np.arange(5.0), states, "expm")
+    assert np.array_equal(traj.min_eigenvalue, np.min(diag.real, axis=1))
+    assert np.array_equal(traj.herm_defect, np.max(np.abs(2 * diag.imag), axis=1))
+    herm, mineig = dense_diagnostics(states)
+    assert np.array_equal(traj.herm_defect, herm)
+    assert np.all(np.abs(mineig - traj.min_eigenvalue) <= np.spacing(np.abs(mineig)))
+
+
 def test_steady_state_thermal_gibbs():
     beta = 1.3
     bath = thermal_ohmic_spectrum(0.2, 5.0, beta, n_channels=2)

@@ -25,6 +25,7 @@ from qmekit.core import (
     build_spectrum,
     hermitian_channel,
 )
+import qmekit.core as core
 import qmekit.dynamics as dynamics
 from qmekit.dynamics import (
     block_structure_report,
@@ -543,6 +544,110 @@ def test_oversized_bin_propagates_without_the_dense_generator():
         tracemalloc.stop()
     assert traj.method == "rk"
     assert peak < 60e6, peak
+
+
+
+def exponential_trajectory(liouv, rho0, t):
+    """expm(L t_k) rho0 at every time of t."""
+    return (expm(liouv.data * t[:, None, None]) @ rho0.ravel()).reshape(len(t), *rho0.shape)
+
+
+def bohr_label(liouv):
+    """Each pair's block, numbered over the size groups: its Bohr bin for
+    a covariant generator."""
+    label, start = np.empty(liouv.dim ** 2, dtype=int), 0
+    for idx, _ in liouv.blocks:
+        label[idx] = start + np.arange(len(idx))[:, None]
+        start += len(idx)
+    return label
+
+
+def test_a_population_start_exponentiates_the_zero_bin_alone(monkeypatch):
+    # harmonic d=12 has twelve size groups (1 .. 12 pairs); an excited
+    # state occupies only the 12-pair zero bin, so the other 22 bins take
+    # no exponential and their entries stay exactly 0
+    d = 12
+    liouv = liouvillian(0.25 * np.arange(d), "energy-conserving")
+    expms = counting(monkeypatch, "expm")
+    t = np.linspace(0.0, 10.0, 41)
+    traj = evolve_markov(liouv, excited(d), t)
+    assert [args[0].shape for args in expms] == [(1, 1, d, d)]
+    assert traj.method == "expm"
+    assert not traj.states[:, ~np.eye(d, dtype=bool)].any()
+    assert np.max(np.abs(traj.states - exponential_trajectory(liouv, excited(d), t))) < 1e-12
+
+
+def coherent_pair(d, p, q, both=True):
+    """Populations 1/2 on p and q and the coherence rho_pq = 0.2, with its
+    mirror rho_qp unless both is False."""
+    rho = np.zeros((d, d), dtype=complex)
+    rho[p, p] = rho[q, q] = 0.5
+    rho[p, q] = 0.2
+    if both:
+        rho[q, p] = 0.2
+    return rho
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 10.0, 41),
+                               np.array([0.0, 0.3, 0.5, 1.1, 2.0, 2.4])])
+def test_one_bin_of_a_mirrored_pair_propagates_as_with_both(monkeypatch, t):
+    # harmonic d=6: (4, 5) lies in the 5-pair bin of omega = 0.25, (5, 4)
+    # in that of -0.25, one size group.  Occupying the omega bin alone (a
+    # state hermitian only within tol_herm = inf) gives it and the zero
+    # bin the bits they take when both bins are occupied; every block
+    # the state leaves empty stays exactly 0
+    d = 6
+    liouv = liouvillian(0.25 * np.arange(d), "energy-conserving")
+    both = evolve_markov(liouv, coherent_pair(d, 4, 5), t)
+    monkeypatch.setattr(core, "TOL_HERM", np.inf)
+    one = evolve_markov(liouv, coherent_pair(d, 4, 5, both=False), t)
+    label = bohr_label(liouv).reshape(d, d)
+    zero_bin, up, down = label[0, 0], label[4, 5], label[5, 4]
+    for traj, occupied in ((both, (zero_bin, up, down)), (one, (zero_bin, up))):
+        empty = ~np.isin(label, occupied)
+        assert not traj.states[:, empty].any()
+    kept = np.isin(label, (zero_bin, up))
+    assert np.array_equal(one.states[:, kept], both.states[:, kept])
+    assert np.max(np.abs(both.states - exponential_trajectory(liouv, coherent_pair(d, 4, 5), t))) < 1e-12
+
+
+def test_the_ode_takes_only_the_occupied_blocks(monkeypatch):
+    # harmonic d=8 with EXPM_DIM_LIMIT = 2: blocks of up to 4 pairs take
+    # expm, larger ones DOP853.  (|0> + |6> + |7>)/sqrt(3) occupies the
+    # zero bin (8 pairs), the bins of +-0.25 (7 pairs each), +-1.5 (2 each)
+    # and +-1.75 (1 each); the bins of 3 to 6 pairs stay empty
+    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 2)
+    d = 8
+    liouv = liouvillian(0.25 * np.arange(d), "energy-conserving")
+    psi = np.zeros(d)
+    psi[[0, 6, 7]] = 1 / np.sqrt(3)
+    rho0 = np.outer(psi, psi).astype(complex)
+    expms, odes = counting(monkeypatch, "expm"), counting(monkeypatch, "solve_ivp")
+    t = np.linspace(0.0, 10.0, 41)
+    traj = evolve_markov(liouv, rho0, t)
+    assert [args[0].shape[1:] for args in expms] == [(2, 1, 1), (2, 2, 2)]
+    assert [args[2].size for args in odes] == [2 * 7, 8]
+    assert traj.method == "rk"
+    label = bohr_label(liouv).reshape(d, d)
+    empty = ~np.isin(label, label[rho0 != 0])
+    assert not traj.states[:, empty].any()
+    assert np.max(np.abs(traj.states - exponential_trajectory(liouv, rho0, t))) < 1e-8
+
+
+def holds_the_zero_bin(liouv):
+    """Whether one block of the last size group holds every population."""
+    d = liouv.dim
+    return any(set(range(0, d * d, d + 1)) <= set(row) for row in liouv.blocks[-1][0].tolist())
+
+
+def test_the_last_size_group_holds_the_zero_bin(system_box):
+    # every state occupies the zero bin, so the method label, read from
+    # the last (largest) size group, names a path that ran
+    for variant in COVARIANT:
+        for spectrum, couplings, bath in system_box:
+            assert holds_the_zero_bin(build_kernel(spectrum, couplings, bath, variant))
+        assert holds_the_zero_bin(degenerate_kernel(24, variant)[1])
+        assert holds_the_zero_bin(kernel(0.25 * np.arange(12), variant)[1])
 
 
 def dense_cross_entries(k, threshold=1e-12):
