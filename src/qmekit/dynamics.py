@@ -350,7 +350,7 @@ class SteadyStateResult:
 
     states: list                 # (d, d) arrays
     normalized: list             # bool per state (trace-normalized or flagged)
-    traces: list                 # complex trace before normalization
+    traces: list                 # complex trace before normalization, real part >= 0
     multiplicity: int
     singular_values: np.ndarray  # ascending, the smallest few
     threshold: float
@@ -373,7 +373,10 @@ def steady_state(liouv):
     smallest surviving one must clear the cutoff by GAP_FACTOR, since a
     borderline value means the rank decision would be a guess.  A
     generator that splits into blocks runs one stacked SVD per block
-    size; the union of their singular values is that of L.
+    size; the union of their singular values is that of L.  Each null
+    vector is hermitized, scaled to unit Frobenius norm and negated if
+    its trace is negative, so its trace (``raw_trace`` in the report)
+    does not depend on the sign the SVD picks.
 
     :raises InvariantError: no null vector, or no clean gap.
     """
@@ -415,6 +418,8 @@ def steady_state(liouv):
         if fn > 0:
             rho = rho / fn
         tr = complex(np.trace(rho))
+        if tr.real < 0:                 # the SVD's sign: (-rho) / (-tr) is rho / tr
+            rho, tr = -rho, -tr
         traces.append(tr)
         if abs(tr) > 1e-10:
             states.append(rho / tr)

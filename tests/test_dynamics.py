@@ -204,6 +204,37 @@ def test_steady_state_thermal_gibbs():
     assert canonical_dumps(doc) == canonical_dumps(lists)
 
 
+
+@pytest.mark.parametrize("system", [
+    "thermal-qubit", "zero-kernel", "traceless", *(f"box{i}" for i in range(10))])
+def test_steady_state_report_does_not_depend_on_the_svd_sign(monkeypatch, system):
+    # the null vector's sign is whatever the SVD returns; negating it
+    # leaves every byte of the report, raw_trace included, as it was
+    if system == "thermal-qubit":
+        liouv = qubit_liouvillian()
+    elif system == "zero-kernel":
+        liouv = build_liouvillian(QUBIT, Superoperator.zero(2))
+    elif system == "traceless":
+        v = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
+        liouv = Superoperator(2, (np.eye(4) - np.outer(v, v)).astype(complex))
+    else:
+        spectrum, couplings, bath = make_system(int(system[3:]))
+        variant = ("energy-conserving", "redfield-in", "born")[int(system[3:]) % 3]
+        k = build_kernel(spectrum, couplings, bath, variant, omega=0.0)
+        liouv = build_liouvillian(spectrum, k)
+    report = canonical_dumps(steady_result_json(steady_state(liouv)))
+    svd = np.linalg.svd
+
+    def negated(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return -u, s, -vh
+
+    monkeypatch.setattr(np.linalg, "svd", negated)
+    result = steady_state(liouv)
+    assert canonical_dumps(steady_result_json(result)) == report
+    assert all(tr.real >= 0 for tr in result.traces)
+
+
 def test_steady_state_zero_kernel_multiplicity():
     liouv = build_liouvillian(QUBIT, Superoperator.zero(2))
     result = steady_state(liouv)
