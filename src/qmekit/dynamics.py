@@ -120,8 +120,8 @@ def _trajectory(t, states, method):
     If every state is diagonal, the Hermiticity defect is max |2 Im
     rho_pp| and the smallest eigenvalue min Re rho_pp: the bits of the
     dense formulas below, as rho - rho^dagger is then 2i Im rho_pp and
-    zheevd returns a diagonal's entries exactly (up to 1 ulp only where
-    it rescales, entries below 1.5e-146 or above 6.7e145).
+    zheevd returns a diagonal's entries exactly.  (Where zheevd rescales,
+    entries below 1.5e-146 or above 6.7e145, it may be 1 ulp off them.)
     """
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():

@@ -546,7 +546,6 @@ def test_oversized_bin_propagates_without_the_dense_generator():
     assert peak < 60e6, peak
 
 
-
 def exponential_trajectory(liouv, rho0, t):
     """expm(L t_k) rho0 at every time of t."""
     return (expm(liouv.data * t[:, None, None]) @ rho0.ravel()).reshape(len(t), *rho0.shape)
@@ -608,7 +607,8 @@ def test_one_bin_of_a_mirrored_pair_propagates_as_with_both(monkeypatch, t):
         assert not traj.states[:, empty].any()
     kept = np.isin(label, (zero_bin, up))
     assert np.array_equal(one.states[:, kept], both.states[:, kept])
-    assert np.max(np.abs(both.states - exponential_trajectory(liouv, coherent_pair(d, 4, 5), t))) < 1e-12
+    want = exponential_trajectory(liouv, coherent_pair(d, 4, 5), t)
+    assert np.max(np.abs(both.states - want)) < 1e-12
 
 
 def test_the_ode_takes_only_the_occupied_blocks(monkeypatch):
@@ -634,10 +634,10 @@ def test_the_ode_takes_only_the_occupied_blocks(monkeypatch):
     assert np.max(np.abs(traj.states - exponential_trajectory(liouv, rho0, t))) < 1e-8
 
 
-def holds_the_zero_bin(liouv):
+def holds_the_zero_bin(superop):
     """Whether one block of the last size group holds every population."""
-    d = liouv.dim
-    return any(set(range(0, d * d, d + 1)) <= set(row) for row in liouv.blocks[-1][0].tolist())
+    d = superop.dim
+    return any(set(range(0, d * d, d + 1)) <= set(row) for row in superop.blocks[-1][0].tolist())
 
 
 def test_the_last_size_group_holds_the_zero_bin(system_box):
