@@ -124,7 +124,6 @@ def test_trajectory_diagnostics_stay_clean():
     assert np.min(traj.min_eigenvalue) > -1e-12
 
 
-
 def dense_diagnostics(states):
     """herm_defect and min_eigenvalue by the dense formulas."""
     adjoint = np.conj(np.swapaxes(states, 1, 2))
@@ -202,7 +201,6 @@ def test_steady_state_thermal_gibbs():
                                              for row in s.tolist()])
                          for entry, s in zip(doc["states"], result.states)])
     assert canonical_dumps(doc) == canonical_dumps(lists)
-
 
 
 @pytest.mark.parametrize("system", [
