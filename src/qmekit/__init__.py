@@ -55,7 +55,6 @@ from .kernels import (
 from .dynamics import (
     Trajectory,
     SteadyStateResult,
-    BlockReport,
     build_liouvillian,
     evolve_markov,
     evolve_nonlocal,

@@ -477,10 +477,9 @@ def cmd_steady_state(cfg, args, out_dir):
     exp = cfg.experiment
     liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     result = steady_state(liouv)
-    report = steady_result_json(result)
-    report["provenance"] = _provenance(cfg)
-    report["variant"] = exp.variant
-    _io.write_json(out_dir / "steady-state.json", report)
+    _io.write_json(out_dir / "steady-state.json",
+                   dict(steady_result_json(result), provenance=_provenance(cfg),
+                        variant=exp.variant))
     print(f"steady-state multiplicity: {result.multiplicity}")
     return 0
 
@@ -502,21 +501,10 @@ def cmd_compare(cfg, args, out_dir):
 def cmd_block_report(cfg, args, out_dir):
     exp = cfg.experiment
     rep = block_structure_report(cfg.spectrum, _build(cfg, exp.variant))
-    doc = {
-        "provenance": _provenance(cfg),
-        "variant": exp.variant,
-        "coherences_feed_populations": rep.coherences_feed_populations,
-        "populations_feed_coherences": rep.populations_feed_coherences,
-        "cross_entries": [
-            {"row": list(r), "col": list(c), "abs_value": v}
-            for r, c, v in rep.cross_entries
-        ],
-        "degeneracy_classes": rep.degeneracy_classes,
-        "threshold": rep.threshold,
-    }
-    _io.write_json(out_dir / "block-report.json", doc)
-    print(f"coherences feed populations: {rep.coherences_feed_populations}; "
-          f"populations feed coherences: {rep.populations_feed_coherences}")
+    _io.write_json(out_dir / "block-report.json",
+                   dict(rep, provenance=_provenance(cfg), variant=exp.variant))
+    print(f"coherences feed populations: {rep['coherences_feed_populations']}; "
+          f"populations feed coherences: {rep['populations_feed_coherences']}")
     return 0
 
 

@@ -40,7 +40,6 @@ from . import io as _io
 __all__ = [
     "Trajectory",
     "SteadyStateResult",
-    "BlockReport",
     "build_liouvillian",
     "evolve_markov",
     "evolve_nonlocal",
@@ -53,6 +52,7 @@ __all__ = [
 
 NULL_REL_THRESHOLD = 1e-10     # steady_state: zero singular values, relative
 GAP_FACTOR = 10.0              # ... and the margin the next one must clear
+CROSS_THRESHOLD = 1e-12        # block_structure_report: smallest |K| listed
 
 # largest d propagated by dense matrix exponentials; a generator that
 # splits into blocks takes them for each size group whose blocks have at
@@ -436,23 +436,15 @@ def steady_state(liouv):
 # ---------------------------------------------------------------------------
 # block structure
 
-@dataclass(frozen=True)
-class BlockReport:
-    """Population/coherence coupling structure of a kernel."""
-
-    coherences_feed_populations: bool   # some K[pp, qq'] with q != q'
-    populations_feed_coherences: bool   # some K[pp', qq] with p != p'
-    cross_entries: list                 # ((p, p'), (q, q'), magnitude)
-    degeneracy_classes: list
-    threshold: float
-
-
-def block_structure_report(spectrum, kernel, threshold=1e-12):
-    """Scan the population rows/columns of each block for cross coupling."""
+def block_structure_report(spectrum, kernel):
+    """The block-report document, ``block-report.json`` less provenance
+    and variant: ``coherences_feed_populations`` (some K[pp, qq'], q !=
+    q'), ``populations_feed_coherences`` (some K[pp', qq], p != p'), the
+    ``cross_entries`` {row, col, abs_value} above CROSS_THRESHOLD (into
+    populations first, each in the dense tensor's C order),
+    ``degeneracy_classes`` and ``threshold`` (CROSS_THRESHOLD)."""
     if kernel.dim != spectrum.dim:
         raise InputError("kernel dimension does not match spectrum")
-    if not threshold >= 0:
-        raise InputError("threshold must be non-negative")
     d = kernel.dim
     n = d * d
     keys, mags = [np.zeros(0, int)], [np.zeros(0)]   # empty when no block crosses
@@ -467,20 +459,21 @@ def block_structure_report(spectrum, kernel, threshold=1e-12):
                           (vals[b, :, i], (n + other) * n + pair)):
             # hypot rounds like the scalar abs() of the reports; np.abs may not
             mag = np.hypot(line.real, line.imag)
-            hit = (mag > threshold) & cross
+            hit = (mag > CROSS_THRESHOLD) & cross
             keys.append(key[hit])
             mags.append(mag[hit])
     key = np.concatenate(keys)
     order = np.argsort(key)
     out, *pairs = np.unravel_index(key[order], (2,) + (d,) * 4)   # out: K[pp', qq]
     cols = [a.tolist() for a in (*pairs, np.concatenate(mags)[order])]
-    return BlockReport(
-        coherences_feed_populations=bool((out == 0).any()),
-        populations_feed_coherences=bool(out.any()),
-        cross_entries=[((p, p2), (q, q2), v) for p, p2, q, q2, v in zip(*cols)],
-        degeneracy_classes=[c.tolist() for c in spectrum.classes()],
-        threshold=float(threshold),
-    )
+    return {
+        "coherences_feed_populations": bool((out == 0).any()),
+        "populations_feed_coherences": bool(out.any()),
+        "cross_entries": [{"row": [p, p2], "col": [q, q2], "abs_value": v}
+                          for p, p2, q, q2, v in zip(*cols)],
+        "degeneracy_classes": [c.tolist() for c in spectrum.classes()],
+        "threshold": CROSS_THRESHOLD,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import qmekit.core as core
 import qmekit.kernels as kernels
 from qmekit.cli import COMMANDS, main, parse_config
 from qmekit.diagnostics import flip_gain_sign
-from qmekit.dynamics import NONLOCAL_DIM_LIMIT, build_liouvillian
+from qmekit.dynamics import NONLOCAL_DIM_LIMIT, block_structure_report, build_liouvillian
 from qmekit.io import canonical_dumps, complex_matrix_from_json, complex_matrix_to_json
 
 # no numpy warning may reach stderr, on any exit
@@ -493,6 +493,29 @@ def test_block_report_flags_degenerate_mixing(tmp_path, capsys):
     rep = json.loads((out / "block-report.json").read_text())
     assert rep["degeneracy_classes"] == [[0], [1, 2]]
     assert rep["coherences_feed_populations"] is True
+
+
+@pytest.mark.parametrize("variant", ["energy-conserving", "redfield-in", "lindblad"])
+def test_block_report_file_is_the_library_document(tmp_path, variant):
+    # block-report.json is block_structure_report's document plus
+    # provenance and variant, bit for bit
+    doc = {
+        "spectrum": {"levels": [0.0, 1.0, 1.0]},
+        "couplings": {"kind": "hermitian", "matrix": as_json_matrix(
+            [[0.0, 0.7, 0.3], [0.7, 0.0, 0.55], [0.3, 0.55, 0.0]])},
+        "bath": {"kind": "flat", "rate": 0.2},
+        "experiment": {"variant": variant},
+    }
+    rc, out = run(tmp_path, "block-report", doc)
+    assert rc == 0
+    written = json.loads((out / "block-report.json").read_text())
+    assert written.pop("variant") == variant
+    assert written.pop("provenance")
+    cfg = parse_config(json.dumps(doc))
+    rep = block_structure_report(cfg.spectrum, kernels.build_kernel(
+        cfg.spectrum, cfg.couplings, cfg.bath, variant))
+    assert canonical_dumps(written) == canonical_dumps(rep)
+    assert rep["cross_entries"]
 
 
 def strong_flat_doc(d=16, rate=1e3):

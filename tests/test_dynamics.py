@@ -328,29 +328,30 @@ def test_block_structure_nondegenerate_vs_degenerate():
     spec_nd = build_spectrum([0.0, 0.5, 1.25])
     k_nd = build_kernel(spec_nd, coupling3, bath, "energy-conserving")
     rep = block_structure_report(spec_nd, k_nd)
-    assert not rep.coherences_feed_populations
-    assert not rep.populations_feed_coherences
-    assert rep.cross_entries == []
-    assert rep.degeneracy_classes == [[0], [1], [2]]
+    assert not rep["coherences_feed_populations"]
+    assert not rep["populations_feed_coherences"]
+    assert rep["cross_entries"] == []
+    assert rep["degeneracy_classes"] == [[0], [1], [2]]
+    assert rep["threshold"] == 1e-12
 
     spec_deg = build_spectrum([0.0, 1.0, 1.0])
     k_deg = build_kernel(spec_deg, coupling3, bath, "energy-conserving")
     rep_deg = block_structure_report(spec_deg, k_deg)
-    assert rep_deg.coherences_feed_populations
-    assert rep_deg.populations_feed_coherences
-    assert rep_deg.degeneracy_classes == [[0], [1, 2]]
+    assert rep_deg["coherences_feed_populations"]
+    assert rep_deg["populations_feed_coherences"]
+    assert rep_deg["degeneracy_classes"] == [[0], [1, 2]]
 
     # cross entries in the order and rounding of a plain index scan
     k_rf = build_kernel(spec_deg, coupling3, bath, "redfield-in")
     for k in (k_deg, k_rf):
         t = k.data.reshape((k.dim,) * 4)
-        scan = [((p, p), (q, q2), float(abs(t[p, p, q, q2])))
+        scan = [{"row": [p, p], "col": [q, q2], "abs_value": float(abs(t[p, p, q, q2]))}
                 for p in range(3) for q in range(3) for q2 in range(3)
                 if q != q2 and abs(t[p, p, q, q2]) > 1e-12]
-        scan += [((p, p2), (q, q), float(abs(t[p, p2, q, q])))
+        scan += [{"row": [p, p2], "col": [q, q], "abs_value": float(abs(t[p, p2, q, q]))}
                  for p in range(3) for p2 in range(3) for q in range(3)
                  if p != p2 and abs(t[p, p2, q, q]) > 1e-12]
-        assert block_structure_report(spec_deg, k).cross_entries == scan
+        assert block_structure_report(spec_deg, k)["cross_entries"] == scan
         assert scan
 
 
