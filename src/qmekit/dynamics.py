@@ -50,8 +50,7 @@ __all__ = [
     "steady_result_json",
 ]
 
-NULL_REL_THRESHOLD = 1e-10     # steady_state: zero singular values, relative
-GAP_FACTOR = 10.0              # ... and the margin the next one must clear
+GAP_FACTOR = 10.0              # steady_state: the margin over the null cutoff
 CROSS_THRESHOLD = 1e-12        # block_structure_report: smallest |K| listed
 
 # largest d propagated by dense matrix exponentials; a generator that
@@ -369,11 +368,14 @@ class SteadyStateResult:
 def steady_state(liouv):
     """Null space of L by SVD.
 
-    Singular values below NULL_REL_THRESHOLD * ||L||_2 count as zero; the
-    smallest surviving one must clear the cutoff by GAP_FACTOR, since a
-    borderline value means the rank decision would be a guess.  A
-    generator that splits into blocks runs one stacked SVD per block
-    size; the union of their singular values is that of L.  Each null
+    Singular values at most 16 m eps ||L||_2 count as zero, m the
+    largest block size and eps the float epsilon: the rounding level of
+    a block's SVD, so a slow mode of a cold system is not taken for a
+    null one.  The smallest surviving value must clear the cutoff by
+    GAP_FACTOR, since a borderline value means the rank decision would
+    be a guess.  A generator that splits into blocks runs one stacked
+    SVD per block size; the union of their singular values is that of
+    L.  Each null
     vector is hermitized, scaled to unit Frobenius norm and negated if
     its trace is negative, so its trace (``raw_trace`` in the report)
     does not depend on the sign the SVD picks.
@@ -387,7 +389,8 @@ def steady_state(liouv):
     order = np.argsort(-svals, kind="stable")
     svals = svals[order]
     norm = svals[0] if svals.size else 0.0
-    cut = NULL_REL_THRESHOLD * norm
+    # size groups come in ascending block size
+    cut = 16 * blocks[-1][0].shape[1] * np.finfo(float).eps * norm
     null_idx = np.flatnonzero(svals <= cut)
     mult = int(null_idx.size)
     if mult == 0:

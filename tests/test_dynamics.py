@@ -243,11 +243,56 @@ def test_steady_state_zero_kernel_multiplicity():
 
 
 def test_steady_state_gap_and_null_failures():
-    data = np.diag([0.0, 2e-10, 1.0, 1.0]).astype(complex)
+    # one block of 4 pairs: cutoff 16 * 4 * eps = 1.4e-14, gap edge 1.4e-13
+    data = np.diag([0.0, 1e-13, 1.0, 1.0]).astype(complex)
     with pytest.raises(InvariantError, match="gap"):
         steady_state(Superoperator(2, data))
     with pytest.raises(InvariantError, match="no steady state"):
         steady_state(Superoperator(2, np.eye(4, dtype=complex)))
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_steady_state_cutoff_follows_the_largest_block(inside):
+    # one-pair blocks (0,) and (3,) and one block of pairs (1, 2): the
+    # cutoff is 16 * 2 * eps * ||L||, from the largest block, and a value
+    # just inside GAP_FACTOR times it still makes the rank a guess
+    cut = 16 * 2 * np.finfo(float).eps
+    x = (0.99 if inside else 1.01) * dynamics.GAP_FACTOR * cut
+    liouv = Superoperator(2, blocks=[
+        (np.array([[0], [3]]), np.array([[[0.0]], [[x]]], dtype=complex)),
+        (np.array([[1, 2]]), np.eye(2, dtype=complex)[None]),
+    ])
+    if inside:
+        with pytest.raises(InvariantError, match="gap"):
+            steady_state(liouv)
+        return
+    result = steady_state(liouv)
+    assert result.threshold == cut
+    assert result.multiplicity == 1
+    assert np.array_equal(result.state(), np.diag([1.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize("seed, variant", [(9000066, "energy-conserving"),
+                                           (3720006, "redfield-in")])
+def test_slow_modes_of_cold_systems_are_not_null(seed, variant):
+    # box-sweep seed 150 system 66 and seed 62 system 6: beta = 5 and a
+    # degenerate ground pair whose dark combination relaxes only through
+    # the excited level, so L has a real slow mode near 1e-10 ||L||.  A
+    # fixed cutoff of 1e-10 ||L|| refused the first ("no clean spectral
+    # gap") and counted the second's slow mode as a second null vector
+    spectrum, couplings, bath = make_system(seed)
+    liouv = build_liouvillian(spectrum, build_kernel(spectrum, couplings, bath, variant))
+    norm = np.linalg.norm(liouv.data, 2)
+    result = steady_state(liouv)
+    assert result.multiplicity == 1
+    slow = result.singular_values[1]
+    assert 1e-11 * norm < slow < 1e-9 * norm
+    assert slow > 1e3 * result.threshold
+    eig = np.sort(np.abs(np.linalg.eigvals(liouv.data)))
+    assert eig[0] <= result.threshold < 1e3 * result.threshold < eig[1] < 1e-9 * norm
+    rho = result.state()
+    assert np.linalg.norm(liouv.data @ rho.ravel()) < 1e-14 * norm
+    assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
 
 def test_steady_state_traceless_null_flagged():

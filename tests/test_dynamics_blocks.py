@@ -37,10 +37,13 @@ from qmekit.kernels import VARIANT_TAGS, build_kernel
 COVARIANT = ("energy-conserving", "lindblad")
 
 
-def dense_null(data, rel_threshold=1e-10):
-    """Singular values (descending), cutoff and null rows of one dense SVD."""
-    _, svals, vh = np.linalg.svd(data)
-    cut = rel_threshold * svals[0]
+def dense_null(liouv):
+    """Singular values (descending), cutoff and null rows of one dense SVD
+    of the generator; the cutoff is 16 m eps sigma_max, m the size of its
+    largest block."""
+    _, svals, vh = np.linalg.svd(liouv.data)
+    m = max(idx.shape[1] for idx, _ in liouv.blocks)
+    cut = 16 * m * np.finfo(float).eps * svals[0]
     return svals, cut, vh[svals <= cut].conj()
 
 
@@ -75,7 +78,7 @@ def excited(d):
 
 def assert_matches_dense(liouv):
     """steady_state(liouv) equals the dense SVD's answer to 1e-12."""
-    svals, cut, null = dense_null(liouv.data)
+    svals, cut, null = dense_null(liouv)
     try:
         result = steady_state(liouv)
     except InvariantError:
@@ -201,7 +204,7 @@ def test_harmonic_ladder_interior_times_match_the_exponential(monkeypatch):
 def test_one_block_generators_run_the_dense_path(d):
     # redfield-in with a dense hermitian coupling connects every pair
     liouv = liouvillian(spectra(d)["generic"], "redfield-in")
-    svals, cut, null = dense_null(liouv.data)
+    svals, cut, null = dense_null(liouv)
     result = steady_state(liouv)
     assert np.array_equal(result.singular_values, svals[::-1][: max(len(null) + 2, 4)])
     rho = null[0].reshape(d, d)
