@@ -640,10 +640,19 @@ def test_validate_rejects_a_ladder_outside_the_one_excitation_sector(
     assert list(out.iterdir()) == []
 
 
-def test_validate_requires_its_section(tmp_path, capsys):
-    rc, _ = run(tmp_path, "validate", qubit_doc())
+@pytest.mark.parametrize("doc, message", [
+    (qubit_doc(), "section missing from config"),
+    (qubit_doc(spectrum={"levels": [0.0, 1.0, 2.0]}, validate=VALIDATE,
+               couplings={"kind": "ladder", "matrix": as_json_matrix(np.eye(3, k=1))}),
+     "needs a two-level spectrum"),
+    (qubit_doc(couplings={"kind": "hermitian", "matrix": SIGMA_X}, validate=VALIDATE),
+     "needs a ladder coupling pair"),
+], ids=["section-missing", "three-levels", "hermitian-coupling"])
+def test_validate_requires_its_section(tmp_path, capsys, doc, message):
+    rc, out = run(tmp_path, "validate", doc)
     assert rc == 2
-    assert "validate: section missing" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: validate: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 AMBIGUOUS_DOC = {
@@ -848,10 +857,37 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, where
     ("validate", "validate.scales[1]",
      qubit_doc(validate=dict(VALIDATE, scales=[1.0, 0.0, 0.25]))),
     ("validate", "validate.scales", qubit_doc(validate=dict(VALIDATE, scales=5))),
+    ("validate", "validate.scales", qubit_doc(validate=dict(VALIDATE, scales=[1.0, 0.5]))),
+    ("validate", "validate.n_modes", qubit_doc(validate=dict(VALIDATE, n_modes=1))),
+    ("evolve", "experiment.t_grid.num",
+     qubit_doc(experiment={"t_grid": {"start": 0, "stop": 1, "num": 1}})),
+    ("build-kernel", "couplings.matrix",
+     qubit_doc(couplings={"kind": "hermitian", "matrix": as_json_matrix([[1.0]])})),
+    ("build-kernel", "couplings.matrix",
+     qubit_doc(couplings={"kind": "hermitian",
+                          "matrix": [[[0, 0], [10**400, 0]], [[10**400, 0], [0, 0]]]})),
+    ("build-kernel", "couplings.matrices", qubit_doc(couplings={"kind": "explicit",
+                                                                "matrices": []})),
+    ("build-kernel", "couplings.adjoint_map",
+     qubit_doc(couplings={"kind": "explicit", "adjoint_map": [True],
+                          "matrices": [{"label": "X", "matrix": SIGMA_X}]})),
+    ("build-kernel", "couplings",
+     qubit_doc(couplings={"kind": "explicit", "adjoint_map": [1, 0], "matrices": [
+         {"label": "L", "matrix": SIGMA_MINUS}, {"label": "Ld", "matrix": SIGMA_MINUS}]})),
+    ("build-kernel", "bath.path", qubit_doc(bath={"kind": "tabulated",
+                                                  "path": "one-channel.csv"})),
+    ("build-kernel", "config", [qubit_doc()]),
 ], ids=["repeated-time", "one-time", "repeated-tau", "eta-zero", "eta-negative",
-        "band-zero", "t-star-zero", "num-one", "scale-zero", "scales-not-a-list"])
-def test_grids_and_validate_values_are_checked_at_parse_time(tmp_path, capsys, command,
-                                                             where, doc):
+        "band-zero", "t-star-zero", "num-one", "scale-zero", "scales-not-a-list",
+        "two-scales", "one-mode", "t-grid-num-one", "matrix-1x1", "entry-overflow",
+        "no-matrices", "adjoint-map-bool", "not-adjoint", "table-one-channel",
+        "top-level-array"])
+def test_grids_and_validate_values_are_checked_at_parse_time(tmp_path, capsys, monkeypatch,
+                                                             command, where, doc):
+    # a relative bath path resolves in tmp_path, which holds a one-channel
+    # table (the qubit's ladder pair has two channels)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one-channel.csv").write_text('omega,"re[S,S]","im[S,S]"\n-5,0.1,0\n5,0.2,0\n')
     rc, out = run(tmp_path, command, doc)
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {where}: ")

@@ -1,5 +1,7 @@
 """Propagation, steady states, block structure, trajectory export."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,18 @@ def test_non_finite_propagation_names_the_first_time():
     t = np.arange(0, 0.1, 0.5 / sigma)
     with pytest.raises(InvariantError, match=r"not finite from t=0\.005 on"):
         evolve_nonlocal(QUBIT, hermitian_channel(SIGMA_X), corr, EXCITED, t)
+
+
+@pytest.mark.parametrize("reached, at", [([0.0, 0.25], "0.25"), ([], "0")])
+def test_failed_adaptive_integration_is_a_breach(monkeypatch, reached, at):
+    # DOP853 gives up (here a stand-in that reports failure): the error
+    # names the last time it reached, or the start if it reached none
+    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 0)
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *a, **kw: SimpleNamespace(
+        success=False, t=np.array(reached), message="Required step size is too small."))
+    with pytest.raises(InvariantError, match=rf"adaptive integration failed after "
+                                             rf"t={at}: Required step size is too small"):
+        evolve_markov(qubit_liouvillian(), EXCITED, np.linspace(0, 1, 5))
 
 
 def test_nonlocal_rejects_mismatched_adjoint_map():
