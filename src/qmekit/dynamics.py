@@ -21,7 +21,12 @@ Bohr sector is invariant, and a start with populations only stays in
 the zero bin with no coherence between distinct energies (the Pauli
 sector).  Markovian propagation takes only the occupied blocks, and the
 diagnostics of a trajectory whose states are all diagonal are read off
-the diagonal.  Non-Markovian propagation builds all
+the diagonal.  A steady state is the null space of L, one SVD per
+block size, with singular values up to 16 m eps ||L||_2 counted as
+zero (m the largest block size).  ``block_structure_report`` returns
+the block-report document: the kernel's entries that join populations
+and coherences, read off the population rows and columns of each
+block.  Non-Markovian propagation builds all
 memory-kernel nodes in one array pass and integrates with a Heun
 predictor-corrector and trapezoid memory quadrature.  That recurrence is
 linear and time-invariant, so the kernel window is folded in place into
@@ -375,10 +380,9 @@ def steady_state(liouv):
     GAP_FACTOR, since a borderline value means the rank decision would
     be a guess.  A generator that splits into blocks runs one stacked
     SVD per block size; the union of their singular values is that of
-    L.  Each null
-    vector is hermitized, scaled to unit Frobenius norm and negated if
-    its trace is negative, so its trace (``raw_trace`` in the report)
-    does not depend on the sign the SVD picks.
+    L.  Each null vector is hermitized, scaled to unit Frobenius norm
+    and negated if its trace is negative, so its trace (``raw_trace`` in
+    the report) does not depend on the sign the SVD picks.
 
     :raises InvariantError: no null vector, or no clean gap.
     """
