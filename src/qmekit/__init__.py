@@ -3,10 +3,11 @@
 Builds the second-order kernel of a reduced density matrix five ways
 (frequency-resolved, two Redfield resonance conventions, an
 energy-conserving selection-rule form, and the jump-operator form),
-propagates Markovian and time-nonlocal master equations, probes the
-resulting maps for complete positivity, and checks everything against
-independent oracles: closed-form qubit results, exact finite-bath
-unitary dynamics, and direct double-commutator quadrature.
+propagates Markovian and time-nonlocal master equations, certifies
+complete positivity on the generator itself (its Choi matrix, with a
+short-time state witness when that fails), and checks everything
+against independent oracles: closed-form qubit results, exact
+finite-bath unitary dynamics, and direct double-commutator quadrature.
 
 The headline algebraic fact, exercised to float rounding in the test
 suite: the energy-conserving kernel and the jump-operator kernel are
@@ -42,13 +43,11 @@ from .bath import (
 )
 from .kernels import (
     VARIANT_TAGS,
-    KossakowskiBlock,
     born_kernel_frequency,
     redfield_kernel,
     energy_conserving_kernel,
     lindblad_kernel,
     build_kernel,
-    kossakowski_matrix,
     kernel_difference,
     trace_condition_residual,
 )
@@ -65,9 +64,6 @@ from .dynamics import (
 from .diagnostics import (
     MapCheck,
     choi_matrix,
-    choi_spectrum,
-    default_probe_times,
-    positivity_scan,
     map_check,
     flip_gain_sign,
     equivalence_report,

@@ -224,7 +224,8 @@ def write_tabulated_csv(path, omega_grid, gamma_samples, labels):
 
 
 def read_tabulated_csv(path):
-    """Parse a tabulated-spectrum CSV; returns (labels, omega, gamma).
+    """Parse a tabulated-spectrum CSV; returns (labels, omega, gamma,
+    rows), rows holding the file row (header = 1) of each omega node.
 
     :raises InputError: naming the offending row on malformed input.
     """
@@ -272,13 +273,14 @@ def read_tabulated_csv(path):
     if down.size:
         raise InputError(f"{path}: omega column must be strictly increasing "
                          f"(row {file_rows[down[0] + 1]})")
-    return labels, omegas, (table[:, 1::2] + 1j * table[:, 2::2]).reshape(-1, n, n)
+    gammas = (table[:, 1::2] + 1j * table[:, 2::2]).reshape(-1, n, n)
+    return labels, omegas, gammas, file_rows
 
 
 def tabulated_spectrum(path, beta=None):
     """Spectrum linearly interpolated from a CSV table, zero outside the
     tabulated support."""
-    labels, omegas, gammas = read_tabulated_csv(path)
+    labels, omegas, gammas, _ = read_tabulated_csv(path)
     n = len(labels)
     columns = np.ascontiguousarray(_pair_table(gammas).T)
 

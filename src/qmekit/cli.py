@@ -40,6 +40,7 @@ from .oracle import FiniteBathModel, exact_reduced_evolution, gauss_legendre_mod
 __all__ = ["main", "parse_config", "serialize_config", "ModelConfig"]
 
 TRACE_RESIDUAL_LIMIT = 1e-12          # relative to max|K|
+PSD_TOL = 1e-12                       # tabulated gamma eigenvalues, relative to max|gamma|
 SCALING_BAND = (3.0, 5.0)
 
 
@@ -116,11 +117,21 @@ def _matrix(x, path, dim):
 def _tabulated(path, n_channels, beta=None):
     try:
         spec = _bath.tabulated_spectrum(path, beta=beta)
+        _, omegas, gammas, rows = _bath.read_tabulated_csv(path)
     except (OSError, UnicodeDecodeError) as exc:
         _fail("bath.path", str(exc))
     if spec.n_channels != n_channels:
         _fail("bath.path", f"tabulated file has {spec.n_channels} channels, "
                            f"couplings have {n_channels}")
+    # gamma is linear between the nodes and zero off the table, and a
+    # chord between PSD matrices is PSD: the nodes decide exactly
+    bound = -PSD_TOL * float(np.max(np.abs(gammas)))
+    if _bath.positivity_check(spec, omegas) < bound:
+        for w, row in zip(omegas, rows):
+            low = _bath.positivity_check(spec, w)
+            if low < bound:
+                _fail("bath.path", f"gamma(omega) is not positive semidefinite at "
+                                   f"omega={w:g} (row {row}, min eigenvalue {low:g})")
     return spec
 
 

@@ -1,33 +1,34 @@
-"""Complete-positivity probes and variant comparison reports.
+"""Complete-positivity certificates and variant comparison reports.
 
-A generator is probed, not certified: the Choi matrix of exp(L t) is
-examined at a few relaxation-scale times, and a family of states is
-pushed through the map looking for a negative eigenvalue.  A negative
-Choi eigenvalue alone proves the map is not CP but not that any state
-goes bad (positive non-CP maps exist), so the verdicts distinguish the
-two situations instead of collapsing them.  Each probe set is one
-stack of propagators, and both probes are array operations on it.
+A Markov generator is certified, not probed: a Hermiticity-preserving L
+generates a completely positive semigroup exp(L t), t >= 0, iff its
+Choi matrix is positive semidefinite on the complement of the maximally
+entangled vector (Lindblad, Commun. Math. Phys. 48, 119, 1976; Gorini,
+Kossakowski & Sudarshan, J. Math. Phys. 17, 821, 1976; used as a
+numerical test by Wolf & Cirac, Commun. Math. Phys. 279, 147, 2008).
+That is one eigensolve, with no exponential and no time horizon.  A
+negative certificate alone proves the semigroup is not CP, not that any
+state goes bad (positive non-CP maps exist), so a family of pure states
+is scanned for a short-time witness as well, and the verdicts keep the
+two situations apart.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .core import InputError
-from .dynamics import expm
 from .kernels import _jump_kernel, build_kernel, kernel_difference, trace_condition_residual
 from . import io as _io
 
 __all__ = [
     "MapCheck",
     "choi_matrix",
-    "choi_spectrum",
-    "default_probe_times",
-    "positivity_scan",
     "map_check",
     "flip_gain_sign",
     "equivalence_report",
 ]
 
+# certificate, Choi Hermiticity defect and witness are judged against
+# this fraction of max|L|
 CHOI_TOL = 1e-8
 # energy-conserving and lindblad kernels coincide within this fraction
 # of the largest kernel entry
@@ -48,45 +49,6 @@ def choi_matrix(superop_data, dim):
     return c.reshape(t.shape[:-2] + (d * d, d * d))
 
 
-def default_probe_times(kernel):
-    """Probe times 0.1, 1 and 10 in units of the slowest kernel rate.
-
-    The rate is the smallest nonzero eigenvalue magnitude of the
-    dissipative kernel, so the probes straddle the relaxation knee.
-    """
-    evals = np.linalg.eigvals(kernel.data)
-    mags = np.abs(evals)
-    floor = 1e-12 * max(float(mags.max()), 1e-300)
-    nonzero = mags[mags > floor]
-    if nonzero.size == 0:
-        raise InputError("kernel is numerically zero; no rate to set probe times")
-    rate = float(nonzero.min())
-    return (0.1 / rate, 1.0 / rate, 10.0 / rate)
-
-
-def _propagators(liouv, t_probes):
-    t = np.asarray(t_probes, dtype=float)
-    if t.size == 0:
-        raise InputError("t_probes is empty: there is no probe time to check")
-    return t, expm(liouv.data * t[:, None, None])
-
-
-def choi_spectrum(liouv, t_probes):
-    """Smallest Choi eigenvalue of exp(L t) at each probe time.
-
-    Returns (min_eigs, herm_defects); the defect is how far each Choi
-    matrix sits from hermitian, reported rather than silently absorbed
-    by the hermitization that precedes the eigensolve.
-    """
-    return _choi_spectrum(_propagators(liouv, t_probes)[1], liouv.dim)
-
-
-def _choi_spectrum(props, d):
-    c = choi_matrix(props, d)
-    ch = c.conj().swapaxes(1, 2)
-    return np.linalg.eigvalsh((c + ch) / 2)[:, 0], np.max(np.abs(c - ch), axis=(1, 2))
-
-
 def _probe_states(dim, n_random, seed):
     # the basis kets, then random kets: each draws its real part, then its imaginary part
     raw = np.random.default_rng(seed).standard_normal((n_random, 2, dim))
@@ -95,43 +57,20 @@ def _probe_states(dim, n_random, seed):
     return np.concatenate([np.eye(dim, dtype=complex), v])
 
 
-def positivity_scan(liouv, t_probes, n_random=64, seed=0):
-    """Push pure states through exp(L t) and track the worst eigenvalue.
-
-    Returns (min_eig, witness) with witness = (ket, time); replaying the
-    witness through the same propagator reproduces min_eig, which makes
-    a reported violation checkable instead of anecdotal.
-    """
-    t, props = _propagators(liouv, t_probes)
-    return _scan(t, props, _probe_states(liouv.dim, n_random, seed))
-
-
-def _scan(t, props, kets):
-    """Every ket through every propagator; the first minimum in (time, ket) order wins."""
-    n, d = kets.shape
-    rho = (kets[:, :, None] * kets.conj()[:, None, :]).reshape(n, d * d)
-    out = (props @ rho.T).swapaxes(1, 2).reshape(len(t), n, d, d)
-    low = np.linalg.eigvalsh((out + out.conj().swapaxes(2, 3)) / 2)[..., 0]
-    it, ik = np.unravel_index(np.argmin(low), low.shape)
-    return float(low[it, ik]), (kets[ik].copy(), float(t[it]))
-
-
 @dataclass(frozen=True)
 class MapCheck:
-    """Outcome of the CP/positivity probe of a generator."""
+    """Outcome of the CP certificate and the state scan of a generator."""
 
     verdict: str           # "cp-consistent" | "positivity-violating" | "inconclusive"
-    probe_times: tuple
-    choi_min: np.ndarray   # per probe
-    choi_herm_defect: np.ndarray
-    scan_min: float
-    witness_ket: np.ndarray
-    witness_time: float
+    choi_min: float        # lowest eigenvalue of the Choi matrix of L on the
+                           # complement of the maximally entangled vector
+    choi_herm_defect: float
+    scan_min: float        # lowest eigenvalue of L(|psi><psi|) on psi-perp, over the kets
+    witness_ket: np.ndarray  # None unless positivity-violating
 
     def as_dict(self):
         rep = {
             "verdict": self.verdict,
-            "probe_times": self.probe_times,
             "choi_min": self.choi_min,
             "choi_herm_defect": self.choi_herm_defect,
             "scan_min_eigenvalue": self.scan_min,
@@ -139,36 +78,64 @@ class MapCheck:
             "version": _io.PACKAGE_VERSION,
         }
         if self.witness_ket is not None:
-            rep["witness"] = {
-                "ket": self.witness_ket,
-                "time": self.witness_time,
-            }
+            rep["witness"] = {"ket": self.witness_ket}
         return rep
 
 
-def map_check(liouv, kernel, t_probes=None, n_random=64, seed=0):
-    """Classify a generator by Choi spectra plus a state-level scan.
+def map_check(liouv, n_random=64, seed=0):
+    """Classify a generator by its Choi certificate and a state scan.
 
-    cp-consistent: no Choi eigenvalue below -1e-8 at any probe.
-    positivity-violating: some evolved state has an eigenvalue below
-    -1e-8; a concrete (ket, time) witness is attached.
-    inconclusive: the Choi matrix dips negative but no probed state
-    does, which is what a positive non-CP map looks like from here.
+    Every bound below is CHOI_TOL * max|L|.
+
+    cp-consistent: the Choi matrix of L is hermitian within the bound
+    and, hermitized and compressed onto the complement of
+    Omega = vec(I) / sqrt(d), has no eigenvalue below minus the bound;
+    exp(L t) is then CP for every t >= 0.
+    positivity-violating: for a scanned pure state psi (the d basis
+    kets, then n_random random kets), L(|psi><psi|) has an eigenvalue
+    below minus the bound on the complement of psi, so exp(L t) takes
+    |psi><psi| out of the state cone at small t > 0 (Kossakowski, Rep.
+    Math. Phys. 3, 247, 1972); the first ket with the lowest value is
+    attached.
+    inconclusive: neither, which is what a positive non-CP semigroup
+    looks like from here, or a violation the scanned kets miss.
     """
-    if t_probes is None:
-        t_probes = default_probe_times(kernel)
-    t, props = _propagators(liouv, t_probes)
-    choi_min, defects = _choi_spectrum(props, liouv.dim)
-    scan_min, (wk, wt) = _scan(t, props, _probe_states(liouv.dim, n_random, seed))
-    if np.all(choi_min >= -CHOI_TOL):
-        verdict, wk, wt = "cp-consistent", None, float("nan")
+    d = liouv.dim
+    data = liouv.data
+    bound = CHOI_TOL * float(np.max(np.abs(data)))
+
+    c = choi_matrix(data, d)
+    ch = c.conj().T
+    defect = float(np.max(np.abs(c - ch)))
+    h = c + ch
+    h /= 2
+    # P h P with P = I - |Omega><Omega| is the rank-2 update
+    # h - |Omega><w| - |w><Omega|, w = h Omega - <Omega|h|Omega> Omega / 2;
+    # Omega is 1/sqrt(d) on the population pairs (p, p), flat p * (d + 1)
+    pop = slice(None, None, d + 1)
+    w = h[:, pop].sum(axis=1) / np.sqrt(d)
+    w[pop] -= w[pop].sum() / (2 * d)
+    h[pop] -= w.conj() / np.sqrt(d)
+    h[:, pop] -= w[:, None] / np.sqrt(d)
+    choi_min = float(np.linalg.eigvalsh(h)[0])
+
+    kets = _probe_states(d, n_random, seed)
+    rho = kets[:, :, None] * kets.conj()[:, None, :]
+    x = (rho.reshape(len(kets), d * d) @ data.T).reshape(rho.shape)
+    q = np.eye(d) - rho
+    low = np.linalg.eigvalsh(q @ ((x + x.conj().swapaxes(1, 2)) / 2) @ q)[:, 0]
+    k = int(np.argmin(low))
+    scan_min = float(low[k])
+
+    witness = None
+    if choi_min >= -bound and defect <= bound:
+        verdict = "cp-consistent"
+    elif scan_min < -bound:
+        verdict, witness = "positivity-violating", kets[k].copy()
     else:
-        verdict = "positivity-violating" if scan_min < -CHOI_TOL else "inconclusive"
-    return MapCheck(
-        verdict=verdict, probe_times=tuple(t.tolist()),
-        choi_min=choi_min, choi_herm_defect=defects,
-        scan_min=scan_min, witness_ket=wk, witness_time=wt,
-    )
+        verdict = "inconclusive"
+    return MapCheck(verdict=verdict, choi_min=choi_min, choi_herm_defect=defect,
+                    scan_min=scan_min, witness_ket=witness)
 
 
 def flip_gain_sign(spectrum, couplings, bath_spec):

@@ -32,7 +32,6 @@ map supplied by the coupling set.
 """
 
 import numpy as np
-from dataclasses import dataclass
 from functools import partial
 
 from .core import (InputError, InvariantError, Superoperator, bohr_frequencies,
@@ -40,14 +39,12 @@ from .core import (InputError, InvariantError, Superoperator, bohr_frequencies,
 from . import io as _io
 
 __all__ = [
-    "KossakowskiBlock",
     "VARIANT_TAGS",
     "born_kernel_frequency",
     "redfield_kernel",
     "energy_conserving_kernel",
     "lindblad_kernel",
     "build_kernel",
-    "kossakowski_matrix",
     "kernel_difference",
     "trace_condition_residual",
     "kernel_provenance",
@@ -291,57 +288,6 @@ def build_kernel(spectrum, couplings, bath_spec, variant, omega=None):
     if not kernel.all_finite():
         raise InvariantError(f"the {variant} kernel has a non-finite entry")
     return kernel
-
-
-# ---------------------------------------------------------------------------
-# per-bin dissipator blocks
-
-@dataclass(frozen=True)
-class KossakowskiBlock:
-    """Channel-space rate matrix of one Bohr bin."""
-
-    omega: float
-    labels: tuple
-    matrix: np.ndarray
-    min_eigenvalue: float
-    is_psd: bool
-
-
-def kossakowski_matrix(spectrum, couplings, bath_spec, omega):
-    """gamma(omega_b) restricted to the channels active in the bin.
-
-    Parameters
-    ----------
-    omega : float
-        Must match a Bohr bin of the spectrum within eps_deg.
-
-    Raises
-    ------
-    InputError
-        When omega matches no bin, or the bin carries no coupling
-        support (empty Kossakowski block).
-    """
-    _prep(spectrum, couplings, bath_spec)
-    jumps = decompose_jump_operators(spectrum, couplings)
-    b = jumps.bin_index(float(omega), spectrum.eps_deg)
-    active = np.flatnonzero(
-        np.any(couplings.matrices[:, jumps.label == b] != 0, axis=1)).tolist()
-    if not active:
-        raise InputError(
-            f"no coupling channel has support in the Bohr bin at "
-            f"omega={jumps.omegas[b]:g}"
-        )
-    g = bath_spec.gamma(float(jumps.omegas[b]))[np.ix_(active, active)]
-    h = (g + g.conj().T) / 2
-    evals = np.linalg.eigvalsh(h)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(h))))
-    return KossakowskiBlock(
-        omega=float(jumps.omegas[b]),
-        labels=tuple(couplings.labels[a] for a in active),
-        matrix=g,
-        min_eigenvalue=float(evals[0]),
-        is_psd=bool(evals[0] >= -tol),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import record_criterion
 
-from qmekit.core import build_spectrum, hermitian_channel, ladder_channels
+from qmekit.core import InputError, build_spectrum, hermitian_channel, ladder_channels
 from qmekit.bath import (
     custom_spectrum,
     flat_spectrum,
@@ -29,7 +30,7 @@ from qmekit.dynamics import (
     steady_state,
     trace_distance,
 )
-from qmekit.diagnostics import choi_spectrum, default_probe_times
+from qmekit.diagnostics import choi_matrix, map_check
 from qmekit.oracle import (
     FiniteBathModel,
     eqm_born_kernel,
@@ -51,6 +52,30 @@ THREE_BATH = thermal_ohmic_spectrum(0.4, 5.0, 1.3)
 
 def _born_omega(variant):
     return 0.7 if variant == "born" else None
+
+
+def default_probe_times(kernel):
+    """Probe times 0.1, 1 and 10 in units of the slowest kernel rate.
+
+    The rate is the smallest nonzero eigenvalue magnitude of the
+    dissipative kernel, so the probes straddle the relaxation knee.
+    """
+    evals = np.linalg.eigvals(kernel.data)
+    mags = np.abs(evals)
+    floor = 1e-12 * max(float(mags.max()), 1e-300)
+    nonzero = mags[mags > floor]
+    if nonzero.size == 0:
+        raise InputError("kernel is numerically zero; no rate to set probe times")
+    rate = float(nonzero.min())
+    return (0.1 / rate, 1.0 / rate, 10.0 / rate)
+
+
+def propagator_choi_min(liouv, t_probes):
+    """Smallest eigenvalue of the hermitized Choi matrix of exp(L t) at
+    each probe time."""
+    t = np.asarray(t_probes, dtype=float)
+    c = choi_matrix(expm(liouv.data * t[:, None, None]), liouv.dim)
+    return np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2)[:, 0]
 
 
 @pytest.fixture(scope="session")
@@ -191,22 +216,29 @@ def test_criterion_05_thermalization_across_temperatures():
     assert ok, worst
 
 
-def test_criterion_06_positivity_of_maps_and_states(box_dynamics):
+def test_criterion_06_positivity_of_maps_and_states(system_box, box_dynamics):
     worst_choi = np.inf
     worst_state = np.inf
     for liouv, probes, trajs in box_dynamics:
-        mins, _ = choi_spectrum(liouv, probes)
-        worst_choi = min(worst_choi, float(np.min(mins)))
+        worst_choi = min(worst_choi, float(np.min(propagator_choi_min(liouv, probes))))
         for traj in trajs:
             worst_state = min(worst_state, float(np.min(traj.min_eigenvalue)))
-    ok = worst_choi >= -1e-8 and worst_state >= -1e-8
+    certified = sum(
+        map_check(build_liouvillian(spectrum, build_kernel(spectrum, couplings, bath, variant))
+                  ).verdict == "cp-consistent"
+        for spectrum, couplings, bath in system_box
+        for variant in ("energy-conserving", "lindblad"))
+    ok = (worst_choi >= -1e-8 and worst_state >= -1e-8
+          and certified == 2 * len(system_box))
     record_criterion(
         6, "jump-expansion propagators keep Choi spectra and evolved states "
-           "positive",
+           "positive, and every covariant generator is certified CP",
         ok, f"worst Choi eigenvalue {worst_choi:.2e}, worst state "
-            f"eigenvalue {worst_state:.2e}")
+            f"eigenvalue {worst_state:.2e}, cp-consistent "
+            f"{certified}/{2 * len(system_box)}")
     assert worst_choi >= -1e-8, worst_choi
     assert worst_state >= -1e-8, worst_state
+    assert certified == 2 * len(system_box), certified
 
 
 def test_criterion_07_finite_bath_contraction():

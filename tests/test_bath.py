@@ -128,8 +128,9 @@ def test_tabulated_round_trip(tmp_path):
     samples = b.gamma(grid)
     path = tmp_path / "spec.csv"
     write_tabulated_csv(path, grid, samples, labels=("u", "v"))
-    labels, omegas, gammas = read_tabulated_csv(path)
+    labels, omegas, gammas, rows = read_tabulated_csv(path)
     assert labels == ["u", "v"]
+    assert rows == list(range(2, 163))
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(omegas, grid)
     assert np.array_equal(gammas, samples)
@@ -165,10 +166,10 @@ def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
             assert path.read_bytes() == ref.read_bytes()
         else:
             assert b"\r\n" in ref.read_bytes() and b"-0," in ref.read_bytes()
-            old_labels, old_omegas, old_gammas = read_tabulated_csv(ref)
+            old_labels, old_omegas, old_gammas, _ = read_tabulated_csv(ref)
             assert old_labels == labels
             assert np.array_equal(old_omegas, grid) and np.array_equal(old_gammas, g)
-    _, omegas, gammas = read_tabulated_csv(path)
+    _, omegas, gammas, _ = read_tabulated_csv(path)
     w = np.array([[-5.0, -4.0, -0.3], [0.0, 1.7, 4.5]])
     want = np.zeros(w.shape + (n, n), dtype=complex)
     for a in range(n):

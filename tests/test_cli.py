@@ -20,6 +20,7 @@ from scipy.linalg import expm
 
 import qmekit.core as core
 import qmekit.kernels as kernels
+from qmekit.bath import write_tabulated_csv
 from qmekit.cli import COMMANDS, main, parse_config
 from qmekit.diagnostics import flip_gain_sign
 from qmekit.dynamics import NONLOCAL_DIM_LIMIT, block_structure_report, build_liouvillian
@@ -905,6 +906,30 @@ def test_non_finite_tabulated_values_are_rejected(tmp_path, capsys, command):
     assert rc == 2
     assert capsys.readouterr().err == f"error: bath: {table}: row 3: values must be finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-kernel", "steady-state", "compare",
+                                     "block-report"])
+def test_tabulated_gamma_must_be_positive_semidefinite(tmp_path, capsys, command):
+    # a qubit under sigma_x with gamma = -0.3 on |omega - 1| < 0.5 and
+    # 0.2 elsewhere: without the check, steady-state reports diag(3, -2).
+    # A blank line after the header moves every node one file row down
+    grid = np.linspace(-4.0, 4.0, 81)
+    gamma = np.where(np.abs(grid - 1.0) < 0.5, -0.3, 0.2)[:, None, None]
+    table = tmp_path / "bath.csv"
+    write_tabulated_csv(table, grid, gamma, labels=("S",))
+    header, rest = table.read_text().split("\n", 1)
+    table.write_text(header + "\n\n" + rest)
+    doc = qubit_doc(couplings={"kind": "hermitian", "matrix": SIGMA_X},
+                    bath={"kind": "tabulated", "path": str(table)})
+    rc, out = run(tmp_path, command, doc)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bath.path: gamma(omega) is not positive semidefinite at "
+        "omega=0.6 (row 49, min eigenvalue -0.3)\n")
+    assert not out.exists()
+    write_tabulated_csv(table, grid, np.abs(gamma), labels=("S",))
+    assert run(tmp_path, command, doc)[0] == 0
 
 
 @pytest.mark.parametrize("command, variant", [

@@ -1,26 +1,27 @@
-"""Positivity probes, verdicts, and the variant comparison report."""
+"""The CP certificate, the state witness, verdicts, and the variant
+comparison report."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from qmekit import diagnostics
+from qmekit import diagnostics, dynamics
 from qmekit.bath import flat_spectrum, thermal_ohmic_spectrum
-from qmekit.core import InputError, Superoperator, build_spectrum, hermitian_channel, ladder_channels
+from qmekit.core import Superoperator, build_spectrum, hermitian_channel, ladder_channels
 from qmekit.kernels import VARIANT_TAGS, build_kernel, trace_condition_residual
 from qmekit.dynamics import build_liouvillian
 from qmekit.io import canonical_dumps
 from qmekit.diagnostics import (
     CHOI_TOL,
     choi_matrix,
-    choi_spectrum,
-    default_probe_times,
     equivalence_report,
     flip_gain_sign,
     map_check,
-    positivity_scan,
 )
 from conftest import make_system, BOX_SIZE
+from test_acceptance import default_probe_times, propagator_choi_min
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -50,23 +51,47 @@ def test_choi_of_identity_and_transpose_maps():
     assert abs(np.linalg.eigvalsh(c_tr)[0] + 1.0) < 1e-14
 
 
-def test_default_probe_times_from_slowest_rate():
-    rate = 0.3
-    k = build_kernel(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, rate),
-                     "lindblad")
-    probes = default_probe_times(k)
-    assert np.allclose(probes, (0.1 / rate, 1.0 / rate, 10.0 / rate), rtol=1e-10)
-    with pytest.raises(InputError, match="zero"):
-        default_probe_times(Superoperator.zero(2))
+def _scale(liouv):
+    return float(np.max(np.abs(liouv.data)))
+
+
+def _projected_rate(liouv, ket):
+    """Lowest eigenvalue of L(|ket><ket|), hermitized, on the complement
+    of ket: one ket at a time, with the projector written out."""
+    d = liouv.dim
+    rho = np.outer(ket, ket.conj())
+    x = (liouv.data @ rho.ravel()).reshape(d, d)
+    q = np.eye(d) - rho
+    return float(np.linalg.eigvalsh(q @ ((x + x.conj().T) / 2) @ q)[0])
+
+
+def assert_witness_replays(liouv, check):
+    """The witness reproduces scan_min, and exp(L t) takes it out of the
+    state cone at t = 1e-3 |scan_min| / max|L|^2, by about t * scan_min."""
+    scale = _scale(liouv)
+    assert check.scan_min < -CHOI_TOL * scale
+    assert abs(_projected_rate(liouv, check.witness_ket) - check.scan_min) <= 1e-12 * scale
+    t = 1e-3 * abs(check.scan_min) / scale ** 2
+    rho = np.outer(check.witness_ket, check.witness_ket.conj())
+    out = (expm(liouv.data * t) @ rho.ravel()).reshape(rho.shape)
+    assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] < 0.5 * t * check.scan_min
+
+
+def test_a_generator_that_breaks_hermiticity_is_not_certified():
+    # L(rho) = i rho: the hermitized Choi matrix is 0, so only the
+    # hermiticity defect, 2, keeps the verdict from cp-consistent
+    check = map_check(Superoperator(2, 1j * np.eye(4)))
+    assert check.choi_min == 0.0 and check.choi_herm_defect == 2.0
+    assert check.verdict == "inconclusive"
 
 
 def test_map_check_cp_consistent_for_lindblad():
     k = build_kernel(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, 0.3),
                      "lindblad")
     liouv = build_liouvillian(QUBIT, k)
-    check = map_check(liouv, k)
+    check = map_check(liouv)
     assert check.verdict == "cp-consistent"
-    assert np.all(check.choi_min >= -CHOI_TOL)
+    assert check.choi_min >= -CHOI_TOL * _scale(liouv)
     assert check.witness_ket is None
     doc = check.as_dict()
     assert doc["verdict"] == "cp-consistent"
@@ -80,56 +105,152 @@ def test_map_check_convicts_flipped_gain():
     # the sabotage breaks trace conservation too
     assert trace_condition_residual(bad) > 0.1
     liouv = build_liouvillian(QUBIT, bad)
-    check = map_check(liouv, Superoperator(2, bad.data))
+    check = map_check(liouv)
     assert check.verdict == "positivity-violating"
-    assert check.scan_min < -CHOI_TOL
+    assert check.choi_min < -CHOI_TOL * _scale(liouv)
+    assert_witness_replays(liouv, check)
 
-    # replay the witness: same propagator, same state, same eigenvalue
-    ket, t_w = check.witness_ket, check.witness_time
-    prop = expm(liouv.data * t_w)
-    rho = np.outer(ket, ket.conj())
-    out = (prop @ rho.ravel()).reshape(2, 2)
-    out = (out + out.conj().T) / 2
-    assert abs(np.linalg.eigvalsh(out)[0] - check.scan_min) < 1e-12
-
-    # the payload holds arrays; its text is that of the float lists it held
+    # the payload holds numpy scalars and arrays; its text is that of the
+    # floats and lists it held
+    ket = check.witness_ket
     lists = dict(check.as_dict(),
-                 probe_times=[float(t) for t in check.probe_times],
-                 choi_min=[float(x) for x in check.choi_min],
-                 choi_herm_defect=[float(x) for x in check.choi_herm_defect],
-                 witness={"ket": [[z.real, z.imag] for z in ket.tolist()], "time": t_w})
+                 choi_min=float(check.choi_min),
+                 choi_herm_defect=float(check.choi_herm_defect),
+                 witness={"ket": [[z.real, z.imag] for z in ket.tolist()]})
     assert canonical_dumps(check.as_dict()) == canonical_dumps(lists)
 
 
-def test_map_check_inconclusive_for_redfield_coherence_terms():
+def test_map_check_convicts_the_incoming_resonance_kernel():
+    # the three-level redfield-in kernel the propagator probes called
+    # inconclusive: a short-time witness at about -1.1e-2 max|L|
     k = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in")
     liouv = build_liouvillian(FIX3, k)
-    check = map_check(liouv, k, n_random=64, seed=0)
-    assert check.verdict == "inconclusive"
-    assert np.min(check.choi_min) < -CHOI_TOL
-    assert check.scan_min >= -CHOI_TOL
+    check = map_check(liouv)
+    assert check.verdict == "positivity-violating"
+    assert -1.2e-2 < check.scan_min / _scale(liouv) < -1.0e-2
+    assert check.choi_min < check.scan_min
+    assert_witness_replays(liouv, check)
 
 
-def test_choi_spectrum_shapes_and_hermiticity():
-    k = build_kernel(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, 0.3),
-                     "lindblad")
-    liouv = build_liouvillian(QUBIT, k)
-    mins, defects = choi_spectrum(liouv, (0.5, 1.0))
-    assert mins.shape == defects.shape == (2,)
-    assert np.all(defects < 1e-12)
-    assert np.all(mins >= -CHOI_TOL)
+def test_map_check_inconclusive_for_redfield_coherence_terms():
+    # box 35 redfield-out (d=2): a negative certificate, but no scanned
+    # ket leaves the state cone, not even among 4096 of them
+    spectrum, couplings, bath = make_system(35)
+    liouv = build_liouvillian(spectrum, build_kernel(spectrum, couplings, bath, "redfield-out"))
+    scale = _scale(liouv)
+    for n_random in (64, 4096):
+        check = map_check(liouv, n_random=n_random, seed=0)
+        assert check.verdict == "inconclusive"
+        assert check.choi_min < -1e-2 * scale
+        assert check.choi_herm_defect <= CHOI_TOL * scale
+        assert check.scan_min >= -CHOI_TOL * scale
+        assert check.witness_ket is None
 
 
-def test_positivity_scan_witness_is_replayable():
-    k = build_kernel(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, 0.3),
-                     "lindblad")
-    liouv = build_liouvillian(QUBIT, k)
-    worst, (ket, t_w) = positivity_scan(liouv, (0.3, 3.0), n_random=16, seed=4)
-    prop = expm(liouv.data * t_w)
-    rho = np.outer(ket, ket.conj())
-    out = (prop @ rho.ravel()).reshape(2, 2)
-    out = (out + out.conj().T) / 2
-    assert abs(np.linalg.eigvalsh(out)[0] - worst) < 1e-12
+def test_a_small_witness_region_needs_more_kets():
+    # box 30 born (d=2, not hermiticity preserving): the states that
+    # leave the cone at short times fill a small cap of the Bloch
+    # sphere; the default kets miss it, 2048 seed-0 kets hit it
+    spectrum, couplings, bath = make_system(30)
+    liouv = build_liouvillian(spectrum, build_kernel(spectrum, couplings, bath, "born", omega=0.7))
+    assert map_check(liouv).verdict == "inconclusive"
+    check = map_check(liouv, n_random=2048)
+    assert check.verdict == "positivity-violating"
+    assert_witness_replays(liouv, check)
+
+
+def test_certificate_against_the_propagator_choi_spectra_on_the_box():
+    """All 540 box kernels, against the propagator Choi minima at the
+    three relaxation-scale probe times: every probe conviction has a
+    negative certificate, every certificate within the bound has PSD
+    propagator Choi matrices, and every witness replays."""
+    verdicts = set()
+    for seed in range(BOX_SIZE):
+        spectrum, couplings, bath = make_system(seed)
+        for variant in VARIANT_TAGS:
+            omega = 0.7 if variant == "born" else None
+            kernel = build_kernel(spectrum, couplings, bath, variant, omega=omega)
+            liouv = build_liouvillian(spectrum, kernel)
+            check = map_check(liouv)
+            probed = float(np.min(propagator_choi_min(liouv, default_probe_times(kernel))))
+            name = f"box {seed} {variant}"
+            if probed < -1e-8:
+                assert check.choi_min < 0 and check.verdict != "cp-consistent", name
+            if check.verdict == "cp-consistent":
+                assert probed >= -1e-8, name
+            if check.verdict == "positivity-violating":
+                assert_witness_replays(liouv, check)
+            verdicts.add(check.verdict)
+    assert verdicts == {"cp-consistent", "positivity-violating", "inconclusive"}
+
+
+def test_map_check_computes_no_exponential(monkeypatch):
+    k = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in")
+    liouv = build_liouvillian(FIX3, k)
+    monkeypatch.setattr(diagnostics, "expm", None, raising=False)
+    monkeypatch.setattr(dynamics, "expm", None)
+    monkeypatch.setattr(scipy.linalg, "expm", None)
+    assert map_check(liouv).verdict == "positivity-violating"
+
+
+def _gkls(h, ops, c):
+    """-i[H, .] + sum_ij c_ij (A_i . A_j^H - 1/2 {A_j^H A_i, .}) on the
+    flat pair index, where A . B is kron(A, B^T)."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for i, a in enumerate(ops):
+        for j, b in enumerate(ops):
+            ba = b.conj().T @ a
+            gen += c[i, j] * (np.kron(a, b.conj()) - 0.5 * np.kron(ba, eye)
+                              - 0.5 * np.kron(eye, ba.T))
+    return gen
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-12, 1.0, 1e12]), data=st.data())
+def test_certificate_is_the_kossakowski_matrix_spectrum(d, seed, scale, data):
+    """With orthonormal traceless A_i the compressed Choi matrix of a
+    GKLS generator holds the eigenvalues of c and zeros, so map_check
+    says cp-consistent exactly when c has no eigenvalue below the bound,
+    at any overall rate scale."""
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, d * d - 1))
+    lam = scale * np.array(data.draw(st.lists(
+        st.sampled_from([-1.0, -0.2, -1e-3, 0.0, 1e-3, 0.5, 1.0]), min_size=n, max_size=n)))
+    # orthonormal traceless operators: QR of random vectors with the
+    # vec(I) component removed
+    v = rng.standard_normal((d * d, n)) + 1j * rng.standard_normal((d * d, n))
+    v[::d + 1] -= v[::d + 1].mean(axis=0)
+    ops = np.linalg.qr(v)[0].T.reshape(n, d, d)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    c = (u * lam) @ u.conj().T
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    gen = _gkls(scale * (m + m.conj().T) / 2, ops, c)
+    check = map_check(Superoperator(d, gen))
+    bound = CHOI_TOL * float(np.max(np.abs(gen)))
+    assert abs(check.choi_min - min(lam.min(), 0.0)) <= 1e-4 * bound
+    assert (check.verdict == "cp-consistent") == (lam.min() >= -bound)
+    if check.verdict == "positivity-violating":
+        assert_witness_replays(Superoperator(d, gen), check)
+
+
+@pytest.mark.parametrize("variant, verdict", [("lindblad", "cp-consistent"),
+                                              ("redfield-in", "positivity-violating")])
+def test_generic_d16_verdicts(variant, verdict):
+    rng = np.random.default_rng(16)
+    spectrum = build_spectrum(np.sort(rng.uniform(0.0, 4.0, 16)))
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    kernel = build_kernel(spectrum, hermitian_channel(m + m.conj().T),
+                          thermal_ohmic_spectrum(0.4, 5.0, 1.3), variant)
+    liouv = build_liouvillian(spectrum, kernel)
+    check = map_check(liouv)
+    assert check.verdict == verdict
+    if verdict == "cp-consistent":
+        assert check.choi_min >= -1e-14 * _scale(liouv)
+    else:
+        assert check.choi_min < -0.5 * _scale(liouv)
 
 
 def test_equivalence_report_ladder_qubit():
@@ -198,83 +319,6 @@ def test_in_out_entries_are_the_head_of_the_full_stable_sort():
     assert rep["n_entries"] == 120 and rep["population_block_touched"] is True
 
 
-def _reference_probes(liouv, t_probes, n_random=64, seed=0):
-    """The per-time, per-ket loops the batched probes replace: Choi
-    minima and defects, every scan eigenvalue in (time, ket) order, the
-    first minimum's witness and the verdict."""
-    d = liouv.dim
-    rng = np.random.default_rng(seed)
-    kets = [np.eye(d, dtype=complex)[k] for k in range(d)]
-    for _ in range(n_random):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        kets.append(v / np.linalg.norm(v))
-    mins, defects, lows, witness = [], [], [], None
-    for t in t_probes:
-        prop = expm(liouv.data * float(t))
-        c = prop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        defects.append(float(np.max(np.abs(c - c.conj().T))))
-        mins.append(float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0]))
-        for ket in kets:
-            out = (prop @ np.outer(ket, ket.conj()).ravel()).reshape(d, d)
-            low = float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
-            if not lows or low < min(lows):
-                witness = (ket.copy(), float(t))
-            lows.append(low)
-    if np.all(np.array(mins) >= -CHOI_TOL):
-        verdict = "cp-consistent"
-    else:
-        verdict = "positivity-violating" if min(lows) < -CHOI_TOL else "inconclusive"
-    return np.array(mins), np.array(defects), np.sort(lows), witness, verdict
-
-
-def _probe_cases():
-    """(name, generator, kernel, n_random): the seeded box in all five
-    variants with 16 random kets, so that the reference loops stay quick,
-    then the redfield-in three-level system and the flipped-gain qubit."""
-    for seed in range(BOX_SIZE):
-        spectrum, couplings, bath = make_system(seed)
-        for variant in VARIANT_TAGS:
-            omega = 0.7 if variant == "born" else None
-            k = build_kernel(spectrum, couplings, bath, variant, omega=omega)
-            yield f"box {seed} {variant}", build_liouvillian(spectrum, k), k, 16
-    k = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in")
-    yield "fix3 redfield-in", build_liouvillian(FIX3, k), k, 64
-    bad = flip_gain_sign(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, 0.3))
-    yield "flipped gain", build_liouvillian(QUBIT, bad), Superoperator(2, bad.data), 64
-
-
-def test_batched_probes_match_the_per_time_per_ket_loops():
-    verdicts = set()
-    for name, liouv, kernel, n_random in _probe_cases():
-        check = map_check(liouv, kernel, n_random=n_random)
-        mins, defects, lows, (ket, t_w), verdict = _reference_probes(
-            liouv, check.probe_times, n_random)
-        # 1e-12, relative where a runaway (born) map reaches large values
-        tol = 1e-12 * max(1.0, np.max(np.abs(mins)), abs(lows[0]))
-        assert np.max(np.abs(check.choi_min - mins)) <= tol, name
-        assert np.max(np.abs(check.choi_herm_defect - defects)) <= tol, name
-        assert check.verdict == verdict, name
-        assert abs(check.scan_min - lows[0]) <= tol, name
-        scan_min, (scan_ket, scan_t) = positivity_scan(liouv, check.probe_times, n_random)
-        assert abs(scan_min - lows[0]) <= tol, name
-        if lows[1] - lows[0] > tol:
-            assert scan_t == t_w and np.max(np.abs(scan_ket - ket)) <= 1e-15, name
-            if verdict != "cp-consistent":
-                assert check.witness_time == t_w, name
-                assert np.max(np.abs(check.witness_ket - ket)) <= 1e-15, name
-        verdicts.add(verdict)
-    assert verdicts == {"cp-consistent", "positivity-violating", "inconclusive"}
-
-
-def test_map_check_exponentiates_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(diagnostics, "expm", lambda a: calls.append(a.shape) or expm(a))
-    k = build_kernel(FIX3, FIX3_COUPLING, FIX3_BATH, "redfield-in")
-    check = map_check(build_liouvillian(FIX3, k), k)
-    assert calls == [(3, 9, 9)]
-    assert check.verdict == "inconclusive"
-
-
 def test_probe_kets_draw_as_the_sequential_pairs():
     for seed in (0, 4, 123):
         for d in range(2, 13):
@@ -296,15 +340,3 @@ def test_choi_matrix_of_a_stack_is_the_stack_of_choi_matrices():
     assert choi.shape == stack.shape
     for idx in np.ndindex(2, 4):
         assert np.array_equal(choi[idx], choi_matrix(stack[idx], d))
-
-
-def test_empty_probe_set_certifies_nothing(monkeypatch):
-    monkeypatch.setattr(diagnostics, "expm", None)      # no exponential is computed
-    k = build_kernel(QUBIT, hermitian_channel(SIGMA_X), flat_spectrum(1, 0.3),
-                     "lindblad")
-    liouv = build_liouvillian(QUBIT, k)
-    for probe in (lambda: map_check(liouv, k, t_probes=()),
-                  lambda: positivity_scan(liouv, ()),
-                  lambda: choi_spectrum(liouv, [])):
-        with pytest.raises(InputError, match="t_probes"):
-            probe()

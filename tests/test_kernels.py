@@ -29,7 +29,6 @@ from qmekit.kernels import (
     kernel_envelope,
     kernel_provenance,
     kernel_to_csv,
-    kossakowski_matrix,
     lindblad_kernel,
     redfield_kernel,
     trace_condition_residual,
@@ -348,17 +347,6 @@ def test_jump_kernels_equal_the_dense_stack_reference(levels, channels):
                           stack_jump_kernel(spectrum, couplings, bath, 1.0))
     assert np.array_equal(flip_gain_sign(spectrum, couplings, bath).data,
                           stack_jump_kernel(spectrum, couplings, bath, -1.0))
-    omegas, ops = reference_jump_stack(spectrum, couplings)
-    for omega, op in zip(omegas, ops):
-        active = [a for a in range(couplings.n_channels) if np.any(op[a] != 0)]
-        if not active:
-            with pytest.raises(InputError, match="support"):
-                kossakowski_matrix(spectrum, couplings, bath, omega)
-            continue
-        blk = kossakowski_matrix(spectrum, couplings, bath, omega)
-        assert blk.omega == omega
-        assert blk.labels == tuple(couplings.labels[a] for a in active)
-        assert np.array_equal(blk.matrix, bath.gamma(omega)[np.ix_(active, active)])
 
 
 def test_in_out_discrepancy_off_population_block():
@@ -466,27 +454,6 @@ def test_energy_conserving_mass_shell_arguments_coincide():
             <= spectrum.eps_deg
         p, q, qq, pp = np.nonzero(shell)
         assert np.array_equal(bohr[q, p], bohr[qq, pp])
-
-
-def test_kossakowski_blocks():
-    c, lam, beta = 0.2, 5.0, 1.7
-    bath = thermal_ohmic_spectrum(c, lam, beta)
-    couplings = hermitian_channel(SIGMA_X)
-    blk = kossakowski_matrix(QUBIT, couplings, bath, 1.0)
-    assert blk.omega == 1.0
-    assert blk.matrix.shape == (1, 1)
-    assert abs(blk.matrix[0, 0] - bath.gamma(1.0)[0, 0]) < 1e-15
-    assert blk.is_psd
-    with pytest.raises(InputError, match="unique"):
-        kossakowski_matrix(QUBIT, couplings, bath, 0.37)
-    # bin exists but no coupling supports it: levels 0,1,2 with a
-    # coupling touching only the 0-1 transition leaves the omega=2 bin empty
-    spec = build_spectrum([0.0, 1.0, 2.0])
-    s01 = np.zeros((3, 3), dtype=complex)
-    s01[0, 1] = s01[1, 0] = 1.0
-    with pytest.raises(InputError, match="support"):
-        kossakowski_matrix(spec, hermitian_channel(s01),
-                           thermal_ohmic_spectrum(c, lam, beta), 2.0)
 
 
 def test_kernel_difference_reports_location():
