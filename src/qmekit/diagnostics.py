@@ -13,10 +13,12 @@ is scanned for a short-time witness as well, and the verdicts keep the
 two situations apart.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
 
-from .kernels import _jump_kernel, build_kernel, kernel_difference, trace_condition_residual
+import numpy as np
+
+from .kernels import _jump_kernel, build_kernel, trace_condition_residual
 from . import io as _io
 
 __all__ = [
@@ -152,26 +154,60 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
     """Pairwise comparison of the four Markov kernels plus the resolved
     kernel at a chosen frequency.
 
-    Asserts nothing; reports max |difference| per pair, whether the
-    energy-conserving and jump constructions coincide below
-    EC_AGREEMENT_LIMIT times the largest kernel entry, and where the
-    in/out entries that differ by more than that much live relative to
-    the population block.
+    Asserts nothing; reports max |difference| per pair and its first
+    index in C order, whether the energy-conserving and jump
+    constructions coincide below EC_AGREEMENT_LIMIT times the largest
+    kernel entry, and where the in/out entries that differ by more than
+    that much live relative to the population block.
+
+    The energy-conserving and lindblad kernels are compared on their Bohr
+    blocks, with no d^4 array: against each other entry by entry there,
+    and against each dense kernel there and through the dense kernel's
+    largest entry off the blocks.  The dense kernels are compared with
+    each other entry by entry.
     """
     tags = ("redfield-in", "redfield-out", "energy-conserving", "lindblad")
     kernels = {tag: build_kernel(spectrum, couplings, bath_spec, tag) for tag in tags}
     kernels["born"] = build_kernel(spectrum, couplings, bath_spec, "born", omega=omega)
-    scale = max(float(np.max(np.abs(k.data))) for k in kernels.values())
-    pairs = {}
     names = list(kernels)
+    found = {}                  # pair -> (max |A - B|, flat index)
+
+    def note(a, b, value_at):
+        found["|".join(sorted((a, b), key=names.index))] = value_at
+
+    covariant = ("energy-conserving", "lindblad")
+    flat, *on = _on_blocks(*(kernels[tag] for tag in covariant))
+    # off `flat` both are zero, and flat[0] = 0 (a block holds its
+    # diagonal), so a difference that is zero everywhere sits at 0
+    note(*covariant, _first_max(np.abs(on[0] - on[1]), flat))
+    scale = max(float(np.abs(v).max()) for v in on)
+    for tag in ("redfield-in", "redfield-out", "born"):
+        data = kernels[tag].data.ravel()
+        inside = data[flat]
+        mag = np.abs(data)
+        mag[flat] = -1.0                    # below any |D - C| on the blocks
+        off = _first_max(mag)               # |D - C| = |D| off the blocks
+        del mag                             # one d^4 magnitude at a time
+        scale = max(scale, off[0], float(np.abs(inside).max()))
+        for other, values in zip(covariant, on):
+            in_block = _first_max(np.abs(inside - values), flat)
+            note(tag, other, max(in_block, off, key=lambda m: (m[0], -m[1])))
+    limit = EC_AGREEMENT_LIMIT * max(scale, 1e-300)
+    diff = np.abs(kernels["redfield-in"].data - kernels["redfield-out"].data)
+    note("redfield-in", "redfield-out", _first_max(diff.ravel()))
+    in_out = _in_out_entries(diff, threshold=limit)
+    del diff
+    for tag in ("redfield-in", "redfield-out"):
+        note(tag, "born", _first_max(np.abs(kernels[tag].data - kernels["born"].data).ravel()))
+    d, n = spectrum.dim, spectrum.dim ** 2
+    pairs = {}
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            diff, where = kernel_difference(kernels[a], kernels[b])
-            pairs[f"{a}|{b}"] = {"max_abs_diff": diff, "at": [list(where[0]), list(where[1])]}
+            value, at = found[f"{a}|{b}"]
+            row, col = divmod(at, n)
+            pairs[f"{a}|{b}"] = {"max_abs_diff": value,
+                                 "at": [list(divmod(row, d)), list(divmod(col, d))]}
     ec_diff = pairs["energy-conserving|lindblad"]["max_abs_diff"]
-    limit = EC_AGREEMENT_LIMIT * max(scale, 1e-300)
-    in_out = _in_out_entries(kernels["redfield-in"], kernels["redfield-out"],
-                             threshold=limit)
     return {
         "dim": spectrum.dim,
         "born_omega": float(omega),
@@ -186,9 +222,46 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
     }
 
 
-def _in_out_entries(kernel_in, kernel_out, threshold):
-    d = kernel_in.dim
-    diff = np.abs(kernel_in.data - kernel_out.data)
+def _block_entries(kernel):
+    """The flat indices row * d^2 + col of a block kernel's entries, and
+    the entries, in block order."""
+    n = kernel.dim ** 2
+    return (np.concatenate([(idx[:, :, None] * n + idx[:, None, :]).ravel()
+                            for idx, _ in kernel.blocks]),
+            np.concatenate([vals.ravel() for _, vals in kernel.blocks]))
+
+
+def _on_blocks(kernel_a, kernel_b):
+    """Two block kernels on one ascending array of flat indices that
+    covers the blocks of both: the indices, then each kernel's entries
+    there.  Off those indices both kernels are zero."""
+    flat, a = _block_entries(kernel_a)
+    if len(kernel_a.blocks) == len(kernel_b.blocks) and all(
+            i.shape == j.shape and (i == j).all()
+            for (i, _), (j, _) in zip(kernel_a.blocks, kernel_b.blocks)):
+        order = flat.argsort()              # one layout, as from one Bohr label
+        b = np.concatenate([vals.ravel() for _, vals in kernel_b.blocks])
+        return flat[order], a[order], b[order]
+    # the layouts differ: gather both onto the union of their entries
+    flat_b, b = _block_entries(kernel_b)
+    union = np.union1d(flat, flat_b)
+    out = np.zeros((2, union.size), dtype=complex)
+    out[0, np.searchsorted(union, flat)] = a
+    out[1, np.searchsorted(union, flat_b)] = b
+    return union, out[0], out[1]
+
+
+def _first_max(values, flat=None):
+    """The largest value and its first index (np.argmax's rule), mapped
+    through ``flat`` when given."""
+    k = int(values.argmax())
+    return float(values[k]), k if flat is None else int(flat[k])
+
+
+def _in_out_entries(diff, threshold):
+    """The in/out entries of ``diff`` = |K_in - K_out| (d^2 x d^2) above
+    ``threshold``."""
+    d = math.isqrt(len(diff))
     hits = np.flatnonzero(diff > threshold)            # C order
     values = diff.ravel()[hits]
     # only the 32 largest are listed: a stable sort of the hits at or
@@ -196,14 +269,12 @@ def _in_out_entries(kernel_in, kernel_out, threshold):
     cut = np.partition(values, -32)[-32] if len(hits) > 32 else 0.0
     top = np.flatnonzero(values >= cut)
     top = top[np.argsort(-values[top], kind="stable")[:32]]
-    rc = np.divmod(hits[top], d * d)                   # (p, p) is flat p * (d + 1)
-    on_pop = (rc[0] % (d + 1) == 0) & (rc[1] % (d + 1) == 0)
-    pairs = np.stack(np.divmod(rc, d), axis=-1)        # [row | col, hit, (p, p')]
+    n = d * d                      # hit r: row pair r // n, column pair r % n
     entries = [
-        {"row": pairs[0, n].tolist(), "col": pairs[1, n].tolist(),
-         "abs_diff": float(values[i]), "population_block": bool(on_pop[n])}
-        for n, i in enumerate(top)
-    ]
+        {"row": list(divmod(r // n, d)), "col": list(divmod(r % n, d)), "abs_diff": v,
+         "population_block": r // n % (d + 1) == 0 and r % n % (d + 1) == 0}
+        for r, v in zip(hits[top].tolist(), values[top].tolist())
+    ]   # (p, p) is flat p * (d + 1)
     return {
         "max_abs_diff": float(diff.max()),
         "n_entries": len(hits),

@@ -8,15 +8,16 @@ JSON documents go through :func:`canonical_dumps`, one recursive pass:
 keys as ``str(k)``, sorted, no whitespace; +-inf as the strings
 ``"inf"``/``"-inf"``; complex numbers as ``[re, im]``; NaN raises; ints,
 strs and keys as ``json.dumps`` writes them, without calling it.  Both
-writers share one dense/sparse rule, :func:`_dense`: values at least
-half nonzero are written by :func:`_g17`, an exact ``%.17g`` in numpy.
-A dense CSV chunk is a byte grid of its rows that also carries the
-commas and line ends; a sparser one's template is a numpy byte grid in
-which zeros, row numbers, commas and line ends are literal text, so
-``%.17g`` fills only the nonzero values.  A finite JSON array is one
-fill of a nested template: of ``%s`` cells from :func:`_g17`'s strings
-if it has at least ``JSON_G17_MIN`` values and is dense, else of
-``%.17g`` cells.  Other arrays go through ``tolist()``.
+writers share one dense/sparse rule, :func:`_dense` (at least half the
+values nonzero), and :func:`_g17`, an exact ``%.17g`` in numpy.  A dense
+CSV chunk is a byte grid of its :func:`_g17` rows that also carries the
+commas and line ends; runs of sparser chunks are a numpy byte grid in
+which zeros, row numbers, commas and line ends are literal text, cut at
+the nonzero values and joined with their :func:`_g17` strings, so a zero
+costs no formatting.  A finite JSON array is one fill of a nested
+template: of ``%s`` cells from :func:`_g17`'s strings if it has at least
+``JSON_G17_MIN`` values and is dense, else of ``%.17g`` cells.  Other
+arrays go through ``tolist()``.
 Both writers check all input before they open the file, so a failed
 write leaves nothing on disk.
 """
@@ -55,7 +56,8 @@ def fmt(x):
     return "%.17g" % (x + 0.0)          # + 0.0: -0.0 is written 0
 
 
-CSV_CHUNK_VALUES = 12288      # values formatted per write
+CSV_CHUNK_VALUES = 12288      # values per chunk of one path, dense or sparse
+CSV_SPARSE_BYTES = 393216     # grid bytes of a run of sparse chunks
 G17_BATCH = 4096              # values per byte grid of a dense chunk
 JSON_G17_MIN = 384            # below, a JSON array is cheaper as one %.17g fill
 
@@ -138,56 +140,114 @@ def _dense(a):
     return 2 * np.count_nonzero(a) >= a.size > 0
 
 
+def _g17_cells(a):
+    """The values of a finite float64 array as ``'%.17g'`` strings, through
+    :func:`_g17` in batches of ``G17_BATCH``."""
+    cells = []
+    for i in range(0, a.size, G17_BATCH):   # byte 47 of a row is NUL
+        rows = _g17(a[i:i + G17_BATCH])
+        rows[:, 47] = ord(",")
+        cells += rows.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+    return cells
+
+
+def _put_row_numbers(out, start):
+    """Write the row numbers start, start + 1, ... into the rows of the
+    uint8 view ``out``, right-aligned, in ASCII digits."""
+    n, width = out.shape
+    for j in range(0, width, 4):              # four digits at a time, from the right
+        w, unit = min(4, width - j), 10 ** j
+        # rows // unit takes each value for a run of up to `unit` rows
+        v = np.arange(start // unit, (start + n - 1) // unit + 1)
+        quad = _digits().take(v, axis=0, mode="wrap")
+        if unit > 1:
+            runs = np.minimum(start + n, (v + 1) * unit) - np.maximum(start, v * unit)
+            quad = np.repeat(quad, runs, axis=0)
+        # a column at a time: numpy copies a long strided axis faster than
+        # many rows of a few bytes
+        for c in range(4 - w, 4):
+            out[:, width - j - 4 + c] = quad[:, c]
+
+
+def _sparse_rows(chunk, start, index):
+    """CSV text of a chunk, as a byte grid with the zeros, row numbers,
+    commas and line ends as literal text and a mark per nonzero value,
+    cut at the marks and joined with the values' :func:`_g17` strings.
+    Each digit count of the row numbers has its own grid, so every row
+    of a grid has the same width."""
+    n_cols = chunk.shape[1]
+    nz = chunk != 0                           # -0.0 is a zero, written 0
+    stop = start + len(chunk)
+    cuts = [10 ** k for k in range(1, len(str(stop))) if start < 10 ** k < stop] if index else []
+    grids = []
+    for a, b in zip([start, *cuts], [*cuts, stop]):
+        pre = len(str(a)) + 1 if index else 0
+        grid = np.full((b - a, pre + max(2 * n_cols, 1)), ord(","), np.uint8)
+        if index:
+            _put_row_numbers(grid[:, :pre - 1], a)
+        # after the row number, "0" or the value mark \x01 and a comma
+        # per cell; "\n" ends the row
+        grid[:, pre:pre + 2 * n_cols:2] = ord("0") - 47 * nz[a - start:b - start].view(np.uint8)
+        grid[:, -1] = ord("\n")
+        grids.append(grid.tobytes())
+    parts = b"".join(grids).decode().split("\x01")
+    text = [""] * (2 * len(parts) - 1)
+    text[::2] = parts
+    text[1::2] = _g17_cells(chunk[nz])
+    return "".join(text)
+
+
 def write_csv_rows(path, header, table, index=False):
     """Write a CSV file: the header names, then the rows of a 2-d float
     array, every value as :func:`fmt` writes it, optionally led by the
-    row number.  Rows go out in chunks of at most ``CSV_CHUNK_VALUES``
-    values, so the text in memory stays bounded whatever the table size.
-    A chunk at least half nonzero goes through :func:`_g17`; a sparser
-    chunk's template is a numpy byte grid with the zeros and row numbers
-    as literal text, so ``%.17g`` formats only the nonzero values.
+    row number.  Each chunk of at most ``CSV_CHUNK_VALUES`` values takes
+    one of two paths.  A chunk at least half nonzero is a byte grid of
+    :func:`_g17` rows with the commas and line ends.  Sparser chunks are
+    joined into runs of up to ``CSV_SPARSE_BYTES`` of grid, one grid per
+    digit count of the row numbers, in which zeros are literal text and
+    only the nonzero values go through :func:`_g17`.  So the text in
+    memory stays bounded whatever the table size, and a zero costs no
+    per-value formatting.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2:
         raise InputError(f"CSV table must be 2-d, got shape {table.shape}")
     n_rows, n_cols = table.shape
     step = max(1, CSV_CHUNK_VALUES // max(n_cols + index, 1))
+    # a run of sparse chunks: up to CSV_SPARSE_BYTES of grid, two bytes a cell
+    run_rows = CSV_SPARSE_BYTES // (max(2 * n_cols, 1) + (len(str(n_rows)) + 1) * index)
+    runs = []                                # [start, stop, dense]
     for start in range(0, n_rows, step):     # every chunk is checked before the open
-        bad = ~np.isfinite(table[start:start + step])
+        chunk = table[start:start + step]
+        bad = ~np.isfinite(chunk)
         if bad.any():
-            fmt(table[start:start + step][bad][0])   # raises, naming the value
+            fmt(chunk[bad][0])               # raises, naming the value
+        dense = _dense(chunk)
+        stop = start + len(chunk)
+        if runs and not (dense or runs[-1][2]) and stop - runs[-1][0] <= run_rows:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, dense])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, step):
-            chunk = table[start:start + step]
-            nz = chunk != 0                  # -0.0 is a zero, written 0
-            row = np.arange(start, start + len(chunk))
-            pre = len(str(row[-1])) + 1 if index else 0
+        for start, stop, dense in runs:
+            if not dense:
+                fh.write(_sparse_rows(table[start:stop], start, index))
+                continue
+            chunk = table[start:stop]
+            pre = len(str(stop - 1)) + 1 if index else 0
             lead = np.full((len(chunk), pre), ord(","), np.uint8)  # row number, \x02 pads
-            for j in range(0, pre - 1, 4):        # four digits at a time, from the right
-                w = min(4, pre - 1 - j)
-                quad = _digits().take(row // 10 ** j % 10000, axis=0)
-                lead[:, pre - 1 - j - w:pre - 1 - j] = quad[:, 4 - w:]
+            _put_row_numbers(lead[:, :pre - 1], start)
             for j in range(1, pre - 1):           # the rows below 10^j are a prefix
                 lead[:max(0, 10 ** j - start), :pre - 1 - j] = 2
-            if _dense(nz):
-                per = max(1, G17_BATCH // n_cols)
-                for i in range(0, len(chunk), per):  # + 0.0: -0.0 is written 0
-                    grid = _g17(chunk[i:i + per] + 0.0).reshape(-1, 48 * n_cols)
-                    grid[:, 47::48] = ord(",")
-                    grid[:, -1] = ord("\n")
-                    if index:
-                        grid = np.hstack([lead[i:i + per], grid])
-                    fh.write(grid.tobytes().translate(None, b"\0\2").decode())
-                continue
-            # sparse: after the row number, "0" or the value mark \x01 and a
-            # comma per cell; "\n" ends the row
-            grid = np.full((len(chunk), pre + max(2 * n_cols, 1)), ord(","), np.uint8)
-            grid[:, :pre] = lead
-            grid[:, pre:pre + 2 * n_cols:2] = ord("0") - 47 * nz.view(np.uint8)
-            grid[:, -1] = ord("\n")
-            text = grid.tobytes().translate(None, b"\2").decode().replace("\x01", "%.17g")
-            fh.write(text % tuple(chunk[nz].tolist()))
+            per = max(1, G17_BATCH // n_cols)
+            for i in range(0, len(chunk), per):  # + 0.0: -0.0 is written 0
+                grid = _g17(chunk[i:i + per] + 0.0).reshape(-1, 48 * n_cols)
+                grid[:, 47::48] = ord(",")
+                grid[:, -1] = ord("\n")
+                if index:
+                    grid = np.hstack([lead[i:i + per], grid])
+                fh.write(grid.tobytes().translate(None, b"\0\2").decode())
 
 
 def _emit(obj):
@@ -242,12 +302,7 @@ def _emit(obj):
             a = a.ravel()
             if not dense:
                 return text % tuple(a.tolist())
-            cells = []
-            for i in range(0, a.size, G17_BATCH):   # byte 47 of a row is NUL
-                rows = _g17(a[i:i + G17_BATCH])
-                rows[:, 47] = ord(",")
-                cells += rows.tobytes().translate(None, b"\0").decode().split(",")[:-1]
-            return text % tuple(cells)
+            return text % tuple(_g17_cells(a))
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")

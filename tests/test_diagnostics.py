@@ -7,14 +7,17 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+import qmekit.io
 from qmekit import diagnostics, dynamics
 from qmekit.bath import flat_spectrum, thermal_ohmic_spectrum
-from qmekit.core import Superoperator, build_spectrum, hermitian_channel, ladder_channels
-from qmekit.kernels import VARIANT_TAGS, build_kernel, trace_condition_residual
+from qmekit.core import (Superoperator, bohr_frequencies, build_spectrum, hermitian_channel,
+                         ladder_channels)
+from qmekit.kernels import VARIANT_TAGS, build_kernel, kernel_difference, trace_condition_residual
 from qmekit.dynamics import build_liouvillian
 from qmekit.io import canonical_dumps
 from qmekit.diagnostics import (
     CHOI_TOL,
+    EC_AGREEMENT_LIMIT,
     choi_matrix,
     equivalence_report,
     flip_gain_sign,
@@ -279,13 +282,184 @@ def test_equivalence_report_three_level_structure():
     assert mags == sorted(mags, reverse=True)
 
 
+def dense_in_out_entries(kernel_in, kernel_out, threshold):
+    """The in/out listing as it was computed on the dense matrices."""
+    d = kernel_in.dim
+    diff = np.abs(kernel_in.data - kernel_out.data)
+    hits = np.flatnonzero(diff > threshold)
+    values = diff.ravel()[hits]
+    cut = np.partition(values, -32)[-32] if len(hits) > 32 else 0.0
+    top = np.flatnonzero(values >= cut)
+    top = top[np.argsort(-values[top], kind="stable")[:32]]
+    rc = np.divmod(hits[top], d * d)
+    on_pop = (rc[0] % (d + 1) == 0) & (rc[1] % (d + 1) == 0)
+    pairs = np.stack(np.divmod(rc, d), axis=-1)
+    entries = [
+        {"row": pairs[0, n].tolist(), "col": pairs[1, n].tolist(),
+         "abs_diff": float(values[i]), "population_block": bool(on_pop[n])}
+        for n, i in enumerate(top)
+    ]
+    return {
+        "max_abs_diff": float(diff.max()),
+        "n_entries": len(hits),
+        "entries": entries,
+        "population_block_touched": bool((diff[::d + 1, ::d + 1] > threshold).any()),
+        "threshold": float(threshold),
+    }
+
+
+def dense_equivalence_report(kernels, omega):
+    """equivalence_report as it was computed on the dense matrices of the
+    five kernels (in report order): kernel_difference per pair, the
+    in/out listing and the trace residuals of the dense rows."""
+    d = next(iter(kernels.values())).dim
+    scale = max(float(np.max(np.abs(k.data))) for k in kernels.values())
+    pairs = {}
+    names = list(kernels)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            diff, where = kernel_difference(kernels[a], kernels[b])
+            pairs[f"{a}|{b}"] = {"max_abs_diff": diff, "at": [list(where[0]), list(where[1])]}
+    ec_diff = pairs["energy-conserving|lindblad"]["max_abs_diff"]
+    limit = EC_AGREEMENT_LIMIT * max(scale, 1e-300)
+    return {
+        "dim": d,
+        "born_omega": float(omega),
+        "scale": scale,
+        "pairs": pairs,
+        "ec_equals_lindblad": bool(ec_diff <= limit),
+        "ec_lindblad_diff": ec_diff,
+        "in_out": dense_in_out_entries(kernels["redfield-in"], kernels["redfield-out"], limit),
+        "trace_residuals": {tag: float(np.max(np.abs(k.data[::d + 1].sum(axis=0))))
+                            for tag, k in kernels.items()},
+        "version": qmekit.io.PACKAGE_VERSION,
+    }
+
+
+def report_and_reference(monkeypatch, system, omega=0.0, made=None):
+    """The report and its dense reference on the same kernels (`made`, a
+    dict by tag, or those the system builds); the covariant kernels must
+    come out of the report without a dense matrix."""
+    built = {}
+
+    def build(spectrum, couplings, bath_spec, variant, omega=None):
+        kernel = made[variant] if made else build_kernel(spectrum, couplings, bath_spec,
+                                                         variant, omega=omega)
+        built[variant] = kernel
+        return kernel
+
+    monkeypatch.setattr(diagnostics, "build_kernel", build)
+    rep = equivalence_report(*system, omega=omega)
+    assert not any("data" in vars(built[tag]) for tag in ("energy-conserving", "lindblad"))
+    kernels = {tag: built[tag] for tag in ("redfield-in", "redfield-out", "energy-conserving",
+                                           "lindblad", "born")}
+    return rep, dense_equivalence_report(kernels, omega)
+
+
+def large_systems(d=16, seed=16):
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    levels = {"generic": np.sort(rng.uniform(0.0, 4.0, d)), "harmonic": 0.25 * np.arange(d),
+              "degenerate": np.repeat(0.5 * np.arange(d // 2), 2)}
+    return [(build_spectrum(v), hermitian_channel(m + m.conj().T),
+             thermal_ohmic_spectrum(0.2, 5.0, 1.0)) for v in levels.values()]
+
+
+def test_block_report_equals_the_dense_reference(monkeypatch, system_box):
+    for n, system in enumerate(system_box + large_systems()):
+        omega = 0.0 if n % 2 else 0.7
+        rep, ref = report_and_reference(monkeypatch, system, omega)
+        assert canonical_dumps(rep) == canonical_dumps(ref), n
+
+
+# spectrum (0, 1, 3): the zero bin holds the populations, flat pairs 0, 4
+# and 8, and every other level pair is its own bin
+SPREAD3 = (build_spectrum([0.0, 1.0, 3.0]), hermitian_channel(np.zeros((3, 3))),
+           flat_spectrum(1, 0.1))
+
+
+def made_kernels(rng, vals=None, **given):
+    """The five kernels of SPREAD3 by tag (underscores for dashes):
+    random dense ones, and one block kernel on its Bohr label, with
+    entries `vals` (default random eighths), as both covariant ones.
+    `given` replaces any of them."""
+    d, label = 3, bohr_frequencies(SPREAD3[0])[1]
+    rows, cols = np.nonzero(label.ravel()[:, None] == label.ravel()[None, :])
+    vals = rng.integers(-8, 9, rows.size) / 8 if vals is None else vals
+    made = {tag: Superoperator(d, rng.standard_normal((d * d, d * d)))
+            for tag in ("redfield-in", "redfield-out", "born")}
+    for tag in ("energy-conserving", "lindblad"):
+        made[tag] = Superoperator.from_terms(d, label, [(rows, cols, vals)])
+    made.update({tag.replace("_", "-"): kernel for tag, kernel in given.items()})
+    return made
+
+
+@pytest.mark.parametrize("off, at", [(1, [[0, 0], [0, 1]]), (79, [[1, 1], [1, 1]])])
+def test_block_report_takes_the_first_index_among_ties_on_and_off_the_blocks(monkeypatch, off,
+                                                                            at):
+    # |D - C| is largest, 5, at flat 40 (population (1, 1) to itself) on
+    # the blocks and at flat `off` off them: flat 1 comes first, then 40,
+    # then 79 (row (2, 2), column (2, 1))
+    label = bohr_frequencies(SPREAD3[0])[1]
+    rows, cols = np.nonzero(label.ravel()[:, None] == label.ravel()[None, :])
+    vals = np.random.default_rng(off).integers(-8, 9, rows.size) / 8
+    vals[(rows == 4) & (cols == 4)] = -5.0
+    data = np.zeros(81)
+    data[off] = 5.0
+    made = made_kernels(np.random.default_rng(off), vals,
+                        redfield_in=Superoperator(3, data.reshape(9, 9)))
+    rep, ref = report_and_reference(monkeypatch, SPREAD3, made=made)
+    assert canonical_dumps(rep) == canonical_dumps(ref)
+    for other in ("energy-conserving", "lindblad"):
+        assert rep["pairs"][f"redfield-in|{other}"] == {"max_abs_diff": 5.0, "at": at}
+
+
+def test_block_report_of_equal_covariant_kernels_is_at_the_origin(monkeypatch):
+    rep, ref = report_and_reference(monkeypatch, SPREAD3, made=made_kernels(
+        np.random.default_rng(5)))
+    assert canonical_dumps(rep) == canonical_dumps(ref)
+    assert rep["pairs"]["energy-conserving|lindblad"] == {"max_abs_diff": 0.0,
+                                                          "at": [[0, 0], [0, 0]]}
+    assert rep["ec_equals_lindblad"] is True
+
+
+@pytest.mark.parametrize("layout", ["dense", "other-label"])
+def test_block_report_gathers_covariant_kernels_of_different_layouts(monkeypatch, layout):
+    # lindblad handed over dense (one block over all pairs) or on the
+    # label of levels (0, 0, 1) (as many size groups, other blocks): the
+    # layouts differ, and the report compares the two on their union
+    rng = np.random.default_rng(6)
+    if layout == "dense":
+        lindblad = Superoperator(3, rng.standard_normal((9, 9)))
+    else:
+        label = bohr_frequencies(build_spectrum([0.0, 0.0, 1.0]))[1]
+        rows, cols = np.nonzero(label.ravel()[:, None] == label.ravel()[None, :])
+        lindblad = Superoperator.from_terms(3, label, [(rows, cols, rng.standard_normal(rows.size))])
+    made = made_kernels(rng, lindblad=lindblad)
+    if layout == "other-label":
+        assert len(lindblad.blocks) == len(made["energy-conserving"].blocks)
+    rep, ref = report_and_reference(monkeypatch, SPREAD3, made=made)
+    assert canonical_dumps(rep) == canonical_dumps(ref)
+    assert rep["ec_lindblad_diff"] > 0
+
+
+@pytest.mark.parametrize("system", [
+    (build_spectrum([0.5]), hermitian_channel(np.array([[0.3]])), flat_spectrum(1, 0.2)),
+    (build_spectrum([0.0, 1.0, 2.5]), hermitian_channel(np.zeros((3, 3))), flat_spectrum(1, 0.2)),
+], ids=["d1", "zero-coupling"])
+def test_block_report_of_an_all_zero_comparison(monkeypatch, system):
+    rep, ref = report_and_reference(monkeypatch, system, omega=0.4)
+    assert canonical_dumps(rep) == canonical_dumps(ref)
+    assert rep["scale"] == 0.0
+    assert all(p == {"max_abs_diff": 0.0, "at": [[0, 0], [0, 0]]} for p in rep["pairs"].values())
+
+
 def test_in_out_entries_keep_index_order_among_ties():
     from qmekit.diagnostics import _in_out_entries
     d = 3
     diff = np.zeros(d ** 4)
     diff[[5, 40, 17, 66, 80, 0]] = [2.0, 3.0, 2.0, 3.0, 1.0, 2.0]
-    rep = _in_out_entries(Superoperator(d, diff.reshape(9, 9)),
-                          Superoperator.zero(d), threshold=0.5)
+    rep = _in_out_entries(diff.reshape(9, 9), threshold=0.5)
     order = [40, 66, 0, 5, 17, 80]
     assert [e["row"] + e["col"] for e in rep["entries"]] == [
         list(np.unravel_index(k, (d,) * 4)) for k in order]
@@ -308,8 +482,7 @@ def test_in_out_entries_are_the_head_of_the_full_stable_sort():
     off_pop = np.flatnonzero(~pop)
     hits = np.concatenate([[0], rng.choice(off_pop, 119, replace=False)])
     diff[hits] = np.repeat([1.0, 3.0, 2.0, 1.0], [1, 10, 40, 69])
-    rep = _in_out_entries(Superoperator(d, diff.reshape(d * d, d * d)),
-                          Superoperator.zero(d), threshold=0.5)
+    rep = _in_out_entries(diff.reshape(d * d, d * d), threshold=0.5)
     flat = np.flatnonzero(diff)
     order = flat[np.argsort(-diff[flat], kind="stable")[:32]]
     assert [e["row"] + e["col"] for e in rep["entries"]] == [

@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 import qmekit.io
 from qmekit.core import InputError
-from qmekit.io import (CSV_CHUNK_VALUES, G17_BATCH, JSON_G17_MIN, _g17, canonical_dumps,
-                       fmt, write_csv_rows, write_json)
+from qmekit.io import (CSV_CHUNK_VALUES, CSV_SPARSE_BYTES, G17_BATCH, JSON_G17_MIN, _g17,
+                       canonical_dumps, fmt, write_csv_rows, write_json)
 
 
 def per_float(table, index=False):
@@ -71,14 +71,26 @@ CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 0.1,
              1.7976931348623157e308, -1.7976931348623157e308]
 
 
+def sparse_run(n_cols, index):
+    """Rows in a full run of sparse chunks, in a table about as long as
+    the run: as many whole chunks of CSV_CHUNK_VALUES values as fit in
+    CSV_SPARSE_BYTES of grid, the row numbers as wide as the table's."""
+    step = rows = CSV_CHUNK_VALUES // (n_cols + index)
+    for _ in range(3):
+        rows = CSV_SPARSE_BYTES // (2 * n_cols + (len(str(rows)) + 1) * index) // step * step
+    return rows
+
+
 @st.composite
 def csv_tables(draw):
     """Mostly zero, mostly nonzero or mixed tables of values from the
-    subnormals to +-max double, with row counts at the digit and chunk
-    boundaries of the writer."""
+    subnormals to +-max double, with row counts at the digit, chunk and
+    sparse-run boundaries of the writer, and across 10^5."""
     n_cols, index = draw(st.integers(1, 8)), draw(st.booleans())
     step = CSV_CHUNK_VALUES // (n_cols + index)
-    n_rows = draw(st.sampled_from([0, 1, 9, 10, 11, 99, 100, 101, step - 1, step, step + 1]))
+    run = sparse_run(n_cols, index)
+    n_rows = draw(st.sampled_from([0, 1, 9, 10, 11, 99, 100, 101, step - 1, step, step + 1,
+                                   run - 1, run, run + 1, 99999, 100001]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shape = (n_rows, n_cols)
     table = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, 1025, shape))
@@ -103,7 +115,8 @@ def test_sparse_and_dense_rows_match_per_float_fmt(tmp_path_factory, case):
 
 
 def test_row_numbers_cross_a_power_of_ten_inside_a_chunk(tmp_path):
-    # 4096-row chunks at two columns: rows 9999 and 10000 share a chunk
+    # 4096-row chunks at two columns with the index, all sparse: rows 9999
+    # and 10000 share a chunk and a run, which takes one grid per digit count
     table = np.zeros((12289, 2))
     table[9995:10005, 1] = np.arange(10) - 4.5
     text = written(tmp_path / "t.csv", table, index=True)
@@ -202,6 +215,20 @@ def test_dense_chunks_match_per_float_fmt(tmp_path, monkeypatch, index, make, ba
         assert "\n9999," in text and "\n10000," in text
 
 
+def test_sparse_runs_join_only_sparse_chunks(tmp_path, monkeypatch):
+    table = alternating_chunks(True)
+    runs = []
+
+    def recorded(chunk, start, index):
+        runs.append(chunk)
+        return sparse_rows(chunk, start, index)
+
+    sparse_rows = qmekit.io._sparse_rows
+    monkeypatch.setattr(qmekit.io, "_sparse_rows", recorded)
+    assert written(tmp_path / "t.csv", table, True) == per_float(table, True)
+    assert len(runs) == 2 and all(2 * np.count_nonzero(c) < c.size for c in runs)
+
+
 @pytest.mark.parametrize("rows", [1001, 10010])
 def test_dense_rows_hold_one_batch_in_memory(tmp_path, rows):
     table = dense_table((rows, 75))
@@ -222,6 +249,44 @@ def test_finiteness_check_holds_one_chunk(tmp_path):
     peaks = []
     for rows in (1001, 10010):
         table = dense_table((rows, 75))
+        write_csv_rows(tmp_path / "t.csv", header, table)
+        tracemalloc.start()
+        try:
+            write_csv_rows(tmp_path / "t.csv", header, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def sparse_table(shape, share=0.02, seed=0):
+    """A table with about `share` of its values nonzero."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(shape) < share, dense_table(shape, seed), 0.0)
+
+
+@pytest.mark.parametrize("shape, index", [((50000, 2), True), ((101, 1155), False)],
+                         ids=["kernel", "trajectory"])
+def test_sparse_tables_format_only_their_nonzero_values(tmp_path, monkeypatch, shape, index):
+    table = sparse_table(shape)
+    table[::5] = -0.0
+    calls = []
+
+    def counted(values):
+        calls.append(values.size)
+        return _g17(values)
+
+    monkeypatch.setattr(qmekit.io, "_g17", counted)
+    assert written(tmp_path / "t.csv", table, index) == per_float(table, index)
+    assert sum(calls) == np.count_nonzero(table) and max(calls) <= G17_BATCH
+
+
+def test_sparse_run_holds_its_grid_in_memory(tmp_path):
+    header = [f"c{j}" for j in range(75)]
+    peaks = []
+    for rows in (10 ** 4, 10 ** 5):
+        table = sparse_table((rows, 75))
+        assert 2 * 75 * rows > 2 * CSV_SPARSE_BYTES     # each size fills runs
         write_csv_rows(tmp_path / "t.csv", header, table)
         tracemalloc.start()
         try:

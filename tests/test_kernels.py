@@ -132,6 +132,19 @@ def test_trace_residual_is_the_tensor_contraction_bit_for_bit(system_box):
             assert trace_condition_residual(k) == float(np.max(np.abs(col_sums))), (d, tag)
 
 
+@pytest.mark.parametrize("d, bins", [(3, 2), (4, 3), (4, 16)])
+def test_trace_residual_sums_population_rows_split_over_blocks(d, bins):
+    # random labels put the population pairs in several blocks of several
+    # sizes; each block's population rows sum in ascending p
+    rng = np.random.default_rng(d * bins)
+    label = rng.integers(0, bins, (d, d))
+    rows, cols = np.nonzero(label.ravel()[:, None] == label.ravel()[None, :])
+    vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    for k in (Superoperator.from_terms(d, label, [(rows, cols, vals)]), Superoperator.zero(d)):
+        col_sums = np.einsum("ppqr->qr", k.data.reshape((d,) * 4))
+        assert trace_condition_residual(k) == float(np.max(np.abs(col_sums)))
+
+
 def test_born_frequency_symmetry():
     # conj(K~(w)[pp',qq']) == K~(-w)[p'p,q'q]
     spectrum, couplings, bath = make_system(11)
