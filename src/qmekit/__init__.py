@@ -39,7 +39,6 @@ from .bath import (
     tabulated_spectrum,
     time_correlation,
     kms_residual,
-    positivity_check,
 )
 from .kernels import (
     VARIANT_TAGS,

@@ -37,7 +37,6 @@ __all__ = [
     "read_tabulated_csv",
     "write_tabulated_csv",
     "kms_residual",
-    "positivity_check",
     "time_correlation",
 ]
 
@@ -319,14 +318,6 @@ def kms_residual(spectrum, omega_grid):
     with np.errstate(invalid="ignore"):
         factor = np.where(w == 0.0, 1.0, np.exp(-spectrum.beta * w))
     return float(np.max(np.abs(gm - factor[..., None, None] * gp)))
-
-
-def positivity_check(spectrum, omega_grid):
-    """Smallest eigenvalue of the (hermitized) gamma matrix over the grid."""
-    w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    g = spectrum.gamma(w)
-    h = (g + np.conj(np.swapaxes(g, -1, -2))) / 2
-    return float(np.min(np.linalg.eigvalsh(h)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,13 +125,12 @@ def _tabulated(path, n_channels, beta=None):
                            f"couplings have {n_channels}")
     # gamma is linear between the nodes and zero off the table, and a
     # chord between PSD matrices is PSD: the nodes decide exactly
-    bound = -PSD_TOL * float(np.max(np.abs(gammas)))
-    if _bath.positivity_check(spec, omegas) < bound:
-        for w, row in zip(omegas, rows):
-            low = _bath.positivity_check(spec, w)
-            if low < bound:
-                _fail("bath.path", f"gamma(omega) is not positive semidefinite at "
-                                   f"omega={w:g} (row {row}, min eigenvalue {low:g})")
+    low = np.linalg.eigvalsh((gammas + gammas.conj().swapaxes(1, 2)) / 2)[:, 0]
+    bad = np.flatnonzero(low < -PSD_TOL * float(np.max(np.abs(gammas))))
+    if bad.size:
+        k = bad[0]
+        _fail("bath.path", f"gamma(omega) is not positive semidefinite at "
+                           f"omega={omegas[k]:g} (row {rows[k]}, min eigenvalue {low[k]:g})")
     return spec
 
 

@@ -9,7 +9,8 @@ so this module owns the conventions:
   flat index p*d + p', row-major, so that mapping rho -> A rho B becomes
   the matrix kron(A, B.T) acting on rho.ravel(); the population (p, p)
   is flat index p*(d + 1), so ``idx % (d + 1) == 0`` and ``[::d + 1]``
-  pick the populations.
+  pick the populations; one declared block of a :class:`Superoperator`
+  holds them all.
 
 Degeneracy is decided by a tolerance ``eps_deg``.  Levels closer than
 eps_deg (chained through neighbours) form one class and are snapped to
@@ -100,10 +101,6 @@ class EnergySpectrum:
     @property
     def snapped(self):
         return self.class_energy[self.class_of]
-
-    @property
-    def n_classes(self):
-        return len(self.class_energy)
 
     def classes(self):
         """Level indices grouped by degeneracy class, in energy order."""
@@ -226,10 +223,6 @@ class CouplingChannelSet:
     def dim(self):
         return self.matrices.shape[1]
 
-    def adjoint_matrices(self):
-        """Array with entry a holding S^a-bar = (S^a)^dagger."""
-        return self.matrices[list(self.adjoint_map)]
-
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -326,18 +319,19 @@ class Superoperator:
     ``blocks`` holds one ``(idx, vals)`` size group per block size m, in
     ascending m: ``idx`` is the (n_blocks, m) flat pair indices of each
     block, each row ascending, and ``vals`` the (n_blocks, m, m) entries
-    ``data[idx_b, idx_b]``.  Entries outside the blocks are zero.
-    ``data``, the dense matrix, is built from the blocks on first access
-    and kept; a block over all pairs in order is handed back as it is.
+    ``data[idx_b, idx_b]``; a group's blocks come by smallest pair, and
+    entries outside the blocks are zero.  ``data``, the dense matrix, is
+    scattered from :meth:`entries` on first access and kept; a block over
+    all pairs in order is handed back as it is.
 
-    The blocks are declared, never searched for.  The covariant builders
-    (:meth:`from_terms`) make each Bohr bin one block, so they build no
-    d^4 matrix unless something asks for ``data``; ``zero`` makes every
-    pair its own block; dense data is one block over all pairs, even
-    where its nonzero pattern splits, and such a redfield or born
-    generator pays for one d^2 x d^2 SVD and, above the exponential
-    limit of :mod:`qmekit.dynamics`, the adaptive path.  Neither view is
-    to be written.
+    The blocks are declared, never searched for, and one holds every
+    population pair (:meth:`population_block`).  The covariant builders
+    (:meth:`from_terms`) make each Bohr bin one block, the populations in
+    the zero bin; ``zero`` makes the populations one block, every other
+    pair its own; dense data is one block over all pairs, even where its
+    nonzero pattern splits, and such a redfield or born generator pays
+    for one d^2 x d^2 SVD and, above the exponential limit of
+    :mod:`qmekit.dynamics`, the adaptive path.  Neither view is written.
     """
 
     def __init__(self, dim, data=None, blocks=None):
@@ -355,10 +349,33 @@ class Superoperator:
         n = self.dim * self.dim
         if len(self.blocks) == 1 and self.blocks[0][0].shape == (1, n):
             return self.blocks[0][1][0]         # one block over all pairs, in order
-        out = np.zeros((n, n), dtype=complex)
-        for idx, vals in self.blocks:
-            out[idx[:, :, None], idx[:, None, :]] = vals
-        return out
+        out = np.zeros(n * n, dtype=complex)
+        np.put(out, *self.entries())
+        return out.reshape(n, n)
+
+    def entries(self):
+        """The flat indices row * d^2 + col of every block entry, and the
+        entries, in block order."""
+        n = self.dim * self.dim
+        flat = [(idx[:, :, None] * n + idx[:, None, :]).ravel() for idx, _ in self.blocks]
+        return np.concatenate(flat), np.concatenate([vals.ravel() for _, vals in self.blocks])
+
+    def population_block(self):
+        """The block holding every population pair (p, p), which no other
+        block enters: its flat pairs (m,), entries (m, m) and population
+        positions, ascending in p (a stride if it spans all pairs).  It
+        opens its size group, searched from the largest (the zero bin's).
+
+        :raises InvariantError: when the populations are split over blocks.
+        """
+        for idx, vals in reversed(self.blocks):
+            if idx.shape[1] == self.dim ** 2:   # (p, p) is flat p * (d + 1)
+                return idx[0], vals[0], slice(None, None, self.dim + 1)
+            if idx[0, 0] == 0:
+                pop = (idx[0] % (self.dim + 1) == 0).nonzero()[0]
+                if pop.size == self.dim:
+                    return idx[0], vals[0], pop
+        raise InvariantError("the population pairs are split over blocks")
 
     def all_finite(self):
         """Whether every entry is finite."""
@@ -366,8 +383,9 @@ class Superoperator:
 
     @classmethod
     def zero(cls, dim):
-        """The zero map, as dim^2 one-pair blocks."""
-        return cls.from_terms(dim, np.arange(dim * dim).reshape(dim, dim), [])
+        """The zero map: the populations one block, every other pair its own."""
+        pair = np.arange(dim * dim)
+        return cls.from_terms(dim, pair * (pair % (dim + 1) != 0), [])
 
     @classmethod
     def from_terms(cls, dim, label, terms):

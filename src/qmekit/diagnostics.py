@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import InvariantError
 from .kernels import _jump_kernel, build_kernel, trace_condition_residual
 from . import io as _io
 
@@ -160,11 +161,13 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
     kernel entry, and where the in/out entries that differ by more than
     that much live relative to the population block.
 
-    The energy-conserving and lindblad kernels are compared on their Bohr
-    blocks, with no d^4 array: against each other entry by entry there,
-    and against each dense kernel there and through the dense kernel's
-    largest entry off the blocks.  The dense kernels are compared with
-    each other entry by entry.
+    The energy-conserving and lindblad kernels are compared on their
+    shared block entries (:meth:`~qmekit.core.Superoperator.entries`),
+    with no d^4 array: against each other entry by entry there, and
+    against each dense kernel there and through the dense kernel's
+    largest entry off the blocks.  Both take their blocks from the one
+    Bohr label, so a layout mismatch raises InvariantError.  The dense
+    kernels are compared with each other entry by entry.
     """
     tags = ("redfield-in", "redfield-out", "energy-conserving", "lindblad")
     kernels = {tag: build_kernel(spectrum, couplings, bath_spec, tag) for tag in tags}
@@ -176,7 +179,11 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
         found["|".join(sorted((a, b), key=names.index))] = value_at
 
     covariant = ("energy-conserving", "lindblad")
-    flat, *on = _on_blocks(*(kernels[tag] for tag in covariant))
+    (flat, ec), (flat_lin, lin) = (kernels[tag].entries() for tag in covariant)
+    if not np.array_equal(flat, flat_lin):
+        raise InvariantError("the covariant kernels have different block layouts")
+    order = flat.argsort()
+    flat, on = flat[order], (ec[order], lin[order])
     # off `flat` both are zero, and flat[0] = 0 (a block holds its
     # diagonal), so a difference that is zero everywhere sits at 0
     note(*covariant, _first_max(np.abs(on[0] - on[1]), flat))
@@ -220,35 +227,6 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
                             for tag, k in kernels.items()},
         "version": _io.PACKAGE_VERSION,
     }
-
-
-def _block_entries(kernel):
-    """The flat indices row * d^2 + col of a block kernel's entries, and
-    the entries, in block order."""
-    n = kernel.dim ** 2
-    return (np.concatenate([(idx[:, :, None] * n + idx[:, None, :]).ravel()
-                            for idx, _ in kernel.blocks]),
-            np.concatenate([vals.ravel() for _, vals in kernel.blocks]))
-
-
-def _on_blocks(kernel_a, kernel_b):
-    """Two block kernels on one ascending array of flat indices that
-    covers the blocks of both: the indices, then each kernel's entries
-    there.  Off those indices both kernels are zero."""
-    flat, a = _block_entries(kernel_a)
-    if len(kernel_a.blocks) == len(kernel_b.blocks) and all(
-            i.shape == j.shape and (i == j).all()
-            for (i, _), (j, _) in zip(kernel_a.blocks, kernel_b.blocks)):
-        order = flat.argsort()              # one layout, as from one Bohr label
-        b = np.concatenate([vals.ravel() for _, vals in kernel_b.blocks])
-        return flat[order], a[order], b[order]
-    # the layouts differ: gather both onto the union of their entries
-    flat_b, b = _block_entries(kernel_b)
-    union = np.union1d(flat, flat_b)
-    out = np.zeros((2, union.size), dtype=complex)
-    out[0, np.searchsorted(union, flat)] = a
-    out[1, np.searchsorted(union, flat_b)] = b
-    return union, out[0], out[1]
 
 
 def _first_max(values, flat=None):

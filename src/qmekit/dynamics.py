@@ -14,8 +14,8 @@ to pairs of the same Bohr frequency, so each Bohr bin is one block;
 their builders hand over the blocks, and no d^4 matrix is built.  A dense
 generator (redfield, born) is one block, a stack of one for the same
 code, even where its coupling splits the nonzero pattern; the zero
-kernel is d^2 one-pair blocks.  The split is exact, because off-block
-entries are structural zeros.  So a block that rho(0) leaves empty stays
+kernel is a population block and one-pair blocks.  The split is exact,
+off-block entries being structural zeros.  A block rho(0) leaves empty stays
 empty: a covariant generator commutes with the free evolution, every
 Bohr sector is invariant, and a start with populations only stays in
 the zero bin with no coherence between distinct energies (the Pauli
@@ -25,8 +25,8 @@ the diagonal.  A steady state is the null space of L, one SVD per
 block size, with singular values up to 16 m eps ||L||_2 counted as
 zero (m the largest block size).  ``block_structure_report`` returns
 the block-report document: the kernel's entries that join populations
-and coherences, read off the population rows and columns of each
-block.  Non-Markovian propagation builds all
+and coherences, read off the rows and columns of the populations,
+which one block holds.  Non-Markovian propagation builds all
 memory-kernel nodes in one array pass and integrates with a Heun
 predictor-corrector and trapezoid memory quadrature.  That recurrence is
 linear and time-invariant, so the kernel window is folded in place into
@@ -112,9 +112,6 @@ class Trajectory:
     @property
     def dim(self):
         return self.states.shape[1]
-
-    def final(self):
-        return self.states[-1]
 
 
 def _trajectory(t, states, method):
@@ -448,31 +445,23 @@ def block_structure_report(spectrum, kernel):
     and variant: ``coherences_feed_populations`` (some K[pp, qq'], q !=
     q'), ``populations_feed_coherences`` (some K[pp', qq], p != p'), the
     ``cross_entries`` {row, col, abs_value} above CROSS_THRESHOLD (into
-    populations first, each in the dense tensor's C order),
-    ``degeneracy_classes`` and ``threshold`` (CROSS_THRESHOLD)."""
+    populations first, each in the dense tensor's C order; read off
+    ``kernel.population_block()``), ``degeneracy_classes``, ``threshold``."""
     if kernel.dim != spectrum.dim:
         raise InputError("kernel dimension does not match spectrum")
     d = kernel.dim
     n = d * d
-    keys, mags = [np.zeros(0, int)], [np.zeros(0)]   # empty when no block crosses
-    for idx, vals in kernel.blocks:
-        pop = idx % (d + 1) == 0                  # (p, p) has flat index p * (d + 1)
-        b, i = np.nonzero(pop)                    # population pair i of block b
-        pair, other, cross = idx[b, i, None], idx[b], ~pop[b]
-        if not cross.any():
-            continue
-        # keys order K[pp, qq'] before K[pp', qq], each like a tensor scan
-        for line, key in ((vals[b, i], pair * n + other),
-                          (vals[b, :, i], (n + other) * n + pair)):
-            # hypot rounds like the scalar abs() of the reports; np.abs may not
-            mag = np.hypot(line.real, line.imag)
-            hit = (mag > CROSS_THRESHOLD) & cross
-            keys.append(key[hit])
-            mags.append(mag[hit])
-    key = np.concatenate(keys)
-    order = np.argsort(key)
-    out, *pairs = np.unravel_index(key[order], (2,) + (d,) * 4)   # out: K[pp', qq]
-    cols = [a.tolist() for a in (*pairs, np.concatenate(mags)[order])]
+    idx, vals, pop = kernel.population_block()   # no other block crosses
+    pair = idx[pop, None]
+    # keys order K[pp, qq'] before K[pp', qq], each like a tensor scan
+    line = np.stack([vals[pop], vals[:, pop].T])
+    key = np.stack([pair * n + idx, (n + idx) * n + pair])
+    # hypot rounds like the scalar abs() of the reports; np.abs may not
+    mag = np.hypot(line.real, line.imag)
+    hit = (mag > CROSS_THRESHOLD) & (idx % (d + 1) != 0)
+    order = np.argsort(key[hit])
+    out, *pairs = np.unravel_index(key[hit][order], (2,) + (d,) * 4)   # out: K[pp', qq]
+    cols = [a.tolist() for a in (*pairs, mag[hit][order])]
     return {
         "coherences_feed_populations": bool((out == 0).any()),
         "populations_feed_coherences": bool(out.any()),

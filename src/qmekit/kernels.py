@@ -307,25 +307,11 @@ def trace_condition_residual(kernel):
     """max over columns of |sum_p K[p p, q q']|; zero means trace is
     conserved by the dissipator.
 
-    Read off the blocks: a population row (p, p) is zero outside its
-    block, so each block sums its own population rows, in ascending p as
-    a scan of the dense rows does, bit for bit.  The zero Bohr bin holds
-    every population pair, and no bin is larger, so the size groups are
-    searched from the largest down."""
-    d = kernel.dim
-    worst, left = 0.0, d                        # population rows not yet summed
-    for idx, vals in reversed(kernel.blocks):
-        if idx.shape == (1, d * d):             # one block over all pairs, in order
-            rows = [vals[0, ::d + 1]]
-        else:
-            b, i = (idx % (d + 1) == 0).nonzero()   # (p, p) is flat p * (d + 1)
-            rows = [vals[k, i[b == k]] for k in dict.fromkeys(b.tolist())]
-        for r in rows:
-            worst = max(worst, float(np.abs(r.sum(axis=0)).max()))
-            left -= len(r)
-        if not left:
-            return worst
-    return worst
+    Read off ``kernel.population_block()``: the population rows are zero
+    outside it, so it sums them in ascending p, as a scan of the dense
+    rows does, bit for bit."""
+    _, vals, pop = kernel.population_block()
+    return float(np.abs(vals[pop].sum(axis=0)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +344,6 @@ def kernel_envelope(kernel, provenance):
         "dim": kernel.dim,
         "variant": provenance,
         "trace_residual": trace_condition_residual(kernel),
-        "max_abs_entry": float(np.max(np.abs(kernel.data))),
+        "max_abs_entry": max(float(np.abs(vals).max()) for _, vals in kernel.blocks),
         "version": _io.PACKAGE_VERSION,
     }

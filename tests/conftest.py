@@ -88,6 +88,17 @@ def system_box():
     return [make_system(s) for s in range(BOX_SIZE)]
 
 
+def large_systems(d=16, seed=16):
+    """Generic, harmonic and degenerate d-level systems, one hermitian
+    channel and a thermal-ohmic bath."""
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    levels = {"generic": np.sort(rng.uniform(0.0, 4.0, d)), "harmonic": 0.25 * np.arange(d),
+              "degenerate": np.repeat(0.5 * np.arange(d // 2), 2)}
+    return [(build_spectrum(v), hermitian_channel(m + m.conj().T),
+             thermal_ohmic_spectrum(0.2, 5.0, 1.0)) for v in levels.values()]
+
+
 # registry filled by test_acceptance, printed after the run
 ACCEPTANCE = []
 

@@ -12,7 +12,6 @@ from qmekit.bath import (
     gaussian_spectrum,
     kms_residual,
     lorentzian_spectrum,
-    positivity_check,
     read_tabulated_csv,
     tabulated_spectrum,
     thermal_ohmic_spectrum,
@@ -62,15 +61,7 @@ def test_lorentzian_gaussian_shapes():
     with pytest.raises(InputError, match="no temperature"):
         kms_residual(bl, [0.0, 1.0])
     for b in (bl, bg):
-        assert positivity_check(b, np.linspace(-10, 10, 41)) >= 0.0
-
-
-def test_positivity_check_flags_indefinite_matrix():
-    b = custom_spectrum(
-        2, lambda w: np.broadcast_to(np.array([[1.0, 2.0], [2.0, 1.0]],
-                                              dtype=complex),
-                                     np.shape(w) + (2, 2)))
-    assert abs(positivity_check(b, [0.0, 1.0]) + 1.0) < 1e-14
+        assert (b.gamma(np.linspace(-10, 10, 41)).real >= 0.0).all()
 
 
 def test_time_correlation_round_trip_gaussian():

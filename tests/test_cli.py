@@ -932,6 +932,24 @@ def test_tabulated_gamma_must_be_positive_semidefinite(tmp_path, capsys, command
     assert run(tmp_path, command, doc)[0] == 0
 
 
+def test_tabulated_gamma_matrix_with_a_positive_diagonal_can_fail(tmp_path, capsys):
+    # two channels (the ladder pair), gamma = I but [[1, 2], [2, 1]] at
+    # omega = 1, whose eigenvalues are 3 and -1: each node's whole matrix
+    # is checked, not its diagonal
+    grid = np.array([-1.0, 0.0, 1.0, 2.0])
+    gamma = np.repeat(np.eye(2, dtype=complex)[None], 4, axis=0)
+    gamma[2] = [[1, 2], [2, 1]]
+    table = tmp_path / "bath.csv"
+    write_tabulated_csv(table, grid, gamma, labels=("L", "Ldag"))
+    rc, out = run(tmp_path, "build-kernel", qubit_doc(bath={"kind": "tabulated",
+                                                            "path": str(table)}))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bath.path: gamma(omega) is not positive semidefinite at "
+        "omega=1 (row 4, min eigenvalue -1)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, variant", [
     ("build-kernel", "lindblad"), ("steady-state", "lindblad"),
     ("compare", "redfield-in"), ("block-report", "lindblad"),

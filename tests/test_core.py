@@ -9,6 +9,7 @@ from qmekit.core import (
     DensityMatrix,
     CouplingChannelSet,
     InputError,
+    InvariantError,
     Superoperator,
     bohr_frequencies,
     build_spectrum,
@@ -18,8 +19,8 @@ from qmekit.core import (
     ladder_channels,
     lrmul,
 )
-from qmekit.dynamics import build_liouvillian, evolve_markov
-from qmekit.kernels import build_kernel
+from qmekit.dynamics import block_structure_report, build_liouvillian, evolve_markov
+from qmekit.kernels import build_kernel, trace_condition_residual
 from conftest import make_system, reference_bohr_bins, reference_jump_stack
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -50,7 +51,7 @@ def test_build_spectrum_rejects_bad_input():
 
 def test_degeneracy_classes_snap_to_mean():
     spec = build_spectrum([0.0, 1e-12, 1.0], eps_deg=1e-9)
-    assert spec.n_classes == 2
+    assert len(spec.class_energy) == 2
     assert spec.class_of.tolist() == [0, 0, 1]
     assert spec.snapped[0] == spec.snapped[1] == 5e-13
     # snapped energies make the zero Bohr bin exact for the pair
@@ -169,7 +170,7 @@ def test_class_lists_split_like_the_per_class_scan(system_box):
     assert max(max(map(len, spec.classes())) for spec in spectra) == 17
     for spec in spectra:
         got = spec.classes()
-        want = [np.flatnonzero(spec.class_of == c) for c in range(spec.n_classes)]
+        want = [np.flatnonzero(spec.class_of == c) for c in range(len(spec.class_energy))]
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -260,7 +261,7 @@ def test_coupling_set_validation():
                            adjoint_map=(1, 0))
     lad = ladder_channels(s)
     assert lad.adjoint_map == (1, 0)
-    assert np.array_equal(lad.adjoint_matrices()[0], s.conj().T)
+    assert np.array_equal(lad.matrices[list(lad.adjoint_map)][0], s.conj().T)
     herm = hermitian_channel(s + s.conj().T)
     assert herm.adjoint_map == (0,)
 
@@ -333,20 +334,58 @@ def test_all_finite_reads_the_blocks_whatever_the_constructor():
     data = np.zeros((4, 4), dtype=complex)
     data[1, 2] = np.nan
     assert not Superoperator(2, data).all_finite()
-    blocks = Superoperator.zero(2).blocks
-    vals = blocks[0][1].copy()
-    vals[3, 0, 0] = np.nan
-    assert not Superoperator(2, blocks=[(blocks[0][0], vals)]).all_finite()
+    (off, zeros), (pops, vals) = Superoperator.zero(2).blocks
+    vals = vals.copy()
+    vals[0, 1, 1] = np.nan
+    assert not Superoperator(2, blocks=[(off, zeros), (pops, vals)]).all_finite()
     assert Superoperator.zero(2).all_finite()
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 17])
 def test_zero_is_one_group_of_one_pair_blocks(d):
+    # the coherences are one group of one-pair blocks, and the d
+    # populations one block after it
     n = d * d
-    (idx, vals), = Superoperator.zero(d).blocks
-    assert np.array_equal(idx, np.arange(n)[:, None])
-    assert vals.dtype == complex and vals.shape == (n, 1, 1)
-    assert not vals.any()
+    pairs = np.arange(n)
+    *off, (pops, vals) = Superoperator.zero(d).blocks
+    assert np.array_equal(pops, pairs[None, ::d + 1])
+    assert vals.dtype == complex and vals.shape == (1, d, d) and not vals.any()
+    if d > 1:
+        (idx, vals), = off
+        assert np.array_equal(idx, pairs[pairs % (d + 1) != 0, None])
+        assert vals.dtype == complex and vals.shape == (n - d, 1, 1) and not vals.any()
+    else:
+        assert not off
+    idx, vals, pop = Superoperator.zero(d).population_block()
+    assert np.array_equal(idx, pairs[::d + 1]) and np.array_equal(idx[pop], idx)
+
+
+def test_the_population_block_is_found_below_a_larger_block():
+    # the six coherences of d = 3 in one bin, the populations in a
+    # smaller block below it
+    label = np.ones((3, 3), dtype=int)
+    np.fill_diagonal(label, 0)
+    idx, vals, pop = Superoperator.from_terms(3, label, []).population_block()
+    assert np.array_equal(idx, [0, 4, 8]) and np.array_equal(pop, np.arange(3))
+    assert vals.shape == (3, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_label_that_splits_the_populations_is_refused(seed):
+    # random bins off the diagonal, the populations in bin 0 but one,
+    # which joins some other bin (pair 0 among them)
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    label = rng.integers(1, 4, (d, d))
+    np.fill_diagonal(label, 0)
+    label[seed % d, seed % d] = rng.integers(1, 4)
+    sup = Superoperator.from_terms(d, label, [])
+    with pytest.raises(InvariantError, match="population pairs are split over blocks"):
+        sup.population_block()
+    with pytest.raises(InvariantError, match="split"):
+        trace_condition_residual(sup)
+    with pytest.raises(InvariantError, match="split"):
+        block_structure_report(build_spectrum(np.arange(d)), sup)
 
 
 def test_default_degeneracy_tol_scales_with_levels():

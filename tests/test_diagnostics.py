@@ -1,6 +1,8 @@
 """The CP certificate, the state witness, verdicts, and the variant
 comparison report."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,8 +12,9 @@ from scipy.linalg import expm
 import qmekit.io
 from qmekit import diagnostics, dynamics
 from qmekit.bath import flat_spectrum, thermal_ohmic_spectrum
-from qmekit.core import (Superoperator, bohr_frequencies, build_spectrum, hermitian_channel,
-                         ladder_channels)
+from qmekit.cli import main
+from qmekit.core import (InvariantError, Superoperator, bohr_frequencies, build_spectrum,
+                         hermitian_channel, ladder_channels)
 from qmekit.kernels import VARIANT_TAGS, build_kernel, kernel_difference, trace_condition_residual
 from qmekit.dynamics import build_liouvillian
 from qmekit.io import canonical_dumps
@@ -23,7 +26,7 @@ from qmekit.diagnostics import (
     flip_gain_sign,
     map_check,
 )
-from conftest import make_system, BOX_SIZE
+from conftest import make_system, large_systems, BOX_SIZE
 from test_acceptance import default_probe_times, propagator_choi_min
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -356,15 +359,6 @@ def report_and_reference(monkeypatch, system, omega=0.0, made=None):
     return rep, dense_equivalence_report(kernels, omega)
 
 
-def large_systems(d=16, seed=16):
-    rng = np.random.default_rng(seed)
-    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
-    levels = {"generic": np.sort(rng.uniform(0.0, 4.0, d)), "harmonic": 0.25 * np.arange(d),
-              "degenerate": np.repeat(0.5 * np.arange(d // 2), 2)}
-    return [(build_spectrum(v), hermitian_channel(m + m.conj().T),
-             thermal_ohmic_spectrum(0.2, 5.0, 1.0)) for v in levels.values()]
-
-
 def test_block_report_equals_the_dense_reference(monkeypatch, system_box):
     for n, system in enumerate(system_box + large_systems()):
         omega = 0.0 if n % 2 else 0.7
@@ -424,10 +418,11 @@ def test_block_report_of_equal_covariant_kernels_is_at_the_origin(monkeypatch):
 
 
 @pytest.mark.parametrize("layout", ["dense", "other-label"])
-def test_block_report_gathers_covariant_kernels_of_different_layouts(monkeypatch, layout):
+def test_block_report_rejects_covariant_kernels_of_different_layouts(monkeypatch, tmp_path,
+                                                                     capsys, layout):
     # lindblad handed over dense (one block over all pairs) or on the
-    # label of levels (0, 0, 1) (as many size groups, other blocks): the
-    # layouts differ, and the report compares the two on their union
+    # label of levels (0, 0, 1) (as many size groups, other blocks): both
+    # builders take the one Bohr label, so a mismatch is an invariant breach
     rng = np.random.default_rng(6)
     if layout == "dense":
         lindblad = Superoperator(3, rng.standard_normal((9, 9)))
@@ -438,9 +433,20 @@ def test_block_report_gathers_covariant_kernels_of_different_layouts(monkeypatch
     made = made_kernels(rng, lindblad=lindblad)
     if layout == "other-label":
         assert len(lindblad.blocks) == len(made["energy-conserving"].blocks)
-    rep, ref = report_and_reference(monkeypatch, SPREAD3, made=made)
-    assert canonical_dumps(rep) == canonical_dumps(ref)
-    assert rep["ec_lindblad_diff"] > 0
+    monkeypatch.setattr(diagnostics, "build_kernel",
+                        lambda spectrum, couplings, bath_spec, variant, omega=None: made[variant])
+    error = "the covariant kernels have different block layouts"
+    with pytest.raises(InvariantError, match=error):
+        equivalence_report(*SPREAD3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "spectrum": {"levels": [0.0, 1.0, 3.0]},
+        "couplings": {"kind": "hermitian", "matrix": np.zeros((3, 3, 2)).tolist()},
+        "bath": {"kind": "flat", "rate": 0.1}}))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"invariant breach: {error}\n"
+    assert not (out / "compare.json").exists()
 
 
 @pytest.mark.parametrize("system", [

@@ -93,7 +93,7 @@ def test_auto_method_picks_by_dimension():
 
     # the limit applies to the largest block of the generator: a dense
     # redfield generator is one block of d^2 pairs, the zero kernel's
-    # diagonal generator d^2 blocks of one pair
+    # diagonal generator one block of the d populations and one-pair blocks
     d = EXPM_DIM_LIMIT + 1
     spectrum = build_spectrum(np.arange(d) / 8.0)
     rng = np.random.default_rng(0)
@@ -107,7 +107,7 @@ def test_auto_method_picks_by_dimension():
     traj = evolve_markov(liouv_big, rho0, t)
     assert traj.method == "expm"
     # zero kernel: the mixed state is stationary under the phases
-    assert np.max(np.abs(traj.final() - rho0)) < 1e-9
+    assert np.max(np.abs(traj.states[-1] - rho0)) < 1e-9
 
 
 def test_evolve_input_rejections():

@@ -34,8 +34,9 @@ from qmekit.kernels import (
     trace_condition_residual,
 )
 from qmekit.diagnostics import flip_gain_sign
+from qmekit.dynamics import build_liouvillian
 from qmekit.io import fmt
-from conftest import make_system, reference_jump_stack
+from conftest import large_systems, make_system, reference_jump_stack
 
 # build_kernel reports an overflow itself, so no numpy warning may escape
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -134,15 +135,44 @@ def test_trace_residual_is_the_tensor_contraction_bit_for_bit(system_box):
 
 @pytest.mark.parametrize("d, bins", [(3, 2), (4, 3), (4, 16)])
 def test_trace_residual_sums_population_rows_split_over_blocks(d, bins):
-    # random labels put the population pairs in several blocks of several
-    # sizes; each block's population rows sum in ascending p
+    # random labels whose diagonal is one bin spread the other pairs over
+    # blocks of several sizes, some in the population block; its
+    # population rows sum in ascending p
     rng = np.random.default_rng(d * bins)
     label = rng.integers(0, bins, (d, d))
+    np.fill_diagonal(label, 0)
     rows, cols = np.nonzero(label.ravel()[:, None] == label.ravel()[None, :])
     vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
     for k in (Superoperator.from_terms(d, label, [(rows, cols, vals)]), Superoperator.zero(d)):
         col_sums = np.einsum("ppqr->qr", k.data.reshape((d,) * 4))
         assert trace_condition_residual(k) == float(np.max(np.abs(col_sums)))
+
+
+def test_every_kernel_and_generator_holds_the_populations_in_one_block(system_box):
+    # population_block() is the one block with a population pair, it holds
+    # all d of them, and its entries are the dense matrix's there
+    for spectrum, couplings, bath in system_box + large_systems():
+        d = spectrum.dim
+        pops = np.arange(d) * (d + 1)
+        for tag in VARIANT_TAGS:
+            k = build_kernel(spectrum, couplings, bath, tag, omega=0.4)
+            for sup in (k, build_liouvillian(spectrum, k)):
+                idx, vals, pop = sup.population_block()
+                assert np.array_equal(idx[pop], pops), (d, tag)
+                assert sum(int(np.isin(i, pops).any(axis=1).sum()) for i, _ in sup.blocks) == 1
+                assert np.array_equal(vals, sup.data[np.ix_(idx, idx)])
+
+
+def test_envelope_max_reads_every_block(system_box):
+    # the box kernels, then a block kernel whose largest entry sits in a
+    # one-pair block, below the population block
+    kernels = [build_kernel(*system, tag, omega=0.4)
+               for system in system_box[:12] for tag in VARIANT_TAGS]
+    label = np.arange(9).reshape(3, 3) * (1 - np.eye(3, dtype=int))
+    kernels.append(Superoperator.from_terms(3, label, [([0, 4, 1], [0, 8, 1], [1.0, -2.0, 3j])]))
+    assert kernels[-1].blocks[0][0].shape[1] == 1
+    for k in kernels:
+        assert kernel_envelope(k, {})["max_abs_entry"] == float(np.max(np.abs(k.data)))
 
 
 def test_born_frequency_symmetry():
