@@ -48,6 +48,6 @@ err_c = max(abs(traj.states[i, 1, 0] - coh(tv))
             for i, tv in enumerate(t))
 print(f"\nworst population error {err_p:.2e}, worst coherence error {err_c:.2e}")
 
-rho_ss = steady_state(liouv).state()
+rho_ss = steady_state(liouv)["states"][0]["matrix"]     # multiplicity 1 here
 print(f"steady ratio p_e/p_g = {rho_ss[1, 1].real / rho_ss[0, 0].real:.10f}, "
       f"Gibbs says {np.exp(-beta * omega0):.10f}")

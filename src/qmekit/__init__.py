@@ -52,7 +52,6 @@ from .kernels import (
 )
 from .dynamics import (
     Trajectory,
-    SteadyStateResult,
     build_liouvillian,
     evolve_markov,
     evolve_nonlocal,

@@ -37,6 +37,7 @@ __all__ = [
     "read_tabulated_csv",
     "write_tabulated_csv",
     "kms_residual",
+    "check_tau_grid",
     "time_correlation",
 ]
 
@@ -279,7 +280,11 @@ def read_tabulated_csv(path):
 def tabulated_spectrum(path, beta=None):
     """Spectrum linearly interpolated from a CSV table, zero outside the
     tabulated support."""
-    labels, omegas, gammas, _ = read_tabulated_csv(path)
+    return _interpolated(path, *read_tabulated_csv(path)[:3], beta=beta)
+
+
+def _interpolated(path, labels, omegas, gammas, beta):
+    """The tabulated spectrum of the table read from path."""
     n = len(labels)
     columns = np.ascontiguousarray(_pair_table(gammas).T)
 
@@ -422,6 +427,24 @@ class TimeCorrelation:
         return out if np.ndim(omega_grid) else out[0]
 
 
+def check_tau_grid(spectrum, tau_grid, tau_memory):
+    """tau_grid as a float array, checked to be uniform and increasing
+    from 0, to hold tau_memory and to resolve the spectrum: its band edge
+    pi/dtau must reach the kind's declared support scale.
+
+    :raises InputError: naming the check that fails.
+    """
+    t = _tau_grid(tau_grid, tau_memory)
+    band_edge = np.pi / (t[1] - t[0])
+    if spectrum.support_scale is not None and band_edge < spectrum.support_scale:
+        raise InputError(
+            f"tau grid too coarse: band edge pi/dtau = {band_edge:g} is below "
+            f"the spectral support {spectrum.support_scale:g} of kind "
+            f"{spectrum.kind!r}"
+        )
+    return t
+
+
 def time_correlation(spectrum, tau_grid, tau_memory, adjoint_map=None):
     """Inverse transform of a bath spectrum onto a uniform tau grid.
 
@@ -430,19 +453,10 @@ def time_correlation(spectrum, tau_grid, tau_memory, adjoint_map=None):
     with :meth:`TimeCorrelation.fourier_transform` on matching grids is
     exact to rounding.
 
-    :raises InputError: when the grid cannot resolve the spectrum
-        (band edge below the kind's declared support scale) or
-        tau_memory falls outside the grid.
+    :raises InputError: when :func:`check_tau_grid` refuses the grid.
     """
-    t = _tau_grid(tau_grid, tau_memory)
+    t = check_tau_grid(spectrum, tau_grid, tau_memory)
     dtau = t[1] - t[0]
-    band_edge = np.pi / dtau
-    if spectrum.support_scale is not None and band_edge < spectrum.support_scale:
-        raise InputError(
-            f"tau grid too coarse: band edge pi/dtau = {band_edge:g} is below "
-            f"the spectral support {spectrum.support_scale:g} of kind "
-            f"{spectrum.kind!r}"
-        )
     if adjoint_map is None:
         adjoint_map = tuple(range(spectrum.n_channels))
 

@@ -30,9 +30,8 @@ from .kernels import (
     kernel_envelope,
 )
 from .dynamics import (
-    build_liouvillian, evolve_markov, evolve_nonlocal, steady_state,
-    block_structure_report, trace_distance, trajectory_to_csv,
-    steady_result_json,
+    build_liouvillian, evolve_markov, evolve_nonlocal, check_nonlocal_grid,
+    steady_state, block_structure_report, trace_distance, trajectory_to_csv,
 )
 from .diagnostics import equivalence_report
 from .oracle import FiniteBathModel, exact_reduced_evolution, gauss_legendre_modes
@@ -116,12 +115,11 @@ def _matrix(x, path, dim):
 
 def _tabulated(path, n_channels, beta=None):
     try:
-        spec = _bath.tabulated_spectrum(path, beta=beta)
-        _, omegas, gammas, rows = _bath.read_tabulated_csv(path)
+        labels, omegas, gammas, rows = _bath.read_tabulated_csv(path)
     except (OSError, UnicodeDecodeError) as exc:
         _fail("bath.path", str(exc))
-    if spec.n_channels != n_channels:
-        _fail("bath.path", f"tabulated file has {spec.n_channels} channels, "
+    if len(labels) != n_channels:
+        _fail("bath.path", f"tabulated file has {len(labels)} channels, "
                            f"couplings have {n_channels}")
     # gamma is linear between the nodes and zero off the table, and a
     # chord between PSD matrices is PSD: the nodes decide exactly
@@ -131,7 +129,7 @@ def _tabulated(path, n_channels, beta=None):
         k = bad[0]
         _fail("bath.path", f"gamma(omega) is not positive semidefinite at "
                            f"omega={omegas[k]:g} (row {rows[k]}, min eigenvalue {low[k]:g})")
-    return spec
+    return _bath._interpolated(path, labels, omegas, gammas, beta)
 
 
 # each bath kind: its constructor and its parameters besides "kind", read
@@ -292,7 +290,7 @@ def _parse_initial_state(d, dim):
         _fail("experiment.initial_state", str(exc))
 
 
-def _parse_experiment(d, dim):
+def _parse_experiment(d, dim, bath_spec):
     if d is None:
         d = {}
     _keys(d, "experiment",
@@ -312,6 +310,11 @@ def _parse_experiment(d, dim):
                                  "experiment.nonlocal.tau_grid")
         tau_memory = _num(_req(nl, "tau_memory", "experiment.nonlocal"),
                           "experiment.nonlocal.tau_memory")
+        try:                # the library's own checks, before any numerics
+            _bath.check_tau_grid(bath_spec, tau_grid, tau_memory)
+            check_nonlocal_grid(t_grid, dim)
+        except InputError as exc:
+            _fail("experiment.nonlocal", str(exc))
         nl = {"tau_grid": tau_grid, "tau_memory": tau_memory}
     return ExperimentConfig(variant, omega, t_grid, init, seed, nl)
 
@@ -357,7 +360,7 @@ def parse_config(doc):
     couplings = _parse_couplings(_req(doc, "couplings", "config"), spectrum.dim)
     bath_doc = _req(doc, "bath", "config")
     bath_spec = _parse_bath(bath_doc, couplings.n_channels)
-    experiment = _parse_experiment(doc.get("experiment"), spectrum.dim)
+    experiment = _parse_experiment(doc.get("experiment"), spectrum.dim, bath_spec)
     validate_params = _parse_validate(doc.get("validate"))
     return ModelConfig(spectrum, couplings, bath_spec, dict(bath_doc),
                        experiment, validate_params)
@@ -451,18 +454,13 @@ def _write_trajectory(traj, out_dir, stem, fmt):
 
 
 def cmd_evolve(cfg, args, out_dir):
-    # the nonlocal run goes first, so its input checks precede all
-    # propagation
     exp = cfg.experiment
     nl = None
-    if exp.nonlocal_params:
-        try:
-            corr = _bath.time_correlation(cfg.bath, **exp.nonlocal_params,
-                                          adjoint_map=cfg.couplings.adjoint_map)
-            nl = evolve_nonlocal(cfg.spectrum, cfg.couplings, corr,
-                                 exp.initial_state, exp.t_grid)
-        except InputError as exc:
-            _fail("experiment.nonlocal", str(exc))
+    if exp.nonlocal_params:         # parse_config has checked the section
+        corr = _bath.time_correlation(cfg.bath, **exp.nonlocal_params,
+                                      adjoint_map=cfg.couplings.adjoint_map)
+        nl = evolve_nonlocal(cfg.spectrum, cfg.couplings, corr,
+                             exp.initial_state, exp.t_grid)
     liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     traj = evolve_markov(liouv, exp.initial_state, exp.t_grid)
     diag = {"provenance": _provenance(cfg), "variant": exp.variant,
@@ -486,11 +484,10 @@ def cmd_evolve(cfg, args, out_dir):
 def cmd_steady_state(cfg, args, out_dir):
     exp = cfg.experiment
     liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
-    result = steady_state(liouv)
+    doc = steady_state(liouv)
     _io.write_json(out_dir / "steady-state.json",
-                   dict(steady_result_json(result), provenance=_provenance(cfg),
-                        variant=exp.variant))
-    print(f"steady-state multiplicity: {result.multiplicity}")
+                   dict(doc, provenance=_provenance(cfg), variant=exp.variant))
+    print(f"steady-state multiplicity: {doc['multiplicity']}")
     return 0
 
 

@@ -71,19 +71,6 @@ class MapCheck:
     scan_min: float        # lowest eigenvalue of L(|psi><psi|) on psi-perp, over the kets
     witness_ket: np.ndarray  # None unless positivity-violating
 
-    def as_dict(self):
-        rep = {
-            "verdict": self.verdict,
-            "choi_min": self.choi_min,
-            "choi_herm_defect": self.choi_herm_defect,
-            "scan_min_eigenvalue": self.scan_min,
-            "tolerance": CHOI_TOL,
-            "version": _io.PACKAGE_VERSION,
-        }
-        if self.witness_ket is not None:
-            rep["witness"] = {"ket": self.witness_ket}
-        return rep
-
 
 def map_check(liouv, n_random=64, seed=0):
     """Classify a generator by its Choi certificate and a state scan.
@@ -173,10 +160,14 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
     kernels = {tag: build_kernel(spectrum, couplings, bath_spec, tag) for tag in tags}
     kernels["born"] = build_kernel(spectrum, couplings, bath_spec, "born", omega=omega)
     names = list(kernels)
-    found = {}                  # pair -> (max |A - B|, flat index)
+    d, n = spectrum.dim, spectrum.dim ** 2
+    pairs = {}
 
     def note(a, b, value_at):
-        found["|".join(sorted((a, b), key=names.index))] = value_at
+        value, at = value_at
+        row, col = divmod(at, n)
+        pairs["|".join(sorted((a, b), key=names.index))] = {
+            "max_abs_diff": value, "at": [list(divmod(row, d)), list(divmod(col, d))]}
 
     covariant = ("energy-conserving", "lindblad")
     (flat, ec), (flat_lin, lin) = (kernels[tag].entries() for tag in covariant)
@@ -206,14 +197,6 @@ def equivalence_report(spectrum, couplings, bath_spec, omega=0.0):
     del diff
     for tag in ("redfield-in", "redfield-out"):
         note(tag, "born", _first_max(np.abs(kernels[tag].data - kernels["born"].data).ravel()))
-    d, n = spectrum.dim, spectrum.dim ** 2
-    pairs = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            value, at = found[f"{a}|{b}"]
-            row, col = divmod(at, n)
-            pairs[f"{a}|{b}"] = {"max_abs_diff": value,
-                                 "at": [list(divmod(row, d)), list(divmod(col, d))]}
     ec_diff = pairs["energy-conserving|lindblad"]["max_abs_diff"]
     return {
         "dim": spectrum.dim,

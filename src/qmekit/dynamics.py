@@ -21,8 +21,9 @@ Bohr sector is invariant, and a start with populations only stays in
 the zero bin with no coherence between distinct energies (the Pauli
 sector).  Markovian propagation takes only the occupied blocks, and the
 diagnostics of a trajectory whose states are all diagonal are read off
-the diagonal.  A steady state is the null space of L, one SVD per
-block size, with singular values up to 16 m eps ||L||_2 counted as
+the diagonal.  ``steady_state`` returns the steady-state document: a
+state per null vector of L, one SVD per block size, with singular
+values up to 16 m eps ||L||_2, the rounding level, counted as
 zero (m the largest block size).  ``block_structure_report`` returns
 the block-report document: the kernel's entries that join populations
 and coherences, read off the rows and columns of the populations,
@@ -44,15 +45,14 @@ from . import io as _io
 
 __all__ = [
     "Trajectory",
-    "SteadyStateResult",
     "build_liouvillian",
     "evolve_markov",
     "evolve_nonlocal",
+    "check_nonlocal_grid",
     "steady_state",
     "block_structure_report",
     "trace_distance",
     "trajectory_to_csv",
-    "steady_result_json",
 ]
 
 GAP_FACTOR = 10.0              # steady_state: the margin over the null cutoff
@@ -238,6 +238,21 @@ def evolve_markov(liouv, rho0, t_grid):
 NONLOCAL_DIM_LIMIT = 12
 
 
+def check_nonlocal_grid(t_grid, dim):
+    """t_grid as a float array, checked for a nonlocal run: strictly
+    increasing and uniform, the system at most NONLOCAL_DIM_LIMIT levels.
+
+    :raises InputError: naming the check that fails.
+    """
+    t = _check_grid(t_grid)
+    h = t[1] - t[0]
+    if np.any(np.abs(np.diff(t) - h) > 1e-9 * h):
+        raise InputError("nonlocal propagation needs a uniform time grid")
+    if dim > NONLOCAL_DIM_LIMIT:
+        raise InputError(f"nonlocal propagation supports d <= {NONLOCAL_DIM_LIMIT}")
+    return t
+
+
 def _memory_kernels(spectrum, couplings, corr, taus):
     """Superoperator memory kernel K(tau) at each tau node, all at once.
 
@@ -291,13 +306,9 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     x_{i+1} - x_i; adding x_i after it keeps the rounding, and the trace
     drift, at the size of the increment.
     """
-    t = _check_grid(t_grid)
-    h = t[1] - t[0]
-    if np.any(np.abs(np.diff(t) - h) > 1e-9 * h):
-        raise InputError("nonlocal propagation needs a uniform time grid")
     d = spectrum.dim
-    if d > NONLOCAL_DIM_LIMIT:
-        raise InputError(f"nonlocal propagation supports d <= {NONLOCAL_DIM_LIMIT}")
+    t = check_nonlocal_grid(t_grid, d)
+    h = t[1] - t[0]
     corr.check_system(spectrum, couplings)
     rho = _as_state(rho0)
 
@@ -345,30 +356,11 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
 # ---------------------------------------------------------------------------
 # steady states
 
-@dataclass(frozen=True)
-class SteadyStateResult:
-    """Null space of the generator, post-processed into candidate states."""
-
-    states: list                 # (d, d) arrays
-    normalized: list             # bool per state (trace-normalized or flagged)
-    traces: list                 # complex trace before normalization, real part >= 0
-    multiplicity: int
-    singular_values: np.ndarray  # ascending, the smallest few
-    threshold: float
-
-    def state(self):
-        """The unique normalized steady state, when there is one."""
-        if self.multiplicity != 1:
-            raise InvariantError(
-                f"steady state is not unique (multiplicity {self.multiplicity})"
-            )
-        if not self.normalized[0]:
-            raise InvariantError("unique null vector is traceless")
-        return self.states[0]
-
-
 def steady_state(liouv):
-    """Null space of L by SVD.
+    """The steady-state document, ``steady-state.json`` less provenance
+    and variant: the null cutoff ``threshold``, the ``multiplicity`` and
+    the smallest ``singular_values`` ascending of L, and one ``states``
+    entry {matrix, trace_normalized, raw_trace} per null vector.
 
     Singular values at most 16 m eps ||L||_2 count as zero, m the
     largest block size and eps the float epsilon: the rounding level of
@@ -378,8 +370,8 @@ def steady_state(liouv):
     be a guess.  A generator that splits into blocks runs one stacked
     SVD per block size; the union of their singular values is that of
     L.  Each null vector is hermitized, scaled to unit Frobenius norm
-    and negated if its trace is negative, so its trace (``raw_trace`` in
-    the report) does not depend on the sign the SVD picks.
+    and negated if its trace is negative, so its ``raw_trace`` does not
+    depend on the sign the SVD picks; one above 1e-10 divides it.
 
     :raises InvariantError: no null vector, or no clean gap.
     """
@@ -414,7 +406,7 @@ def steady_state(liouv):
         idx = blocks[g][0]
         b, r = divmod(int(pos - offsets[g]), idx.shape[1])
         row[idx[b]] = svds[g][1][b, r]
-    states, flags, traces = [], [], []
+    states = []
     for v in null:
         rho = v.conj().reshape(d, d)
         rho = (rho + rho.conj().T) / 2
@@ -424,17 +416,11 @@ def steady_state(liouv):
         tr = complex(np.trace(rho))
         if tr.real < 0:                 # the SVD's sign: (-rho) / (-tr) is rho / tr
             rho, tr = -rho, -tr
-        traces.append(tr)
-        if abs(tr) > 1e-10:
-            states.append(rho / tr)
-            flags.append(True)
-        else:
-            states.append(rho)
-            flags.append(False)
-    return SteadyStateResult(
-        states=states, normalized=flags, traces=traces, multiplicity=mult,
-        singular_values=svals[::-1][: max(mult + 2, 4)].copy(), threshold=float(cut),
-    )
+        normalized = abs(tr) > 1e-10    # else the matrix is the unit-norm null vector
+        states.append({"matrix": rho / tr if normalized else rho,
+                       "trace_normalized": normalized, "raw_trace": [tr.real, tr.imag]})
+    return {"multiplicity": mult, "threshold": float(cut),
+            "singular_values": svals[::-1][: max(mult + 2, 4)].copy(), "states": states}
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +486,3 @@ def trajectory_to_csv(traj, path):
     table = np.column_stack([traj.times, states.view(float), trace,
                              traj.min_eigenvalue])
     _io.write_csv_rows(path, _csv_columns(traj.dim), table)
-
-
-def steady_result_json(result):
-    return {
-        "multiplicity": result.multiplicity,
-        "threshold": result.threshold,
-        "singular_values": result.singular_values,
-        "states": [
-            {
-                "matrix": s,
-                "trace_normalized": bool(f),
-                "raw_trace": [t.real, t.imag],
-            }
-            for s, f, t in zip(result.states, result.normalized, result.traces)
-        ],
-    }

@@ -38,6 +38,15 @@ def make_system(seed):
     return spectrum, couplings, bath
 
 
+def unique_state(doc):
+    """The matrix of a steady-state document's one state, which must be
+    trace-normalized."""
+    assert doc["multiplicity"] == 1
+    (entry,) = doc["states"]
+    assert entry["trace_normalized"] is True
+    return entry["matrix"]
+
+
 def reference_bohr_bins(spectrum):
     """Bohr bins by a per-value scan: sorted (omega, pairs) tuples.
 

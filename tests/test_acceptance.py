@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import record_criterion
+from conftest import record_criterion, unique_state
 
 from qmekit.core import InputError, build_spectrum, hermitian_channel, ladder_channels
 from qmekit.bath import (
@@ -205,7 +205,7 @@ def test_criterion_05_thermalization_across_temperatures():
     for beta in (0.1, 1.0, 10.0):
         bath = thermal_ohmic_spectrum(0.2, 5.0, beta, n_channels=2)
         k = build_kernel(QUBIT, LADDER, bath, "lindblad")
-        rho = steady_state(build_liouvillian(QUBIT, k)).state()
+        rho = unique_state(steady_state(build_liouvillian(QUBIT, k)))
         ratio = (rho[1, 1] / rho[0, 0]).real
         worst = max(worst, abs(ratio - np.exp(-beta)))
     ok = worst < 1e-10

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+import qmekit.bath as bath
 import qmekit.core as core
 import qmekit.kernels as kernels
 from qmekit.bath import write_tabulated_csv
@@ -365,10 +366,13 @@ TAU_GRID = {"start": 0.0, "stop": 1.0, "num": 101}
         "non-uniform-t-grid"])
 def test_failed_nonlocal_run_writes_nothing(tmp_path, capsys, monkeypatch, d, width,
                                             t_grid, tau_grid, tau_memory, error):
-    def unreached(*args):
-        raise AssertionError("Markov propagation ran before the nonlocal checks")
+    # every command judges the section alike, at parse time, before any numerics
+    def unreached(*args, **kwargs):
+        raise AssertionError("numerics ran before the nonlocal checks")
 
-    monkeypatch.setattr("qmekit.cli.evolve_markov", unreached)
+    for name in ("qmekit.cli.build_kernel", "qmekit.bath.time_correlation",
+                 "qmekit.cli.evolve_markov"):
+        monkeypatch.setattr(name, unreached)
     doc = {
         "spectrum": {"levels": [float(p) for p in range(d)]},
         "couplings": {"kind": "ladder", "matrix": as_json_matrix(np.eye(d, k=1))},
@@ -378,10 +382,11 @@ def test_failed_nonlocal_run_writes_nothing(tmp_path, capsys, monkeypatch, d, wi
             "nonlocal": {"tau_grid": tau_grid, "tau_memory": tau_memory},
         },
     }
-    rc, out = run(tmp_path, "evolve", doc)
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: experiment.nonlocal: {error}\n"
-    assert list(out.iterdir()) == []
+    for command in ("build-kernel", "evolve", "steady-state", "compare", "block-report"):
+        rc, out = run(tmp_path, command, doc)
+        assert rc == 2, command
+        assert capsys.readouterr().err == f"error: experiment.nonlocal: {error}\n", command
+        assert not out.exists(), command
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -950,6 +955,23 @@ def test_tabulated_gamma_matrix_with_a_positive_diagonal_can_fail(tmp_path, caps
     assert not out.exists()
 
 
+def test_a_tabulated_bath_file_is_read_once(tmp_path, monkeypatch):
+    # the spectrum and the check of its nodes take the same table
+    read, calls = bath.read_tabulated_csv, []
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(bath, "read_tabulated_csv", counted)
+    table = tmp_path / "bath.csv"
+    write_tabulated_csv(table, [-4.0, 0.0, 4.0], np.full((3, 1, 1), 0.2), labels=("S",))
+    doc = qubit_doc(couplings={"kind": "hermitian", "matrix": SIGMA_X},
+                    bath={"kind": "tabulated", "path": str(table)})
+    assert run(tmp_path, "steady-state", doc)[0] == 0
+    assert calls == [str(table)]
+
+
 @pytest.mark.parametrize("command, variant", [
     ("build-kernel", "lindblad"), ("steady-state", "lindblad"),
     ("compare", "redfield-in"), ("block-report", "lindblad"),
@@ -1061,7 +1083,8 @@ def test_config_hash_reads_the_same_bytes_as_the_nested_lists():
         "spectrum": {"levels": [0.0, 0.7, 1.9]},
         "couplings": {"kind": "ladder", "matrix": np.stack([m.real, m.imag], -1).tolist()},
         "bath": {"kind": "gaussian", "rate": 0.3, "width": 2.0},
-        "experiment": {"t_grid": [0.0, 0.1, 0.35, 1e-3 + 1.0],
+        # a nonlocal run needs a uniform t_grid; thirds take all 17 digits
+        "experiment": {"t_grid": [k / 3 for k in range(4)],
                        "initial_state": {"kind": "maximally-mixed"},
                        "nonlocal": {"tau_grid": {"start": 0.0, "stop": 2.0, "num": 41},
                                     "tau_memory": 1.5}},

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against src/."""
+"""Every script under demos/, and the README's Quick start, runs to
+completion against src/."""
 
 import os
 import subprocess
@@ -21,3 +22,11 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    # the trajectory's last state, then the steady state: two 2x2 matrices
+    assert capsys.readouterr().out.count("[[") == 2

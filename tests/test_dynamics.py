@@ -25,13 +25,12 @@ from qmekit.dynamics import (
     build_liouvillian,
     evolve_markov,
     evolve_nonlocal,
-    steady_result_json,
     steady_state,
     trace_distance,
     trajectory_to_csv,
 )
 from qmekit.io import canonical_dumps, fmt
-from conftest import make_system
+from conftest import make_system, unique_state
 
 
 QUBIT = build_spectrum([-0.5, 0.5])
@@ -190,18 +189,14 @@ def test_steady_state_thermal_gibbs():
     k = build_kernel(QUBIT, ladder_channels(np.array([[0, 1], [0, 0]])),
                      bath, "lindblad")
     liouv = build_liouvillian(QUBIT, k)
-    result = steady_state(liouv)
-    assert result.multiplicity == 1
-    rho = result.state()
+    doc = steady_state(liouv)
+    rho = unique_state(doc)
     assert abs(rho[1, 1] / rho[0, 0] - np.exp(-beta)) < 1e-12
-    doc = steady_result_json(result)
-    assert doc["multiplicity"] == 1
-    assert doc["states"][0]["trace_normalized"] is True
-    # the payload holds arrays; its text is that of the float lists it held
-    lists = dict(doc, singular_values=[float(s) for s in result.singular_values],
+    # the document holds arrays; its text is that of the float lists it held
+    lists = dict(doc, singular_values=[float(s) for s in doc["singular_values"]],
                  states=[dict(entry, matrix=[[[z.real, z.imag] for z in row]
-                                             for row in s.tolist()])
-                         for entry, s in zip(doc["states"], result.states)])
+                                             for row in entry["matrix"].tolist()])
+                         for entry in doc["states"]])
     assert canonical_dumps(doc) == canonical_dumps(lists)
 
 
@@ -222,7 +217,7 @@ def test_steady_state_report_does_not_depend_on_the_svd_sign(monkeypatch, system
         variant = ("energy-conserving", "redfield-in", "born")[int(system[3:]) % 3]
         k = build_kernel(spectrum, couplings, bath, variant, omega=0.0)
         liouv = build_liouvillian(spectrum, k)
-    report = canonical_dumps(steady_result_json(steady_state(liouv)))
+    report = canonical_dumps(steady_state(liouv))
     svd = np.linalg.svd
 
     def negated(a, *args, **kwargs):
@@ -230,18 +225,17 @@ def test_steady_state_report_does_not_depend_on_the_svd_sign(monkeypatch, system
         return -u, s, -vh
 
     monkeypatch.setattr(np.linalg, "svd", negated)
-    result = steady_state(liouv)
-    assert canonical_dumps(steady_result_json(result)) == report
-    assert all(tr.real >= 0 for tr in result.traces)
+    doc = steady_state(liouv)
+    assert canonical_dumps(doc) == report
+    assert all(entry["raw_trace"][0] >= 0 for entry in doc["states"])
 
 
 def test_steady_state_zero_kernel_multiplicity():
     liouv = build_liouvillian(QUBIT, Superoperator.zero(2))
-    result = steady_state(liouv)
+    doc = steady_state(liouv)
     # populations are individually conserved: one null vector per level
-    assert result.multiplicity == 2
-    with pytest.raises(InvariantError, match="not unique"):
-        result.state()
+    assert doc["multiplicity"] == 2
+    assert len(doc["states"]) == 2
 
 
 def test_steady_state_gap_and_null_failures():
@@ -268,10 +262,9 @@ def test_steady_state_cutoff_follows_the_largest_block(inside):
         with pytest.raises(InvariantError, match="gap"):
             steady_state(liouv)
         return
-    result = steady_state(liouv)
-    assert result.threshold == cut
-    assert result.multiplicity == 1
-    assert np.array_equal(result.state(), np.diag([1.0, 0.0]).astype(complex))
+    doc = steady_state(liouv)
+    assert doc["threshold"] == cut
+    assert np.array_equal(unique_state(doc), np.diag([1.0, 0.0]).astype(complex))
 
 
 @pytest.mark.parametrize("seed, variant", [(9000066, "energy-conserving"),
@@ -285,14 +278,13 @@ def test_slow_modes_of_cold_systems_are_not_null(seed, variant):
     spectrum, couplings, bath = make_system(seed)
     liouv = build_liouvillian(spectrum, build_kernel(spectrum, couplings, bath, variant))
     norm = np.linalg.norm(liouv.data, 2)
-    result = steady_state(liouv)
-    assert result.multiplicity == 1
-    slow = result.singular_values[1]
+    doc = steady_state(liouv)
+    rho = unique_state(doc)
+    slow = doc["singular_values"][1]
     assert 1e-11 * norm < slow < 1e-9 * norm
-    assert slow > 1e3 * result.threshold
+    assert slow > 1e3 * doc["threshold"]
     eig = np.sort(np.abs(np.linalg.eigvals(liouv.data)))
-    assert eig[0] <= result.threshold < 1e3 * result.threshold < eig[1] < 1e-9 * norm
-    rho = result.state()
+    assert eig[0] <= doc["threshold"] < 1e3 * doc["threshold"] < eig[1] < 1e-9 * norm
     assert np.linalg.norm(liouv.data @ rho.ravel()) < 1e-14 * norm
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
@@ -301,11 +293,10 @@ def test_steady_state_traceless_null_flagged():
     sz = np.diag([1.0, -1.0]).astype(complex)
     v = sz.ravel() / np.linalg.norm(sz)
     data = np.eye(4) - np.outer(v, v.conj())
-    result = steady_state(Superoperator(2, data))
-    assert result.multiplicity == 1
-    assert result.normalized[0] is False
-    with pytest.raises(InvariantError, match="traceless"):
-        result.state()
+    doc = steady_state(Superoperator(2, data))
+    assert doc["multiplicity"] == 1
+    assert doc["states"][0]["trace_normalized"] is False
+    assert np.allclose(doc["states"][0]["matrix"], sz / np.sqrt(2), atol=1e-12)
 
 
 def test_nonlocal_matches_markov_for_short_memory():

@@ -33,6 +33,7 @@ from qmekit.dynamics import (
     steady_state,
 )
 from qmekit.kernels import VARIANT_TAGS, build_kernel
+from conftest import unique_state
 
 COVARIANT = ("energy-conserving", "lindblad")
 
@@ -80,31 +81,32 @@ def assert_matches_dense(liouv):
     """steady_state(liouv) equals the dense SVD's answer to 1e-12."""
     svals, cut, null = dense_null(liouv)
     try:
-        result = steady_state(liouv)
+        doc = steady_state(liouv)
     except InvariantError:
         # the dense decision must fail the same way: no null vector or no gap
         mult = int(np.sum(svals <= cut))
         assert mult == 0 or (mult < len(svals) and svals[-mult - 1] <= 10 * cut)
         return
     scale = svals[0]
-    assert result.multiplicity == len(null)
-    assert abs(result.threshold - cut) <= 1e-12 * cut
-    small = svals[::-1][: len(result.singular_values)]
-    assert np.max(np.abs(result.singular_values - small)) <= 1e-12 * scale
+    assert doc["multiplicity"] == len(null)
+    assert abs(doc["threshold"] - cut) <= 1e-12 * cut
+    small = svals[::-1][: len(doc["singular_values"])]
+    assert np.max(np.abs(doc["singular_values"] - small)) <= 1e-12 * scale
     # every state lies in the dense null space.  Either SVD fixes that
     # space only to about eps ||L|| / sigma_gap (Wedin), so a small gap
     # (1e-5 ||L|| on one box system) widens the 1e-12 tolerance
     gap = svals[-len(null) - 1] if len(null) < len(svals) else scale
     tol = max(1e-12, 16 * np.finfo(float).eps * scale / gap)
     basis, _ = np.linalg.qr(null.T)
-    vs = np.array([rho.ravel() / np.linalg.norm(rho) for rho in result.states]).T
+    vs = np.array([s["matrix"].ravel() / np.linalg.norm(s["matrix"])
+                   for s in doc["states"]]).T
     assert np.max(np.linalg.norm(vs - basis @ (basis.conj().T @ vs), axis=0)) < tol
     # ... and the states span all of it
     assert np.linalg.matrix_rank(vs) == len(null)
     if len(null) == 1:
         rho = null[0].reshape(liouv.dim, liouv.dim)
         rho = (rho + rho.conj().T) / 2
-        assert np.max(np.abs(result.state() - rho / np.trace(rho))) < tol
+        assert np.max(np.abs(unique_state(doc) - rho / np.trace(rho))) < tol
 
 
 def kernel(levels, variant, seed=0, coupling=None):
@@ -155,7 +157,7 @@ def test_zero_kernel_null_space_matches_dense(d):
     # the null space is the d populations
     spectrum = build_spectrum(np.arange(d) / 8.0)
     liouv = build_liouvillian(spectrum, Superoperator.zero(d))
-    assert steady_state(liouv).multiplicity == d
+    assert steady_state(liouv)["multiplicity"] == d
     assert_matches_dense(liouv)
 
 
@@ -205,12 +207,12 @@ def test_one_block_generators_run_the_dense_path(d):
     # redfield-in with a dense hermitian coupling connects every pair
     liouv = liouvillian(spectra(d)["generic"], "redfield-in")
     svals, cut, null = dense_null(liouv)
-    result = steady_state(liouv)
-    assert np.array_equal(result.singular_values, svals[::-1][: max(len(null) + 2, 4)])
+    doc = steady_state(liouv)
+    assert np.array_equal(doc["singular_values"], svals[::-1][: max(len(null) + 2, 4)])
     rho = null[0].reshape(d, d)
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.linalg.norm(rho)
-    assert np.array_equal(result.state(), rho / complex(np.trace(rho)))
+    assert np.array_equal(unique_state(doc), rho / complex(np.trace(rho)))
     # 8 steps take one product each and 64 steps are filled by doubling
     for n in (8, 64):
         t = np.linspace(0.0, 4.0, n + 1)

@@ -28,6 +28,7 @@ from qmekit.oracle import (
     qubit_analytic,
 )
 from qmekit.oracle import _exact_dense
+from conftest import unique_state
 
 
 QUBIT = build_spectrum([0.0, 1.0])
@@ -338,7 +339,7 @@ def test_lindblad_steady_state_matches_analytic_qubit():
     beta = 1.3
     bath = thermal_ohmic_spectrum(0.2, 5.0, beta, n_channels=2)
     k = build_kernel(QUBIT, LADDER, bath, "lindblad")
-    rho = steady_state(build_liouvillian(QUBIT, k)).state()
+    rho = unique_state(steady_state(build_liouvillian(QUBIT, k)))
     gd = bath.gamma(1.0)[0, 0].real
     gu = bath.gamma(-1.0)[0, 0].real
     q = qubit_analytic(beta, gu, gd, 1.0)
