@@ -321,8 +321,8 @@ class Superoperator:
     block, each row ascending, and ``vals`` the (n_blocks, m, m) entries
     ``data[idx_b, idx_b]``; a group's blocks come by smallest pair, and
     entries outside the blocks are zero.  ``data``, the dense matrix, is
-    scattered from :meth:`entries` on first access and kept; a block over
-    all pairs in order is handed back as it is.
+    filled by one fancy assignment per size group on first access and
+    kept; a block over all pairs in order is handed back as it is.
 
     The blocks are declared, never searched for, and one holds every
     population pair (:meth:`population_block`).  The covariant builders
@@ -349,9 +349,10 @@ class Superoperator:
         n = self.dim * self.dim
         if len(self.blocks) == 1 and self.blocks[0][0].shape == (1, n):
             return self.blocks[0][1][0]         # one block over all pairs, in order
-        out = np.zeros(n * n, dtype=complex)
-        np.put(out, *self.entries())
-        return out.reshape(n, n)
+        out = np.zeros((n, n), dtype=complex)
+        for idx, vals in self.blocks:       # one fancy assignment per size group
+            out[idx[:, :, None], idx[:, None, :]] = vals
+        return out
 
     def entries(self):
         """The flat indices row * d^2 + col of every block entry, and the

@@ -6,9 +6,11 @@ with the kernels).  Markovian propagation takes each size group of the
 generator's blocks (below) by matrix exponentials while its blocks have
 at most EXPM_DIM_LIMIT**2 pairs, and by an adaptive high-order
 Runge-Kutta beyond; both paths agree to 1e-8 where they overlap, as the
-tests check.  Stretches of equal steps are filled by doubling where
-that saves matmul calls.  Steady states and propagators work per block
-of the generator (``Superoperator.blocks``), which its builder declares.
+tests check.  The exponentials are ``expm`` below: scaling and squaring
+with Pade approximants in numpy alone, one degree and scaling per block.
+Stretches of equal steps are filled by doubling where that saves matmul
+calls.  Steady states and propagators work per block of the generator
+(``Superoperator.blocks``), which its builder declares.
 Covariant generators (energy-conserving, lindblad) map a level pair only
 to pairs of the same Bohr frequency, so each Bohr bin is one block;
 their builders hand over the blocks, and no d^4 matrix is built.  A dense
@@ -32,13 +34,14 @@ memory-kernel nodes in one array pass and integrates with a Heun
 predictor-corrector and trapezoid memory quadrature.  That recurrence is
 linear and time-invariant, so the kernel window is folded in place into
 one step matrix: one matrix-vector product per step.  scipy is imported
-on first use (``expm``, ``solve_ivp`` below), so only the propagating
-commands load it.
+on first use by the Runge-Kutta path alone (``solve_ivp`` below), so
+the exponential path loads none of it.
 """
 
 import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .core import DensityMatrix, InputError, InvariantError, Superoperator
 from . import io as _io
@@ -68,11 +71,82 @@ EXPM_DIM_LIMIT = 16
 MATMUL_CALL_COST = 6000
 
 
+# Higham (2005), Table 2.3: the largest 1-norm theta_m at which the degree-m
+# diagonal Pade approximant of exp has backward error below unit roundoff
+# in double precision, and its coefficients b_k = (2m - k)! / (k! (m - k)!)
+PADE = tuple((theta, [float(factorial(2 * m - k) // (factorial(k) * factorial(m - k)))
+                      for k in range(m + 1)])
+             for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                              (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+                              (13, 5.371920351148152e0)))
+# expm takes a stack in chunks of at most this many entries (one slice if
+# larger), so its temporaries, about ten chunks, stay near 0.6 MB
+EXPM_CHUNK = 4096
+
+
 def expm(a):
-    """scipy.linalg.expm, imported on first use, so that the commands
-    that do not propagate load no scipy."""
-    from scipy.linalg import expm as _expm
-    return _expm(a)
+    """exp of each m x m slice of a stack (..., m, m), by scaling and
+    squaring with diagonal Pade approximants (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179, 2005), in numpy alone.
+
+    Each slice takes its own degree, the lowest m with ||A||_1 <= theta_m,
+    else 13 after scaling by 2^-s, s = ceil(log2(||A||_1 / theta_13)), then
+    s squarings.  Every step acts on each slice alone, so a slice has the
+    same bits alone as in any stack.  Each squaring may double the
+    rounding, so a slice agrees with scipy.linalg.expm (Al-Mohy & Higham,
+    ibid. 31, 970, 2009, which picks s by sharper norm bounds) to about
+    2^s eps relative.  A slice whose norm is not finite, or that needs
+    s >= 52 squarings (2^s eps >= 1: no digit is left), comes out NaN,
+    which the propagators report as a breach.  1 x 1 slices are np.exp.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
+    m = a.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m == 1:
+            return np.exp(a)
+        stack = a.reshape(-1, m, m)
+        out = np.empty_like(stack)
+        step = max(1, EXPM_CHUNK // (m * m))
+        for i in range(0, len(stack), step):
+            out[i:i + step] = _scaled_pade(stack[i:i + step])
+    return out.reshape(a.shape)
+
+
+def _scaled_pade(a):
+    """expm of a stack of slices, each with its own degree and scaling."""
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    theta = [th for th, _ in PADE]
+    deg = np.minimum(np.searchsorted(theta, norm), len(PADE) - 1)
+    s = np.ceil(np.log2(np.maximum(norm, theta[-1]) / theta[-1]))
+    bad = ~(s < 52)                     # 2^s eps >= 1, or a norm not finite
+    s = np.where(bad, 0, s).astype(int)
+    r = np.full_like(a, np.nan)
+    for g in np.unique(deg[~bad]):
+        sel = (deg == g) & ~bad
+        r[sel] = _pade(a[sel] * np.ldexp(1.0, -s[sel])[:, None, None], PADE[g][1])
+    for j in range(s.max(initial=0)):
+        sel = s > j
+        q = r[sel]
+        r[sel] = q @ q
+    return r
+
+
+def _pade(a, b):
+    """(V - U)^-1 (V + U), the Pade approximant with coefficients b of exp
+    on a stack: U = A sum_k b_{2k+1} A^2k, V = sum_k b_2k A^2k, degree 13
+    taking A^8 .. A^13 as A^6 times A^2, A^4, A^6 (Higham 2005, Alg. 2.3)."""
+    low, high = (b[:8], b[8:]) if len(b) == 14 else (b, [])
+    powers = [np.eye(a.shape[-1]), a @ a]
+    while len(powers) < len(low) // 2:
+        powers.append(powers[-1] @ powers[1])
+    u = sum(c * p for c, p in zip(low[1::2], powers))
+    v = sum(c * p for c, p in zip(low[::2], powers))
+    if high:
+        u += powers[3] @ sum(c * p for c, p in zip(high[1::2], powers[1:]))
+        v += powers[3] @ sum(c * p for c, p in zip(high[::2], powers[1:]))
+    u = a @ u
+    return np.linalg.solve(v - u, v + u)
 
 
 def solve_ivp(*args, **kwargs):

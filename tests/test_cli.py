@@ -138,18 +138,24 @@ def test_cli_import_leaves_the_csv_formatter_tables_unbuilt():
 
 
 def test_only_the_propagating_commands_load_scipy(tmp_path):
+    # dynamics.expm is numpy alone, so evolve loads no scipy; only the rk
+    # path (forced here with EXPM_DIM_LIMIT = 0) imports scipy.integrate
     code = ("import json, sys\n"
+            "import qmekit.dynamics as dynamics\n"
             "from qmekit.cli import main\n" + SCIPY_LOADED +
             "argv, rows = ['--config', sys.argv[1], '--out', sys.argv[2]], []\n"
             "for command in ('build-kernel', 'steady-state', 'compare', 'block-report',\n"
             "                'evolve'):\n"
             "    rows.append([command, main([command, *argv]), bool(scipy_loaded())])\n"
+            "dynamics.EXPM_DIM_LIMIT = 0\n"
+            "rows.append(['evolve rk', main(['evolve', *argv]),\n"
+            "             'scipy.integrate' in scipy_loaded()])\n"
             "print(json.dumps(rows))\n")
     rows = json.loads(run_python(code, write_doc(tmp_path, README_DOC),
                                  str(tmp_path / "out"))[-1])
     assert rows == [["build-kernel", 0, False], ["steady-state", 0, False],
                     ["compare", 0, False], ["block-report", 0, False],
-                    ["evolve", 0, True]]
+                    ["evolve", 0, False], ["evolve rk", 0, True]]
 
 
 def test_build_kernel_rejects_unknown_variant(tmp_path, capsys):

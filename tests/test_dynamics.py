@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from qmekit.bath import flat_spectrum, gaussian_spectrum, thermal_ohmic_spectrum, time_correlation
 from qmekit.core import (
@@ -16,7 +17,7 @@ from qmekit.core import (
     ladder_channels,
 )
 import qmekit.dynamics as dynamics
-from qmekit.kernels import build_kernel
+from qmekit.kernels import VARIANT_TAGS, build_kernel
 from qmekit.dynamics import (
     EXPM_DIM_LIMIT,
     NONLOCAL_DIM_LIMIT,
@@ -53,6 +54,104 @@ def test_liouvillian_eigenvalues_flat_qubit():
     want = np.sort_complex(np.array(
         [0.0, -2 * rate, -rate - 1j, -rate + 1j]))
     assert np.max(np.abs(evals - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dynamics.expm against scipy.linalg.expm
+
+# 1-norms in the range of each Pade degree (3, 5, 7, 9, 13), then degree
+# 13 after 1 .. 5 squarings
+NORMS = np.array([1e-3, 0.1, 0.5, 1.5, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0])
+
+
+def one_norms(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def squarings(a):
+    """Each slice's scaling s: ceil(log2(||A||_1 / theta_13)), at least 0."""
+    theta = dynamics.PADE[-1][0]
+    return np.ceil(np.log2(np.maximum(one_norms(a), theta) / theta))
+
+
+def assert_expm_matches_scipy(a):
+    """dynamics.expm(a) equals scipy's within 1e-14 relative in the 1-norm,
+    times 2^s for a slice scaled by 2^-s: each squaring may double either
+    method's rounding, so a stiff step loses digits to both."""
+    got, want = dynamics.expm(a), scipy_expm(a)
+    assert got.shape == want.shape
+    assert np.all(one_norms(got - want) <= 1e-14 * 2.0 ** squarings(a) * one_norms(want))
+
+
+def random_stack(rng, m, norms):
+    """Random complex m x m slices scaled to the given 1-norms."""
+    a = rng.standard_normal((len(norms), m, m)) + 1j * rng.standard_normal((len(norms), m, m))
+    return a * (norms / one_norms(a))[:, None, None]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_expm_matches_scipy_on_random_stacks(m):
+    theta = [th for th, _ in dynamics.PADE]
+    assert set(np.searchsorted(theta, NORMS)) == {0, 1, 2, 3, 4, 5}
+    a = random_stack(np.random.default_rng(m), m, np.repeat(NORMS, 4))
+    assert set(squarings(a)) == {0, 1, 2, 3, 4, 5}
+    assert_expm_matches_scipy(a)
+    assert_expm_matches_scipy(a.reshape(4, 10, m, m))      # leading axes kept
+    one = a[:, :1, :1]                 # 1 x 1 slices are np.exp, as in scipy
+    assert np.array_equal(dynamics.expm(one), scipy_expm(one))
+
+
+def test_expm_takes_each_slice_on_its_own():
+    # every degree and scaling side by side, over several chunks of
+    # EXPM_CHUNK entries: each slice has the bits it has alone, or in
+    # the stack reversed
+    rng = np.random.default_rng(1)
+    for m in (3, 8, 64):
+        a = random_stack(rng, m, rng.permutation(np.repeat(NORMS, 8)))
+        got = dynamics.expm(a)
+        assert all(np.array_equal(got[k], dynamics.expm(a[k])) for k in range(len(a)))
+        assert np.array_equal(dynamics.expm(a[::-1])[::-1], got)
+
+
+def test_expm_of_a_non_normal_triangular_block():
+    # distinct decay rates 1 .. 6 coupled by entries up to 30x larger
+    # (1-norm 125, five squarings); the result stays upper triangular
+    rng = np.random.default_rng(2)
+    a = np.diag(-np.arange(1.0, 7.0)) + np.triu(30 * rng.standard_normal((6, 6)), 1)
+    assert squarings(a) == 5
+    assert_expm_matches_scipy(a)
+    assert not np.tril(dynamics.expm(a), -1).any()
+
+
+def test_expm_on_generator_blocks_of_the_box(system_box):
+    steps = np.array([0.01, 0.1, 1.0, 10.0])[:, None, None, None]
+    for spectrum, couplings, bath in system_box:
+        for variant in VARIANT_TAGS:
+            k = build_kernel(spectrum, couplings, bath, variant, omega=0.0)
+            for _, vals in build_liouvillian(spectrum, k).blocks:
+                assert_expm_matches_scipy(vals * steps)
+
+
+@pytest.mark.parametrize("rate", [1e2, 1e4, 1e6, 1e8])
+def test_expm_of_a_stiff_flat_qubit(rate):
+    # up to 26 squarings at rate 1e8: scipy and dynamics.expm alike lose
+    # about 2^s eps of the exact exponential there
+    a = qubit_liouvillian(rate).data * np.array([1e-3, 0.1, 1.0])[:, None, None]
+    assert_expm_matches_scipy(a)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_expm_without_a_correct_digit_is_nan():
+    # 52 squarings leave no correct digit (2^52 eps = 1), and a slice that
+    # is not finite has no exponential: both come out NaN, each beside a
+    # finite slice; 51 squarings still give a finite result
+    theta = dynamics.PADE[-1][0]
+    relax = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    a = relax * np.array([theta * 2.0 ** 50, theta * 2.0 ** 51, 1.0, np.inf])[:, None, None]
+    assert list(squarings(a[:3])) == [51, 52, 0]
+    got = dynamics.expm(a)
+    assert np.isfinite(got[[0, 2]]).all()
+    assert np.isnan(got[[1, 3]]).all()
 
 
 def test_relaxation_and_dephasing_closed_forms():

@@ -52,9 +52,10 @@ def dense_trajectory(data, rho0, t, double=False):
     """One exponential P of the whole generator for the uniform grid t,
     and the states filled as evolve_markov fills one block's stretch of
     equal steps: one product per step, or by doubling, P^s applied to the
-    s states already filled with P^s squared after each product."""
+    s states already filled with P^s squared after each product.  P is
+    dynamics.expm's, so the filling can be compared bit for bit."""
     n = len(t) - 1
-    prop = expm(data * (t[1] - t[0]))
+    prop = dynamics.expm(data * (t[1] - t[0]))
     vecs = np.empty((len(t), data.shape[0]), dtype=complex)
     vecs[0] = np.ravel(rho0)
     cols = vecs.T                      # states as columns
@@ -223,14 +224,15 @@ def test_one_block_generators_run_the_dense_path(d):
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_steps_of_one_relative_size_share_an_exponential(d):
-    # the per-step loop of keys round(dt / span, 15), one exponential per
-    # key taken at its first step, as a bit reference; 0.6 - 0.5 rounds
-    # to the key of 0.1
+    # the per-step loop of keys round(dt / span, 15), one exponential
+    # (dynamics.expm) per key taken at its first step, as a bit reference;
+    # 0.6 - 0.5 rounds to the key of 0.1
     liouv = liouvillian(spectra(d)["generic"], "redfield-in")
     t = np.array([0.0, 0.1, 0.2, 0.5, 0.6, 0.9, 1.7, 1.8])
     props, vecs = {}, [excited(d).ravel()]
     for dt in np.diff(t):
-        prop = props.setdefault(round(dt / (t[-1] - t[0]), 15), expm(liouv.data * dt))
+        prop = props.setdefault(round(dt / (t[-1] - t[0]), 15),
+                               dynamics.expm(liouv.data * dt))
         vecs.append(prop @ vecs[-1])
     assert len(props) == 3
     traj = evolve_markov(liouv, excited(d), t)
