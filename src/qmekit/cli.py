@@ -39,6 +39,7 @@ from .oracle import FiniteBathModel, exact_reduced_evolution, gauss_legendre_mod
 __all__ = ["main", "parse_config", "serialize_config", "ModelConfig"]
 
 TRACE_RESIDUAL_LIMIT = 1e-12          # relative to max|K|
+TRACE_DRIFT_LIMIT = 1e-8              # evolve: largest |tr rho - 1| of a trajectory
 PSD_TOL = 1e-12                       # tabulated gamma eigenvalues, relative to max|gamma|
 SCALING_BAND = (3.0, 5.0)
 
@@ -463,6 +464,10 @@ def cmd_evolve(cfg, args, out_dir):
                              exp.initial_state, exp.t_grid)
     liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     traj = evolve_markov(liouv, exp.initial_state, exp.t_grid)
+    for name, run in (("markov", traj), ("nonlocal", nl)):
+        if run is not None and not np.max(run.trace_drift) <= TRACE_DRIFT_LIMIT:
+            raise InvariantError(f"the {name} trajectory loses trace: drift "
+                                 f"{np.max(run.trace_drift):g} > {TRACE_DRIFT_LIMIT:g}")
     diag = {"provenance": _provenance(cfg), "variant": exp.variant,
             "markov": _health(traj)}
     if nl is not None:

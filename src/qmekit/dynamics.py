@@ -29,11 +29,12 @@ values up to 16 m eps ||L||_2, the rounding level, counted as
 zero (m the largest block size).  ``block_structure_report`` returns
 the block-report document: the kernel's entries that join populations
 and coherences, read off the rows and columns of the populations,
-which one block holds.  Non-Markovian propagation builds all
-memory-kernel nodes in one array pass and integrates with a Heun
+which one block holds.  Non-Markovian propagation builds the
+memory-kernel nodes in array passes and integrates with a Heun
 predictor-corrector and trapezoid memory quadrature.  That recurrence is
 linear and time-invariant, so the kernel window is folded in place into
-one step matrix: one matrix-vector product per step.  scipy is imported
+one step matrix, applied to a block of steps at a time in a real basis of
+hermitian matrices (``evolve_nonlocal`` below).  scipy is imported
 on first use by the Runge-Kutta path alone (``solve_ivp`` below), so
 the exponential path loads none of it.
 """
@@ -310,7 +311,8 @@ def evolve_markov(liouv, rho0, t_grid):
 # time-nonlocal propagation
 
 NONLOCAL_DIM_LIMIT = 12
-
+NONLOCAL_BLOCK = 128           # evolve_nonlocal: steps per block times d^2
+NONLOCAL_CHUNK = 2 ** 16       # evolve_nonlocal: complex kernel entries per window chunk
 
 def check_nonlocal_grid(t_grid, dim):
     """t_grid as a float array, checked for a nonlocal run: strictly
@@ -369,16 +371,22 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
     O(h^2).  The memory integral is truncated at the trajectory start
     for early times (no history is invented before t0), so the first
     few steps carry the documented initial transient.
-    The kernel is stored once, times h, as the window [K(m h) ... K(0)],
-    and m zero rows precede t0 in the history, so a node's memory sum
-    mu_i is one product with a contiguous slice.  The Heun step is linear
-    and the same at every node: with H the coherent part plus h K(0) / 2,
-    x_{i+1} = A x_i + B mu_i + (h/2) mu_{i+1}, A = I + h H + (h H)^2 / 2
-    and B = (h/2) (I + h H).  The window is folded in place into that
-    step matrix over the m + 1 latest nodes, less the identity, so each
-    step after the first is one matrix-vector product for the increment
-    x_{i+1} - x_i; adding x_i after it keeps the rounding, and the trace
-    drift, at the size of the increment.
+    The kernel preserves hermiticity, so the steps run on real vectors:
+    slot (p, q) holds Re rho_pq for p <= q and Im rho_pq for p > q, rho0
+    is hermitized on entry and the states come back exactly hermitian.
+    The kernel is stored once, times h, as the real window [K(m h) ...
+    K(0)], built NONLOCAL_CHUNK complex entries at a time, so the peak
+    memory stays near half a complex window; m zero rows precede t0.
+    The Heun step is linear and the same at every node: with H the
+    coherent part plus h K(0) / 2 and mu_i the memory sum, x_{i+1} =
+    A x_i + B mu_i + (h/2) mu_{i+1}, A = I + h H + (h H)^2 / 2 and B =
+    (h/2) (I + h H).  The window is folded in place into that step matrix
+    over the m + 1 latest nodes, less the identity.  Steps go
+    NONLOCAL_BLOCK // d^2 at a time (one at least): one product of the
+    window with the block's histories, its unknown nodes taken as its
+    first, then one with the resolvent of its increments' dependence on
+    each other.  A cumsum adds them to the first node one by one, which
+    keeps the rounding, and the trace drift, at the size of an increment.
     """
     d = spectrum.dim
     t = check_nonlocal_grid(t_grid, d)
@@ -388,15 +396,24 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
 
     m = max(int(round(corr.tau_memory / h)), 1)
     dd = d * d
-    win = _memory_kernels(spectrum, couplings, corr, h * np.arange(m, -1, -1))
-    win = win.transpose(1, 0, 2).reshape(dd, (m + 1) * dd)
-    win *= h
+    # y = Re(conj(f) x) and x = g - sgn g[tr], g = f y, for the flat x
+    p, q = np.divmod(np.arange(dd), d)
+    tr, sgn, f = q * d + p, np.sign(q - p), np.where(p <= q, 1, 1j)
+
+    def real(k):                # a hermiticity-preserving k in the real basis
+        return (f.conj()[:, None] * (k + k[..., tr] * sgn) * f).real
+
+    win = np.empty((dd, (m + 1) * dd))
     blk = win.reshape(dd, m + 1, dd)                      # blk[:, m - j] = h K(j h)
+    taus = h * np.arange(m, -1, -1)
+    for nodes in np.array_split(np.arange(m + 1), -(-(m + 1) * dd * dd // NONLOCAL_CHUNK)):
+        blk[:, nodes] = real(_memory_kernels(spectrum, couplings, corr,
+                                             taus[nodes])).transpose(1, 0, 2)
+    win *= h
     # the node's own state enters with the coherent part and half of K(0)
-    head = 0.5 * blk[:, m]
-    head.flat[::dd + 1] += -1j * spectrum.bohr_matrix().ravel()
-    hist = np.zeros((m + t.size, dd), dtype=complex)      # node i at row m + i
-    x0 = hist[m] = rho.ravel()
+    head = 0.5 * blk[:, m] + real(np.diag(-1j * spectrum.bohr_matrix().ravel()))
+    hist = np.zeros((m + t.size, dd))                     # node i at row m + i
+    x0 = hist[m] = np.real(f.conj() * (rho + rho.conj().T).ravel() / 2)
     with np.errstate(over="ignore", invalid="ignore"):   # _trajectory reports it
         # the first step unfused: node 0 has no memory, so its far end is
         # itself and cancels the head's half of K(0) exactly, and A's H^2
@@ -419,12 +436,30 @@ def evolve_nonlocal(spectrum, couplings, corr, rho0, t_grid):
         for k in range(m - 1, 0, -1):
             blk[:, k] = b @ blk[:, k] + 0.5 * h * blk[:, k - 1]
         blk[:, 0] = b @ blk[:, 0]
-        for i in range(1, t.size - 1):
-            np.dot(win, hist[i:i + m + 1].ravel(), out=hist[m + i + 1])
-            hist[m + i + 1] += hist[m + i]
+        # increment r of a block takes C_{r-v} delta_v from increment v < r,
+        # C_n the sum of the window's last min(n, m + 1) blocks; the
+        # resolvent's block (r, v) is X_{r-v}, X_0 = I, X_n = sum_k C_k X_{n-k}, 0 for v > r
+        s = max(1, NONLOCAL_BLOCK // dd)
+        cum = np.cumsum(blk[:, ::-1][:, :s - 1], axis=1)[:, np.minimum(np.arange(s - 1), m)]
+        cum = cum.reshape(dd, -1)                         # C_1 .. C_{s-1} side by side
+        xs = np.concatenate([np.eye(dd)[None], np.zeros((s, dd, dd))])
+        for k in range(1, s):
+            xs[k] = cum[:, :k * dd] @ xs[k - 1::-1].reshape(k * dd, dd)
+        lag = np.subtract.outer(np.arange(s), np.arange(s))
+        res = xs[np.where(lag < 0, s, lag)].transpose(0, 2, 1, 3).reshape(s * dd, s * dd)
+        for i in range(1, t.size - 1, s):
+            n = min(s, t.size - 1 - i)
+            new = hist[m + i:m + i + n + 1]                # node i, then the block's nodes
+            new[1:n] = new[0]                              # unknown nodes taken as node i
+            inc = np.ndarray((n, (m + 1) * dd), buffer=hist, offset=i * hist.strides[0],
+                             strides=hist.strides) @ win.T     # the block's histories
             if i < m:
-                hist[m + i + 1] += early[i - 1]
-    return _trajectory(t, hist[m:].reshape(t.size, d, d), "heun-nonlocal")
+                inc[:m - i] += early[i - 1:i - 1 + n]
+            np.matmul(res[:n * dd, :n * dd], inc.ravel(), out=new[1:].ravel())
+            new.cumsum(axis=0, out=new)
+        hist = f * hist[m:]                                # the states, flat and complex
+        hist -= sgn * hist[:, tr]
+    return _trajectory(t, hist.reshape(t.size, d, d), "heun-nonlocal")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -24,7 +25,9 @@ import qmekit.kernels as kernels
 from qmekit.bath import write_tabulated_csv
 from qmekit.cli import COMMANDS, main, parse_config
 from qmekit.diagnostics import flip_gain_sign
-from qmekit.dynamics import NONLOCAL_DIM_LIMIT, block_structure_report, build_liouvillian
+from qmekit.dynamics import (
+    NONLOCAL_DIM_LIMIT, block_structure_report, build_liouvillian, evolve_nonlocal,
+)
 from qmekit.io import canonical_dumps, complex_matrix_from_json, complex_matrix_to_json
 
 # no numpy warning may reach stderr, on any exit
@@ -403,6 +406,33 @@ def test_overflowing_evolve_is_a_breach_that_writes_nothing(tmp_path, capsys, fm
     assert rc == 1
     assert capsys.readouterr().err == (
         "invariant breach: propagated state is not finite from t=0.1 on\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rate", [1e12, 1e16])
+def test_evolve_that_loses_trace_is_a_breach_that_writes_nothing(tmp_path, capsys, rate):
+    # stiff enough that the exponentials keep the states finite but lose
+    # their trace (a drift near 8e-4 at 1e12 and 236 at 1e16)
+    rc, out = run(tmp_path, "evolve", qubit_doc(bath={"kind": "flat", "rate": rate}))
+    assert rc == 1
+    err = re.fullmatch(r"invariant breach: the markov trajectory loses trace: "
+                       r"drift (\S+) > 1e-08\n", capsys.readouterr().err)
+    assert err and float(err[1]) > 1e-4
+    assert list(out.iterdir()) == []
+
+
+def test_nonlocal_trajectory_that_loses_trace_is_a_breach(tmp_path, capsys, monkeypatch):
+    def leaky(*args):
+        traj = evolve_nonlocal(*args)
+        return dataclasses.replace(traj, trace_drift=traj.trace_drift + 2e-8)
+
+    monkeypatch.setattr("qmekit.cli.evolve_nonlocal", leaky)
+    doc = qubit_doc(bath={"kind": "gaussian", "rate": 0.1, "width": 5.0}, experiment={
+        "t_grid": T_GRID, "nonlocal": {"tau_grid": TAU_GRID, "tau_memory": 0.5}})
+    rc, out = run(tmp_path, "evolve", doc)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "invariant breach: the nonlocal trajectory loses trace: drift 2e-08 > 1e-08")
     assert list(out.iterdir()) == []
 
 

@@ -215,12 +215,19 @@ def test_memory_kernels_match_the_per_tau_loop(d, family, coupling):
     assert relative(got, reference_memory_kernels(spectrum, couplings, corr, taus)) < 1e-13
     # the nodes side by side are a reshape of the same buffer
     assert np.shares_memory(got.transpose(1, 0, 2).reshape(d * d, -1), got)
+    # K[(p, q), (r, s)] = conj K[(q, p), (s, r)]: evolve_nonlocal steps in
+    # a real basis of hermitian matrices on the strength of it
+    k = got.reshape(-1, d, d, d, d)
+    assert relative(np.conj(k.transpose(0, 2, 1, 4, 3)), k) < 1e-14
 
 
 # (memory nodes m, grid points): the first m nodes see a window shorter
 # than the memory; at m = 14 only the last node sees all of it, at m = 20
-# none does, and a 2-point grid is the first step alone
-WINDOWS = [(1, 15), (5, 15), (14, 15), (20, 15), (1, 2), (5, 2)]
+# none does, and a 2-point grid is the first step alone.  The long grids
+# span several blocks of steps and end in a partial one, and at m = 50
+# the early-window correction ends inside a block
+WINDOWS = [(1, 15), (5, 15), (14, 15), (20, 15), (1, 2), (5, 2),
+           (5, 200), (20, 200), (50, 120)]
 
 
 @pytest.mark.parametrize("m, points", WINDOWS,
@@ -236,6 +243,7 @@ def test_nonlocal_states_match_the_window_stepper(d, family, coupling, m, points
     got = evolve_nonlocal(spectrum, couplings, corr, rho0, t).states
     want = reference_evolve_nonlocal(spectrum, couplings, corr, rho0, t)
     assert np.max(np.abs(got - want)) < 1e-13
+    assert np.array_equal(got, np.conj(got.transpose(0, 2, 1)))     # exactly hermitian
 
 
 def test_nonlocal_stepper_is_second_order_in_h():
