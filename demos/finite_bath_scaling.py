@@ -23,7 +23,7 @@ spectrum = build_spectrum([0.0, 1.0])
 couplings = ladder_channels(np.array([[0, 1], [0, 0]], dtype=complex))
 rho0 = np.array([[0, 0], [0, 1]], dtype=complex)
 
-omegas, gs, record = gauss_legendre_modes(lambda w: eta0 * w, band, n_modes)
+omegas, gs, _ = gauss_legendre_modes(lambda w: eta0 * w, band, n_modes)
 t = np.linspace(0.0, t_star, 121)
 print(f"{n_modes} modes on (0, {band}), J(w) = {eta0:g} w, horizon {t_star}")
 print(f"{'scale':>6}  {'eta':>9}  {'trace distance':>14}")
@@ -32,8 +32,7 @@ t0 = time.perf_counter()
 rows = []
 for c in (1.0, 0.5, 0.25):
     model = FiniteBathModel(spectrum, couplings, omegas, c * gs, n_max=1,
-                            beta=np.inf, coupling_kind="rotating-pair",
-                            quadrature=record)
+                            beta=np.inf, coupling_kind="rotating-pair")
     exact = exact_reduced_evolution(model, rho0, t)
 
     eta = eta0 * c * c

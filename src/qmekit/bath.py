@@ -356,7 +356,6 @@ class TimeCorrelation:
     values: np.ndarray            # (m, n, n) complex, D^{ab}(tau_j)
     tau_memory: float
     adjoint_map: tuple
-    quadrature: dict              # omega-grid metadata of the transform
 
     def __post_init__(self):
         t = _tau_grid(self.tau_grid, self.tau_memory)
@@ -475,6 +474,4 @@ def time_correlation(spectrum, tau_grid, tau_memory, adjoint_map=None):
         values=vals,
         tau_memory=float(tau_memory),
         adjoint_map=tuple(adjoint_map),
-        quadrature={"omega_max": float(-omegas[0]), "n_omega": int(n_fft),
-                    "rule": "fft-rectangle"},
     )

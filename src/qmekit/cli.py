@@ -164,10 +164,6 @@ class ModelConfig:
     validate_params: dict
 
     @property
-    def seed(self):
-        return self.experiment.seed
-
-    @property
     def normalized(self):
         return serialize_config(self)
 
@@ -407,7 +403,7 @@ def _provenance(cfg):
     return {
         "config_sha256": _io.sha256_of(_io.canonical_dumps(cfg.normalized)),
         "version": _io.PACKAGE_VERSION,
-        "seed": cfg.seed,
+        "seed": cfg.experiment.seed,
     }
 
 
@@ -419,18 +415,18 @@ def _build(cfg, variant):
     return build_kernel(cfg.spectrum, cfg.couplings, cfg.bath, variant, omega=omega)
 
 
-def cmd_build_kernel(cfg, args, out_dir):
+def cmd_build_kernel(cfg, args, out):
     variant = args.variant or cfg.experiment.variant
     kernel = _build(cfg, variant)
     report = kernel_envelope(kernel, kernel_provenance(
         cfg.spectrum, cfg.couplings, cfg.bath, variant, omega=cfg.experiment.omega))
     report["provenance"] = _provenance(cfg)
     if args.format == "csv":
-        kernel_to_csv(kernel, out_dir / f"kernel-{variant}.csv")
+        kernel_to_csv(kernel, out(f"kernel-{variant}.csv"))
     else:
-        _io.write_json(out_dir / f"kernel-{variant}.json",
+        _io.write_json(out(f"kernel-{variant}.json"),
                        dict(report, entries=kernel.data))
-    _io.write_json(out_dir / f"kernel-{variant}-report.json", report)
+    _io.write_json(out(f"kernel-{variant}-report.json"), report)
     residual = report["trace_residual"]
     print(f"trace residual: {_io.fmt(residual)}")
     scale = max(report["max_abs_entry"], 1e-300)
@@ -446,15 +442,15 @@ def _health(traj):
     }
 
 
-def _write_trajectory(traj, out_dir, stem, fmt):
+def _write_trajectory(traj, out, stem, fmt):
     if fmt == "csv":
-        trajectory_to_csv(traj, out_dir / f"{stem}.csv")
+        trajectory_to_csv(traj, out(f"{stem}.csv"))
     else:
-        _io.write_json(out_dir / f"{stem}.json",
+        _io.write_json(out(f"{stem}.json"),
                        dict(_health(traj), times=traj.times, states=traj.states))
 
 
-def cmd_evolve(cfg, args, out_dir):
+def cmd_evolve(cfg, args, out):
     exp = cfg.experiment
     nl = None
     if exp.nonlocal_params:         # parse_config has checked the section
@@ -477,30 +473,30 @@ def cmd_evolve(cfg, args, out_dir):
             "max_trace_distance_to_markov":
                 float(np.max(trace_distance(nl.states, traj.states))),
         }
-    _write_trajectory(traj, out_dir, "trajectory", args.format)
+    _write_trajectory(traj, out, "trajectory", args.format)
     if nl is not None:
-        _write_trajectory(nl, out_dir, "trajectory-nonlocal", args.format)
-    _io.write_json(out_dir / "evolve-diagnostics.json", diag)
+        _write_trajectory(nl, out, "trajectory-nonlocal", args.format)
+    _io.write_json(out("evolve-diagnostics.json"), diag)
     print(f"evolved {exp.t_grid.size} steps; "
           f"trace drift {_io.fmt(diag['markov']['trace_drift_max'])}")
     return 0
 
 
-def cmd_steady_state(cfg, args, out_dir):
+def cmd_steady_state(cfg, args, out):
     exp = cfg.experiment
     liouv = build_liouvillian(cfg.spectrum, _build(cfg, exp.variant))
     doc = steady_state(liouv)
-    _io.write_json(out_dir / "steady-state.json",
+    _io.write_json(out("steady-state.json"),
                    dict(doc, provenance=_provenance(cfg), variant=exp.variant))
     print(f"steady-state multiplicity: {doc['multiplicity']}")
     return 0
 
 
-def cmd_compare(cfg, args, out_dir):
+def cmd_compare(cfg, args, out):
     rep = equivalence_report(cfg.spectrum, cfg.couplings, cfg.bath,
                              omega=cfg.experiment.omega)
     rep["provenance"] = _provenance(cfg)
-    _io.write_json(out_dir / "compare.json", rep)
+    _io.write_json(out("compare.json"), rep)
     width = max(len(k) for k in rep["pairs"])
     print(f"{'pair'.ljust(width)}  max |difference|")
     for name in sorted(rep["pairs"]):
@@ -510,17 +506,17 @@ def cmd_compare(cfg, args, out_dir):
     return 0 if ok else 1
 
 
-def cmd_block_report(cfg, args, out_dir):
+def cmd_block_report(cfg, args, out):
     exp = cfg.experiment
     rep = block_structure_report(cfg.spectrum, _build(cfg, exp.variant))
-    _io.write_json(out_dir / "block-report.json",
+    _io.write_json(out("block-report.json"),
                    dict(rep, provenance=_provenance(cfg), variant=exp.variant))
     print(f"coherences feed populations: {rep['coherences_feed_populations']}; "
           f"populations feed coherences: {rep['populations_feed_coherences']}")
     return 0
 
 
-def cmd_validate(cfg, args, out_dir):
+def cmd_validate(cfg, args, out):
     if not cfg.validate_params:
         raise InputError("validate: section missing from config")
     if cfg.spectrum.dim != 2:
@@ -536,8 +532,7 @@ def cmd_validate(cfg, args, out_dir):
         lambda w: eta0 * w, band, p["n_modes"])
     try:
         models = [FiniteBathModel(cfg.spectrum, cfg.couplings, omegas, c * gs,
-                                  n_max=1, beta=np.inf, coupling_kind="rotating-pair",
-                                  quadrature=record)
+                                  n_max=1, beta=np.inf, coupling_kind="rotating-pair")
                   for c in p["scales"]]
     except InputError as exc:               # the oracle's dimension cap
         _fail("validate.n_modes", str(exc))
@@ -583,7 +578,7 @@ def cmd_validate(cfg, args, out_dir):
         "expected_band": list(SCALING_BAND),
         "in_band": in_band,
     }
-    _io.write_json(out_dir / "validate.json", doc)
+    _io.write_json(out("validate.json"), doc)
     print("scale     trace distance")
     for row in rows:
         print(f"{row['scale']:<8g}  {_io.fmt(row['trace_distance'])}")
@@ -632,19 +627,6 @@ def _parser():
 PARSER = _parser()
 
 
-class _Staged(list):
-    """--out as the commands see it: ``out / name`` is ``<name>.part``
-    there, which main renames to ``name`` once the command has returned."""
-
-    def __init__(self, path):
-        super().__init__()
-        self.path = path
-
-    def __truediv__(self, name):
-        self.append(os.path.join(self.path, name))
-        return self[-1] + ".part"
-
-
 # explicit checks catch every non-finite value (the kernel and trajectory
 # builders, the writers), so no numpy warning is printed on any exit
 @np.errstate(all="ignore")
@@ -662,21 +644,25 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.seed is not None:
             cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
-        out = _Staged(args.out)
+        staged = []                 # the files written, each as <name>.part
+
+        def out(name):              # a command's path for --out/<name>
+            staged.append(os.path.join(args.out, name))
+            return staged[-1] + ".part"
+
         try:                        # after parsing, only the writers touch files
-            Path(out.path).mkdir(parents=True, exist_ok=True)
+            Path(args.out).mkdir(parents=True, exist_ok=True)
             rc = COMMANDS[args.command][0](cfg, args, out)
-            for target in out:      # no file moves unless all can
+            for target in staged:   # no file moves unless all can
                 if os.path.isdir(target):
                     raise IsADirectoryError(errno.EISDIR, "Is a directory", target)
-            for target in out:
+            for target in staged:
                 os.replace(target + ".part", target)
-            out.clear()
             return rc
         except OSError as exc:
             raise InputError(f"--out: {exc}") from None
         finally:                    # a run that fails leaves no file
-            for part in [t + ".part" for t in out if os.path.isfile(t + ".part")]:
+            for part in [t + ".part" for t in staged if os.path.isfile(t + ".part")]:
                 os.unlink(part)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -363,16 +363,14 @@ class Superoperator:
 
     def population_block(self):
         """The block holding every population pair (p, p), which no other
-        block enters: its flat pairs (m,), entries (m, m) and population
-        positions, ascending in p (a stride if it spans all pairs).  It
-        opens its size group, searched from the largest (the zero bin's).
+        block enters: its flat pairs (m,), entries (m, m) and the positions
+        of the populations among its pairs, ascending in p.  It opens its
+        size group, searched from the largest (the zero bin's).
 
         :raises InvariantError: when the populations are split over blocks.
         """
         for idx, vals in reversed(self.blocks):
-            if idx.shape[1] == self.dim ** 2:   # (p, p) is flat p * (d + 1)
-                return idx[0], vals[0], slice(None, None, self.dim + 1)
-            if idx[0, 0] == 0:
+            if idx[0, 0] == 0:                  # (p, p) is flat p * (d + 1)
                 pop = (idx[0] % (self.dim + 1) == 0).nonzero()[0]
                 if pop.size == self.dim:
                     return idx[0], vals[0], pop

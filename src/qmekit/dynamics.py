@@ -234,20 +234,20 @@ def evolve_markov(liouv, rho0, t_grid):
     Each size group takes matrix exponentials of its blocks while they
     have at most EXPM_DIM_LIMIT**2 pairs (d <= 16 for one block), else
     adaptive DOP853 as one ODE over its stacked blocks; the method is "rk"
-    when the largest group took DOP853.  The paths agree to 1e-8.  Steps
-    of one relative size (to 15 decimals) share an exponential: one expm
-    call per block size and run of stretches of equal steps, a run holding
-    as many sizes as have propagators no larger than the trajectory (two
-    at least), so a uniform grid pays once and memory does not grow with
-    the number of distinct steps.  Where MATMUL_CALL_COST says so, a
-    stretch is filled by doubling (P^s times the s states filled gives
-    the next s, then P^s is squared), else by one product per step.
+    when a group took DOP853.  The paths agree to 1e-8.  Steps of one
+    relative size (to 15 decimals) share an exponential: one expm call
+    per block size and run of stretches of equal steps, a run holding as
+    many sizes as have propagators no larger than the trajectory (two at
+    least), so a uniform grid pays once and memory does not grow with the
+    number of distinct steps.  A stretch is filled by P^s times the last
+    s states filled: s = 1, unless MATMUL_CALL_COST says to double and P^s
+    is squared as the filled states reach 2 s.
 
     Only the blocks that rho0 occupies (any nonzero pair) are propagated,
     on either path; the generator maps no other block into them, so every
     other entry stays exactly 0, and a group with no occupied block takes
-    no exponential.  The method label is read from the generator's
-    largest group, which holds the zero bin that every state occupies.
+    no exponential.  Every state occupies the zero bin, in the largest
+    group, and no smaller group takes DOP853 unless that one does.
     """
     t = _check_grid(t_grid)
     rho = _as_state(rho0)
@@ -261,6 +261,7 @@ def evolve_markov(liouv, rho0, t_grid):
     ids = step_id[bounds[:-1]].tolist()     # stretch k: steps bounds[k] .. bounds[k+1]-1
     vecs = np.zeros((t.size, d * d), dtype=complex)
     vecs[0] = rho.ravel()
+    method = "expm"
     for idx, sub in liouv.blocks:
         occupied = vecs[0, idx].any(axis=1)     # a block rho0 leaves empty stays 0
         if not occupied.all():
@@ -278,6 +279,7 @@ def evolve_markov(liouv, rho0, t_grid):
                     f"adaptive integration failed after t={reached:g}: {sol.message}"
                 )
             vecs[:, idx] = sol.y.T.reshape(t.size, n_blocks, m)
+            method = "rk"
             continue
         width = max(2, vecs.size // sub.size)
         cols = np.empty((t.size, n_blocks, m), dtype=complex).transpose(1, 2, 0)
@@ -290,20 +292,17 @@ def evolve_markov(liouv, rho0, t_grid):
                 j += 1
             props = expm(sub * steps[first[list(run)]][:, None, None, None])
             for a, b, key in zip(bounds[i:j], bounds[i + 1:j + 1], ids[i:j]):
-                q, n, s = props[run[key]], b - a, 1     # states a .. a + s - 1 filled
-                if (m ** 3 + 2 * MATMUL_CALL_COST) * n.bit_length() > MATMUL_CALL_COST * n:
-                    for k in range(a, b):
-                        np.matmul(q, cols[..., k:k + 1], out=cols[..., k + 1:k + 2])
-                    continue
-                while s <= n:
-                    q = q if s == 1 else q @ q      # P^s
-                    c = min(s, n + 1 - s)
-                    np.matmul(q, cols[..., a:a + c], out=cols[..., a + s:a + s + c])
-                    s += c
+                n = b - a
+                double = (m ** 3 + 2 * MATMUL_CALL_COST) * n.bit_length() <= MATMUL_CALL_COST * n
+                q, s, k = props[run[key]], 1, a + 1     # q = P^s, states a .. k - 1 filled
+                while k <= b:
+                    if double and s < k - a:
+                        q, s = q @ q, 2 * s
+                    c = min(s, b + 1 - k)
+                    np.matmul(q, cols[..., k - s:k - s + c], out=cols[..., k:k + c])
+                    k += c
             i = j
         vecs[:, idx] = cols.transpose(2, 0, 1)
-    # the largest group holds the zero bin, which every state occupies
-    method = "expm" if liouv.blocks[-1][0].shape[1] <= EXPM_DIM_LIMIT ** 2 else "rk"
     return _trajectory(t, vecs.reshape(t.size, d, d), method)
 
 

@@ -17,7 +17,7 @@ is one column, so its trajectory costs one matrix-vector product per time.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import InputError, InvariantError, Superoperator, lrmul
 from .dynamics import _as_state, _check_grid, _trajectory
@@ -141,7 +141,6 @@ class FiniteBathModel:
     n_max: int
     beta: float
     coupling_kind: str
-    quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
         w = np.asarray(self.mode_frequencies, dtype=float)

@@ -244,13 +244,12 @@ def test_criterion_06_positivity_of_maps_and_states(system_box, box_dynamics):
 def test_criterion_07_finite_bath_contraction():
     t0 = time.perf_counter()
     eta0, band = 2e-5, 5.0
-    omegas, gs, record = gauss_legendre_modes(lambda w: eta0 * w, band, 60)
+    omegas, gs, _ = gauss_legendre_modes(lambda w: eta0 * w, band, 60)
     t = np.linspace(0.0, 30.0, 121)
     tds = []
     for c in (1.0, 0.5, 0.25):
         model = FiniteBathModel(QUBIT, LADDER, omegas, c * gs, n_max=1,
-                                beta=np.inf, coupling_kind="rotating-pair",
-                                quadrature=record)
+                                beta=np.inf, coupling_kind="rotating-pair")
         exact = exact_reduced_evolution(model, EXCITED_QUBIT, t)
         eta = eta0 * c * c
 

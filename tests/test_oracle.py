@@ -351,9 +351,9 @@ def test_weak_coupling_trajectory_approaches_markov():
     # one quick point of the scaling study: weak rotating coupling to a
     # sixty-mode vacuum bath tracks the golden-rule decay closely
     eta = 2e-5
-    omegas, gs, record = gauss_legendre_modes(lambda w: eta * w, 5.0, 60)
+    omegas, gs, _ = gauss_legendre_modes(lambda w: eta * w, 5.0, 60)
     model = FiniteBathModel(QUBIT, LADDER, omegas, gs, n_max=1, beta=np.inf,
-                            coupling_kind="rotating-pair", quadrature=record)
+                            coupling_kind="rotating-pair")
     t = np.linspace(0, 30.0, 61)
     exact = exact_reduced_evolution(model, EXCITED, t)
 
