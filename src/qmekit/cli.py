@@ -34,7 +34,7 @@ from .dynamics import (
     steady_state, block_structure_report, trace_distance, trajectory_to_csv,
 )
 from .diagnostics import equivalence_report
-from .oracle import FiniteBathModel, exact_reduced_evolution, gauss_legendre_modes
+from .oracle import DIM_CAP, FiniteBathModel, exact_reduced_evolution, gauss_legendre_modes
 
 __all__ = ["main", "parse_config", "serialize_config", "ModelConfig"]
 
@@ -525,6 +525,9 @@ def cmd_validate(cfg, args, out):
             or tuple(cfg.couplings.adjoint_map) != (1, 0)):
         raise InputError("validate: needs a ladder coupling pair")
     p = cfg.validate_params
+    dim = p["n_modes"] + 2          # the one-excitation sector: the smallest exact run
+    if dim > DIM_CAP:
+        _fail("validate.n_modes", f"Hilbert dimension {dim} exceeds the cap {DIM_CAP}")
     eta0, band = p["eta"], p["omega_band"]
     t = _linspace(0.0, p["t_star"], p["num"], "validate.num")
     rho0 = cfg.experiment.initial_state

@@ -142,23 +142,24 @@ def test_cli_import_leaves_the_csv_formatter_tables_unbuilt():
 
 def test_only_the_propagating_commands_load_scipy(tmp_path):
     # dynamics.expm is numpy alone, so evolve loads no scipy; only the rk
-    # path (forced here with EXPM_DIM_LIMIT = 0) imports scipy.integrate
+    # path (forced here with EXPM_DIM_LIMIT = 0) imports scipy.integrate.
+    # validate runs the one-excitation sector, never the sparse oracle
     code = ("import json, sys\n"
             "import qmekit.dynamics as dynamics\n"
             "from qmekit.cli import main\n" + SCIPY_LOADED +
             "argv, rows = ['--config', sys.argv[1], '--out', sys.argv[2]], []\n"
             "for command in ('build-kernel', 'steady-state', 'compare', 'block-report',\n"
-            "                'evolve'):\n"
+            "                'validate', 'evolve'):\n"
             "    rows.append([command, main([command, *argv]), bool(scipy_loaded())])\n"
             "dynamics.EXPM_DIM_LIMIT = 0\n"
             "rows.append(['evolve rk', main(['evolve', *argv]),\n"
             "             'scipy.integrate' in scipy_loaded()])\n"
             "print(json.dumps(rows))\n")
-    rows = json.loads(run_python(code, write_doc(tmp_path, README_DOC),
+    rows = json.loads(run_python(code, write_doc(tmp_path, dict(README_DOC, validate=VALIDATE)),
                                  str(tmp_path / "out"))[-1])
     assert rows == [["build-kernel", 0, False], ["steady-state", 0, False],
                     ["compare", 0, False], ["block-report", 0, False],
-                    ["evolve", 0, False], ["evolve rk", 0, True]]
+                    ["validate", 0, False], ["evolve", 0, False], ["evolve rk", 0, True]]
 
 
 def test_build_kernel_rejects_unknown_variant(tmp_path, capsys):
@@ -656,6 +657,25 @@ def test_validate_past_the_oracle_dimension_cap_names_the_field(tmp_path, capsys
         "error: validate.n_modes: Hilbert dimension 2305843009213693952 exceeds "
         "the cap 4096\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_modes", [4095, 8000])
+def test_validate_checks_its_mode_count_before_any_numerics(tmp_path, capsys, monkeypatch,
+                                                            n_modes):
+    # n_modes + 2 levels, the one-excitation sector, is the smallest exact
+    # run, so a larger count is refused before the modes are computed
+    def no_modes(*args):
+        raise AssertionError("validate computed the bath modes")
+
+    monkeypatch.setattr("qmekit.cli.gauss_legendre_modes", no_modes)
+    doc = qubit_doc(experiment={"initial_state": {"kind": "excited"}},
+                    validate=dict(VALIDATE, n_modes=n_modes))
+    rc, out = run(tmp_path, "validate", doc)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: validate.n_modes: Hilbert dimension {n_modes + 2} exceeds the cap 4096\n")
+    assert list(out.iterdir()) == []
+    assert run(tmp_path, "compare", doc)[0] == 0       # the other commands take it
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
