@@ -401,7 +401,7 @@ def serialize_config(cfg):
 
 def _provenance(cfg):
     return {
-        "config_sha256": _io.sha256_of(_io.canonical_dumps(cfg.normalized)),
+        "config_sha256": _io.sha256_of(cfg.normalized),
         "version": _io.PACKAGE_VERSION,
         "seed": cfg.experiment.seed,
     }

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -1156,6 +1157,17 @@ def test_config_hash_reads_the_same_bytes_as_the_nested_lists():
     assert canonical_dumps(cfg.normalized) == canonical_dumps(ref)
     again = parse_config(cfg.normalized)
     assert canonical_dumps(again.normalized) == canonical_dumps(ref)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_hash_is_the_sha256_of_the_canonical_text(tmp_path, command):
+    doc = dict(README_DOC, validate=VALIDATE)
+    text = canonical_dumps(parse_config(json.dumps(doc)).normalized)
+    rc, out = run(tmp_path, command, doc)
+    assert rc == 0
+    reports = [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+    hashes = {r["provenance"]["config_sha256"] for r in reports if "provenance" in r}
+    assert hashes == {hashlib.sha256(text.encode()).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
