@@ -41,6 +41,8 @@ __all__ = [
     "time_correlation",
 ]
 
+PSD_TOL = 1e-12                 # tabulated gamma eigenvalues, relative to max|gamma|
+
 
 @dataclass(frozen=True)
 class BathSpectrum:
@@ -279,12 +281,17 @@ def read_tabulated_csv(path):
 
 def tabulated_spectrum(path, beta=None):
     """Spectrum linearly interpolated from a CSV table, zero outside the
-    tabulated support."""
-    return _interpolated(path, *read_tabulated_csv(path)[:3], beta=beta)
-
-
-def _interpolated(path, labels, omegas, gammas, beta):
-    """The tabulated spectrum of the table read from path."""
+    tabulated support; a node whose hermitian gamma part has an eigenvalue
+    below -PSD_TOL * max|gamma| is an InputError naming its file row."""
+    labels, omegas, gammas, rows = read_tabulated_csv(path)
+    # gamma is linear between the nodes and zero off the table, and a
+    # chord between PSD matrices is PSD: the nodes decide exactly
+    low = np.linalg.eigvalsh((gammas + gammas.conj().swapaxes(1, 2)) / 2)[:, 0]
+    bad = np.flatnonzero(low < -PSD_TOL * float(np.max(np.abs(gammas))))
+    if bad.size:
+        k = bad[0]
+        raise InputError(f"{path}: gamma(omega) is not positive semidefinite at "
+                         f"omega={omegas[k]:g} (row {rows[k]}, min eigenvalue {low[k]:g})")
     n = len(labels)
     columns = np.ascontiguousarray(_pair_table(gammas).T)
 

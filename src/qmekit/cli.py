@@ -40,7 +40,6 @@ __all__ = ["main", "parse_config", "serialize_config", "ModelConfig"]
 
 TRACE_RESIDUAL_LIMIT = 1e-12          # relative to max|K|
 TRACE_DRIFT_LIMIT = 1e-8              # evolve: largest |tr rho - 1| of a trajectory
-PSD_TOL = 1e-12                       # tabulated gamma eigenvalues, relative to max|gamma|
 SCALING_BAND = (3.0, 5.0)
 
 
@@ -114,33 +113,14 @@ def _matrix(x, path, dim):
     return m
 
 
-def _tabulated(path, n_channels, beta=None):
-    try:
-        labels, omegas, gammas, rows = _bath.read_tabulated_csv(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail("bath.path", str(exc))
-    if len(labels) != n_channels:
-        _fail("bath.path", f"tabulated file has {len(labels)} channels, "
-                           f"couplings have {n_channels}")
-    # gamma is linear between the nodes and zero off the table, and a
-    # chord between PSD matrices is PSD: the nodes decide exactly
-    low = np.linalg.eigvalsh((gammas + gammas.conj().swapaxes(1, 2)) / 2)[:, 0]
-    bad = np.flatnonzero(low < -PSD_TOL * float(np.max(np.abs(gammas))))
-    if bad.size:
-        k = bad[0]
-        _fail("bath.path", f"gamma(omega) is not positive semidefinite at "
-                           f"omega={omegas[k]:g} (row {rows[k]}, min eigenvalue {low[k]:g})")
-    return _bath._interpolated(path, labels, omegas, gammas, beta)
-
-
 # each bath kind: its constructor and its parameters besides "kind", read
-# in this order; only tabulated may leave out beta
+# in this order; only tabulated may leave out beta, and it counts its own channels
 BATHS = {
     "flat": (_bath.flat_spectrum, ("rate",)),
     "thermal-ohmic": (_bath.thermal_ohmic_spectrum, ("coupling", "cutoff", "beta")),
     "lorentzian": (_bath.lorentzian_spectrum, ("rate", "width")),
     "gaussian": (_bath.gaussian_spectrum, ("rate", "width")),
-    "tabulated": (_tabulated, ("path", "beta")),
+    "tabulated": (lambda n_channels, **kw: _bath.tabulated_spectrum(**kw), ("path", "beta")),
 }
 
 
@@ -233,12 +213,15 @@ def _parse_bath(d, n_channels):
         read = {"path": _str, "beta": _beta}.get(name, _num)
         params[name] = read(_req(d, name, "bath"), f"bath.{name}")
     try:
-        return make(n_channels=n_channels, **params)
+        spec = make(n_channels=n_channels, **params)
+    except (OSError, UnicodeDecodeError) as exc:       # a tabulated file
+        _fail("bath.path", str(exc))
     except InputError as exc:
-        msg = str(exc)
-        if msg.startswith("bath"):
-            raise
-        _fail("bath", msg)
+        _fail("bath", str(exc))
+    if spec.n_channels != n_channels:
+        _fail("bath.path", f"tabulated file has {spec.n_channels} channels, "
+                           f"couplings have {n_channels}")
+    return spec
 
 
 def _parse_t_grid(d, path):

@@ -136,12 +136,17 @@ def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
     # the per-row writer and per-entry interpolation the column table
     # replaced, as byte and bit references; -0.0 entries included.  Rows
     # are written by fmt's rule with LF ends; the CRLF file csv.writer
-    # gives (-0.0 as -0) still reads back to the same values
+    # gives (-0.0 as -0) still reads back to the same values.  Each node
+    # is A A^H, positive semidefinite, plus an anti-hermitian part, which
+    # the PSD rule ignores; row 0 of A is zero at node 2, so its
+    # gamma[0, 0] may be -0.0
     rng = np.random.default_rng(n)
     labels = [f"c{a}" for a in range(n)]
     grid = np.linspace(-4.0, 4.0, 9)
-    g = rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n))
-    g[2, 0, 0], g[3, -1, -1] = complex(-0.0, 1.0), complex(0.5, -0.0)
+    a, b = rng.standard_normal((2, 9, n, n)) + 1j * rng.standard_normal((2, 9, n, n))
+    a[2, 0] = 0.0
+    g = a @ a.conj().swapaxes(1, 2) + (b - b.conj().swapaxes(1, 2)) / 2
+    g[2, 0, 0], g[3, -1, -1] = complex(-0.0, 1.0), complex(g[3, -1, -1].real, -0.0)
     path = tmp_path / "spec.csv"
     write_tabulated_csv(path, grid, g, labels)
     for terminator, cell in (("\n", fmt), ("\r\n", lambda x: f"{x:.17g}")):
@@ -171,6 +176,19 @@ def test_tabulated_table_matches_the_per_channel_loops(tmp_path, n):
     got = tabulated_spectrum(path).gamma(w)
     assert got.tobytes() == want.tobytes()
     assert tabulated_spectrum(path).gamma(1.7).tobytes() == want[1, 1].tobytes()
+
+
+def test_tabulated_spectrum_refuses_a_gamma_that_is_not_psd(tmp_path):
+    # two channels with gamma_01 = gamma_10 = 1 and a zero diagonal: the
+    # eigenvalues are -1 and 1 at every node, so the first row fails
+    path = tmp_path / "spec.csv"
+    grid = np.linspace(-3.0, 3.0, 7)
+    write_tabulated_csv(path, grid, np.tile([[0.0, 1.0], [1.0, 0.0]], (7, 1, 1)),
+                        labels=("u", "v"))
+    want = (f"{path}: gamma(omega) is not positive semidefinite at omega=-3 "
+            "(row 2, min eigenvalue -1)")
+    with pytest.raises(InputError, match=f"^{re.escape(want)}$"):
+        tabulated_spectrum(path)
 
 
 def test_tabulated_header_is_quoted_as_csv_writer_quotes_it(tmp_path):
