@@ -65,7 +65,7 @@ CROSS_THRESHOLD = 1e-12        # block_structure_report: smallest |K| listed
 # largest d propagated by dense matrix exponentials; a generator that
 # splits into blocks takes them for each size group whose blocks have at
 # most EXPM_DIM_LIMIT**2 pairs, whatever d, and DOP853 for the others
-EXPM_DIM_LIMIT = 32
+EXPM_DIM_LIMIT = 16
 # one matmul call's cost in complex multiply-adds (one BLAS thread): n
 # equal steps on blocks of m pairs are filled by doubling when its 2 b
 # calls and b m^3 squarings, b = n.bit_length(), cost less than n calls
@@ -232,7 +232,7 @@ def evolve_markov(liouv, rho0, t_grid):
     """Propagate rho0 along t_grid under a time-independent generator.
 
     Each size group takes matrix exponentials of its blocks while they
-    have at most EXPM_DIM_LIMIT**2 pairs (d <= 32 for one block), else
+    have at most EXPM_DIM_LIMIT**2 pairs (d <= 16 for one block), else
     adaptive DOP853 as one ODE over its stacked blocks; the method is "rk"
     when a group took DOP853.  The paths agree to 1e-8.  Steps of one
     relative size (to 15 decimals) share an exponential: one expm call

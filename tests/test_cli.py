@@ -141,22 +141,10 @@ def test_cli_import_leaves_the_csv_formatter_tables_unbuilt():
     assert run_python(code) == ["0"]
 
 
-def one_block_doc(d):
-    """redfield-in on d random levels in [0, 4) under one random hermitian
-    channel, thermal-ohmic bath: the generator is one block of d^2 pairs."""
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return {"spectrum": {"levels": np.sort(4 * rng.uniform(size=d)).tolist()},
-            "couplings": {"kind": "hermitian", "matrix": as_json_matrix((a + a.conj().T) / 4)},
-            "bath": {"kind": "thermal-ohmic", "coupling": 0.2, "cutoff": 5.0, "beta": 1.3},
-            "experiment": {"variant": "redfield-in"}}
-
-
 def test_only_the_propagating_commands_load_scipy(tmp_path):
-    # dynamics.expm is numpy alone, so evolve loads no scipy, also on a
-    # d=24 one-block generator; only the rk path (forced here with
-    # EXPM_DIM_LIMIT = 0) imports scipy.integrate.  validate runs the
-    # one-excitation sector, never the sparse oracle
+    # dynamics.expm is numpy alone, so evolve loads no scipy; only the rk
+    # path (forced here with EXPM_DIM_LIMIT = 0) imports scipy.integrate.
+    # validate runs the one-excitation sector, never the sparse oracle
     code = ("import json, sys\n"
             "import qmekit.dynamics as dynamics\n"
             "from qmekit.cli import main\n" + SCIPY_LOADED +
@@ -164,19 +152,15 @@ def test_only_the_propagating_commands_load_scipy(tmp_path):
             "for command in ('build-kernel', 'steady-state', 'compare', 'block-report',\n"
             "                'validate', 'evolve'):\n"
             "    rows.append([command, main([command, *argv]), bool(scipy_loaded())])\n"
-            "rows.append(['evolve d=24', main(['evolve', '--config', sys.argv[3],\n"
-            "                                  '--out', sys.argv[2]]), scipy_loaded()])\n"
             "dynamics.EXPM_DIM_LIMIT = 0\n"
             "rows.append(['evolve rk', main(['evolve', *argv]),\n"
             "             'scipy.integrate' in scipy_loaded()])\n"
             "print(json.dumps(rows))\n")
     rows = json.loads(run_python(code, write_doc(tmp_path, dict(README_DOC, validate=VALIDATE)),
-                                 str(tmp_path / "out"),
-                                 write_doc(tmp_path, one_block_doc(24), "d24.json"))[-1])
+                                 str(tmp_path / "out"))[-1])
     assert rows == [["build-kernel", 0, False], ["steady-state", 0, False],
                     ["compare", 0, False], ["block-report", 0, False],
-                    ["validate", 0, False], ["evolve", 0, False], ["evolve d=24", 0, []],
-                    ["evolve rk", 0, True]]
+                    ["validate", 0, False], ["evolve", 0, False], ["evolve rk", 0, True]]
 
 
 def test_build_kernel_rejects_unknown_variant(tmp_path, capsys):

@@ -479,7 +479,7 @@ def degenerate_kernel(d, variant):
     """A 17-fold degenerate level at 0 under d - 17 levels drawn from
     0.5 + 3.5 U(0, 1), a random hermitian coupling of rms entry 1/2 and
     a thermal-ohmic bath (0.2, 5, beta 1): the zero bin holds
-    17^2 + (d - 17) pairs, more than 16^2 from d = 17 on."""
+    17^2 + (d - 17) pairs, more than EXPM_DIM_LIMIT**2 from d = 17 on."""
     rng = np.random.default_rng(0)
     levels = np.concatenate([np.zeros(17), np.sort(0.5 + 3.5 * rng.uniform(size=d - 17))])
     spectrum = build_spectrum(levels)
@@ -503,10 +503,8 @@ def counting(monkeypatch, name):
 
 @pytest.mark.parametrize("variant", COVARIANT)
 def test_only_the_oversized_bin_is_integrated(monkeypatch, variant):
-    # d=24 with EXPM_DIM_LIMIT = 16: the zero bin's 296 pairs take DOP853,
-    # every other bin expm; integrating the whole generator passed all
-    # 576 pairs
-    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 16)
+    # d=24: the zero bin's 296 pairs take DOP853, every other bin expm;
+    # integrating the whole generator passed all 576 pairs
     d = 24
     liouv = build_liouvillian(*degenerate_kernel(d, variant))
     assert liouv.blocks[-1][0].shape == (1, 17 ** 2 + d - 17)
@@ -538,11 +536,9 @@ def test_size_groups_pick_their_own_propagator(monkeypatch):
     assert np.max(np.abs(traj.states - dense_trajectory(liouv.data, rho0, t))) < 1e-8
 
 
-def test_oversized_bin_propagates_without_the_dense_generator(monkeypatch):
-    # d=48 with EXPM_DIM_LIMIT = 16: the 320-pair zero bin alone goes
-    # through DOP853 (17 MB at peak); integrating all 2304 pairs with the
-    # dense generator took 93 MB
-    monkeypatch.setattr(dynamics, "EXPM_DIM_LIMIT", 16)
+def test_oversized_bin_propagates_without_the_dense_generator():
+    # d=48: the 320-pair zero bin alone goes through DOP853 (17 MB at
+    # peak); integrating all 2304 pairs with the dense generator took 93 MB
     d = 48
     liouv = build_liouvillian(*degenerate_kernel(d, "energy-conserving"))
     t = np.linspace(0.0, 10.0, 51)
